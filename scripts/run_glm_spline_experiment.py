@@ -22,7 +22,7 @@ from scipy.stats import norm
 
 from semivmp.engine import build_factor_graph, q_density, run_vmp
 from semivmp.mfvb import sample_glm_spline_posterior
-from semivmp.models import Hyperparameters, build_glm_spline, demo_mean_function, fitted_curve
+from semivmp.models import build_glm_spline, demo_mean_function, fitted_curve
 
 
 DRAWS = 10_000  # exact-posterior draws: Monte-Carlo SE of the mean curve about 0.01
@@ -54,8 +54,7 @@ def simulate(link, n, rng):
 def run_one(link, n, knots, iters, seed):
     rng = np.random.default_rng(seed)
     x, y, to_lp = simulate(link, n, rng)
-    hyper = Hyperparameters()
-    model = build_glm_spline(y, x, K=knots, link=link, hyper=hyper)
+    model = build_glm_spline(y, x, K=knots, link=link)
     graph = build_factor_graph(model)
     t0 = time.perf_counter()
     report = run_vmp(graph, max_iter=iters, tol=1e-300, track_elbo=False)
@@ -65,6 +64,7 @@ def run_one(link, n, knots, iters, seed):
     curve = fitted_curve(
         q_density(graph, model.coef_node), model.curves["fit"], grid, link="identity"
     )
+    hyper = model.meta["hyper"]
     exact = sample_glm_spline_posterior(
         y, model.meta["C"], link, sigma_beta_sq=hyper.sigma_beta_sq, A=hyper.A,
         n_draws=DRAWS, burn=DRAWS // 10, seed=seed,

@@ -83,6 +83,10 @@ def _numeric_column(header, rows, name):
             raise CliError(
                 f"line {lineno}: cannot parse '{row[j]}' in column '{name}' as a number"
             )
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        lineno, row = rows[bad[0]]
+        raise CliError(f"line {lineno}: non-finite value '{row[j]}' in column '{name}'")
     return out
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import expfam, fragments_gaussian as fg, fragments_glm as glm
 from .expfam import NatParam
+from .natparam import SpdFactorizationError, TwoLevelLayout, mvn_moments
 
 GAUSSIAN_PRIOR = "gaussian_prior"
 IW_PRIOR = "iw_prior"
@@ -65,9 +66,24 @@ class VmpNumericsError(RuntimeError):
 
 @dataclass(frozen=True)
 class StochasticNode:
+    """A node of the graph.  A multivariate normal node may carry the
+    TwoLevelLayout its precision keeps (set by the builder that knows the
+    columns); every consumer of its moments then uses the O(m) two-level
+    factorization instead of a dense one."""
+
     name: str
     family: str
     d: int = 1
+    layout: TwoLevelLayout | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.layout is not None and (
+            self.family != expfam.MULTIVARIATE_NORMAL or self.layout.p != self.d
+        ):
+            raise GraphStructureError(
+                f"node '{self.name}': a layout needs a multivariate normal node "
+                f"with d equal to its {self.layout.p} columns"
+            )
 
 
 @dataclass(frozen=True)
@@ -91,14 +107,6 @@ class FactorNode:
     spec: object
     neighbors: tuple
     state: object = None  # mutable slot for GLM fragment state
-
-
-@dataclass(frozen=True)
-class Message:
-    source: str
-    target: str
-    to_factor: bool
-    payload: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -227,14 +235,15 @@ def build_factor_graph(model) -> FactorGraph:
     return graph
 
 
-def update_node_to_factor(graph: FactorGraph, node: str, factor: str) -> Message:
-    """Refresh a node-to-factor message: sum of the other factors' messages."""
+def update_node_to_factor(graph: FactorGraph, node: str, factor: str) -> np.ndarray:
+    """Refresh a node-to-factor message (sum of the other factors' messages)
+    and return it."""
     total = np.zeros_like(graph.node_to_fac[(node, factor)])
     for other in graph.node_factors[node]:
         if other != factor:
             total = total + graph.fac_to_node[(other, node)]
     graph.node_to_fac[(node, factor)] = total
-    return Message(node, factor, True, total)
+    return total
 
 
 def _dispatch(graph, factor):
@@ -253,13 +262,15 @@ def _dispatch(graph, factor):
         return [m1, m2]
     if kind == GAUSSIAN_PENALIZATION:
         mc, mths = fg.gaussian_penalization_messages(
-            spec, n2f[0], n2f[1:], f2n[0], f2n[1:], context=factor.name
+            spec, n2f[0], n2f[1:], f2n[0], f2n[1:], context=factor.name,
+            layout=graph.nodes[nb[0]].layout,
         )
         return [mc] + list(mths)
     if kind == GAUSSIAN_LIKELIHOOD:
         m1, m2 = fg.gaussian_likelihood_messages(
             spec, n2f[0], n2f[1] if len(nb) > 1 else None,
             f2n[0], f2n[1] if len(nb) > 1 else None, context=factor.name,
+            layout=graph.nodes[nb[0]].layout,
         )
         return [m1] if m2 is None else [m1, m2]
     if kind == LOGISTIC_LIKELIHOOD:
@@ -276,7 +287,8 @@ def _dispatch(graph, factor):
 
 def update_factor(graph: FactorGraph, factor_name: str, damping: float = 1.0):
     """Run one factor update (messages refreshed first), with optional damping
-    eta_new = rho * proposed + (1 - rho) * old.  Returns the outbound Messages."""
+    eta_new = rho * proposed + (1 - rho) * old.  Returns the new outbound
+    payloads, in neighbor order."""
     factor = graph.factors[factor_name]
     for nname in factor.neighbors:
         update_node_to_factor(graph, nname, factor_name)
@@ -291,7 +303,7 @@ def update_factor(graph: FactorGraph, factor_name: str, damping: float = 1.0):
         old = graph.fac_to_node[(factor_name, nname)]
         new = payload if damping == 1.0 else damping * payload + (1.0 - damping) * old
         graph.fac_to_node[(factor_name, nname)] = new
-        out.append(Message(factor_name, nname, False, new))
+        out.append(new)
     return out
 
 
@@ -315,29 +327,44 @@ def q_density(graph: FactorGraph, node_name: str) -> QDensity:
 
 
 def elbo(graph: FactorGraph) -> float:
-    """Entropy of each q-density plus each factor's E_q{log fragment}."""
+    """Entropy of each q-density plus each factor's E_q{log fragment}.
+
+    Each multivariate normal q-density is factored once (two-level when its
+    node has a layout); that one factorization gives its properness, its
+    entropy and the moments the Gaussian fragments' terms read.
+    """
     total = 0.0
-    etas = {}
+    etas, moments = {}, {}
     for nname, node in graph.nodes.items():
         eta = _eta_q(graph, nname)
         nat = NatParam(node.family, eta, node.d)
-        if not expfam.is_proper(nat):
+        if node.family == expfam.MULTIVARIATE_NORMAL:
+            try:
+                mom = mvn_moments(eta, node.d, f"q-density {nname}", node.layout)
+            except SpdFactorizationError:
+                raise ImproperQDensityError(nname, eta) from None
+            moments[nname] = mom
+            total += expfam.mvn_entropy(node.d, mom.logdet)
+        elif not expfam.is_proper(nat):
             raise ImproperQDensityError(nname, eta)
+        else:
+            total += expfam.entropy(nat)
         etas[nname] = eta
-        total += expfam.entropy(nat)
     for fname, factor in graph.factors.items():
         spec, nb, kind = factor.spec, factor.neighbors, factor.kind
         if kind == GAUSSIAN_PRIOR:
-            total += fg.gaussian_prior_logp(spec, etas[nb[0]])
+            total += fg.gaussian_prior_logp(spec, etas[nb[0]], moments=moments[nb[0]])
         elif kind == IW_PRIOR:
             total += fg.inverse_wishart_prior_logp(spec, etas[nb[0]])
         elif kind == ITERATED_IGW:
             total += fg.iterated_igw_logp(spec, etas[nb[0]], etas[nb[1]])
         elif kind == GAUSSIAN_PENALIZATION:
-            total += fg.gaussian_penalization_logp(spec, etas[nb[0]], [etas[n] for n in nb[1:]])
+            total += fg.gaussian_penalization_logp(
+                spec, etas[nb[0]], [etas[n] for n in nb[1:]], moments=moments[nb[0]]
+            )
         elif kind == GAUSSIAN_LIKELIHOOD:
             qvar = etas[nb[1]] if len(nb) > 1 else None
-            total += fg.gaussian_likelihood_logp(spec, etas[nb[0]], qvar)
+            total += fg.gaussian_likelihood_logp(spec, etas[nb[0]], qvar, moments=moments[nb[0]])
         elif kind == LOGISTIC_LIKELIHOOD:
             total += glm.jaakkola_jordan_elbo(factor.state, etas[nb[0]])
         elif kind == PROBIT_LIKELIHOOD:

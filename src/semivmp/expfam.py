@@ -387,10 +387,7 @@ def entropy(x: NatParam) -> float:
             + 1.5 * scaled_ei_neg(z)
         )
     if x.family == MULTIVARIATE_NORMAL:
-        P = -2.0 * x.matrix_block()
-        return float(
-            0.5 * d * (1.0 + _LOG_2PI) - 0.5 * spd_logdet(P, context="entropy mvn")
-        )
+        return mvn_entropy(d, spd_logdet(-2.0 * x.matrix_block(), context="entropy mvn"))
     if x.family == INVERSE_WISHART:
         M = x.matrix_block()
         a = -e[0] - 0.5 * (d + np.arange(1, d + 1))
@@ -407,6 +404,11 @@ def entropy(x: NatParam) -> float:
         per = gammaln(a) + e[0] * _scipy_psi(a) + np.log(-m) - e[0] - 1.0
         return float(np.sum(per))
     raise UnknownFamilyError(x.family)
+
+
+def mvn_entropy(d, logdet_precision):
+    """Entropy of a d-variate normal from the log determinant of its precision."""
+    return float(0.5 * d * (1.0 + _LOG_2PI) - 0.5 * logdet_precision)
 
 
 def expected_log_base(x: NatParam) -> float:

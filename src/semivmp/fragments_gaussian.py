@@ -22,7 +22,8 @@ from scipy.special import gammaln
 
 from . import expfam
 from .expfam import NatParam
-from .natparam import g_vmp, mvn_moments_from_natural, spd_inverse, spd_logdet, vec, vec_inverse
+from .natparam import g_vmp, mvn_moments, spd_inverse, spd_logdet, vec, vec_inverse
+from .natparam import mvn_moments_from_natural  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 SCALAR_D1 = "scalar_d1"
 TOTALLY_CONNECTED = "totally_connected"
@@ -279,6 +280,21 @@ def _penalty_precisions(spec, etas_theta_to_factor, etas_factor_to_theta, contex
     return omegas
 
 
+def _block_columns(spec):
+    """Each penalized block with its (m, d) array of coefficient columns."""
+    off = spec.d0
+    for b in spec.blocks:
+        yield b, off + np.arange(b.size).reshape(b.m, b.d)
+        off += b.size
+
+
+def _second_moments(moments, cols):
+    """E{theta_k theta_k^T} = Sigma_kk + mu_k mu_k^T for each row k of cols,
+    as an (m, d, d) array."""
+    mu = moments.mu[cols]
+    return moments.entries(cols[:, :, None], cols[:, None, :]) + mu[:, :, None] * mu[:, None, :]
+
+
 def gaussian_penalization_messages(
     spec: GaussianPenalizationSpec,
     eta_coef_to_factor,
@@ -286,12 +302,15 @@ def gaussian_penalization_messages(
     eta_factor_to_coef,
     etas_factor_to_theta,
     context="gaussian penalization",
+    layout=None,
 ):
     """Updated (factor->coefficients, [factor->Theta_l ...]) messages.
 
     etas_theta_to_factor / etas_factor_to_theta list only the stochastic
     blocks, in block order; fixed-Theta blocks contribute their known
-    precision to the coefficient message and receive nothing.
+    precision to the coefficient message and receive nothing.  ``layout``
+    (the coefficient node's TwoLevelLayout, if any) selects the two-level
+    moments of the combined coefficient density.
     """
     p = spec.total_dim
     d0 = spec.d0
@@ -310,28 +329,20 @@ def gaussian_penalization_messages(
     msg_coef = np.concatenate([first, -0.5 * vec(precision)])
 
     c_coef = np.asarray(eta_coef_to_factor) + msg_coef
-    mu, Sigma = mvn_moments_from_natural(c_coef, p, context=f"{context} combined coefficients")
+    moments = mvn_moments(c_coef, p, f"{context} combined coefficients", layout)
 
     msgs_theta = []
-    off = d0
-    for b in spec.blocks:
+    for b, cols in _block_columns(spec):
         if b.fixed_Theta is not None:
-            off += b.size
             continue
-        sl = slice(off, off + b.size)
-        Ssub = Sigma[sl, sl] + np.outer(mu[sl], mu[sl])
+        S = _second_moments(moments, cols)
         if b.d == 1:
             # same number as g_vmp with the 0/1 selector over this block
-            msgs_theta.append(np.array([-0.5 * b.m, -0.5 * float(np.trace(Ssub))]))
+            msgs_theta.append(np.array([-0.5 * b.m, -0.5 * float(np.sum(S))]))
         else:
-            V = np.zeros((b.d, b.d))
-            for k in range(b.m):
-                sk = slice(k * b.d, (k + 1) * b.d)
-                V += Ssub[sk, sk]
             msgs_theta.append(
-                np.concatenate([[-0.5 * b.m], -0.5 * vec(_project(V, b.kind))])
+                np.concatenate([[-0.5 * b.m], -0.5 * vec(_project(S.sum(axis=0), b.kind))])
             )
-        off += b.size
     return msg_coef, msgs_theta
 
 
@@ -355,9 +366,11 @@ def gaussian_likelihood_messages(
     eta_factor_to_theta1,
     eta_factor_to_theta2,
     context="gaussian likelihood",
+    layout=None,
 ):
     """Updated (factor->theta1, factor->theta2) messages; theta2 parts are None
-    when sigma_sq_fixed pins the noise variance."""
+    when sigma_sq_fixed pins the noise variance.  ``layout`` is theta1's
+    TwoLevelLayout, if any; A^T A must then be zero off its pattern."""
     if spec.sigma_sq_fixed is not None:
         w = 1.0 / spec.sigma_sq_fixed
         msg1 = np.concatenate([spec.Aty * w, -0.5 * w * vec(spec.AtA)])
@@ -369,7 +382,7 @@ def gaussian_likelihood_messages(
     msg2 = np.array(
         [
             -0.5 * spec.n,
-            g_vmp(c1, spec.AtA, spec.Aty, spec.yty, context=context + " [coefficients]"),
+            g_vmp(c1, spec.AtA, spec.Aty, spec.yty, context + " [coefficients]", layout),
         ]
     )
     return msg1, msg2
@@ -379,18 +392,19 @@ def gaussian_likelihood_messages(
 # ELBO contributions: E_q{log factor}
 
 
-def gaussian_prior_logp(spec: GaussianPriorSpec, q_eta):
+def gaussian_prior_logp(spec: GaussianPriorSpec, q_eta, moments=None):
+    """E_q{log N(theta; mu, Sigma)}; ``moments`` are q's moments when the
+    caller has them already."""
     d = spec.d
-    q = NatParam(expfam.MULTIVARIATE_NORMAL, q_eta, d)
-    msg = gaussian_prior_message(spec)
-    ET = expfam.expected_sufficient_statistic(q)
+    if moments is None:
+        moments = mvn_moments(q_eta, d, "prior logp")
     Sinv = spd_inverse(spec.Sigma, context="prior logp")
     log_norm = (
         -0.5 * d * _LOG_2PI
         - 0.5 * spd_logdet(spec.Sigma, context="prior logp")
         - 0.5 * float(spec.mu @ Sinv @ spec.mu)
     )
-    return float(msg @ ET) + log_norm
+    return moments.expected_quadratic(Sinv, Sinv @ spec.mu, 0.0) + log_norm
 
 
 def inverse_wishart_prior_logp(spec: InverseWishartPriorSpec, q_eta):
@@ -436,22 +450,25 @@ def iterated_igw_logp(spec: IteratedIGWSpec, q_eta_theta1, q_eta_theta2):
     )
 
 
-def gaussian_penalization_logp(spec: GaussianPenalizationSpec, q_eta_coef, q_etas_theta):
-    p = spec.total_dim
-    mu, Sigma = mvn_moments_from_natural(q_eta_coef, p, context="penalization logp")
+def gaussian_penalization_logp(
+    spec: GaussianPenalizationSpec, q_eta_coef, q_etas_theta, moments=None
+):
+    """E_q{log penalization factor}; ``moments`` are q(coefficients)'s moments
+    when the caller has them already."""
+    if moments is None:
+        moments = mvn_moments(q_eta_coef, spec.total_dim, "penalization logp")
     d0 = spec.d0
     S0inv = spd_inverse(spec.Sigma0, context="penalization logp Sigma0")
-    dm = mu[:d0] - spec.mu0
+    dm = moments.mu[:d0] - spec.mu0
+    fixed = np.arange(d0)
+    Sigma00 = moments.entries(fixed[:, None], fixed[None, :])
     total = (
         -0.5 * d0 * _LOG_2PI
         - 0.5 * spd_logdet(spec.Sigma0, context="penalization logp Sigma0")
-        - 0.5 * (float(dm @ S0inv @ dm) + float(np.sum(S0inv * Sigma[:d0, :d0])))
+        - 0.5 * (float(dm @ S0inv @ dm) + float(np.sum(S0inv * Sigma00)))
     )
-    off = d0
     k = 0
-    for b in spec.blocks:
-        sl = slice(off, off + b.size)
-        Ssub = Sigma[sl, sl] + np.outer(mu[sl], mu[sl])
+    for b, cols in _block_columns(spec):
         if b.fixed_Theta is not None:
             Th = np.atleast_2d(np.asarray(b.fixed_Theta, dtype=float))
             Elogdet = spd_logdet(Th, context="penalization logp fixed")
@@ -461,13 +478,16 @@ def gaussian_penalization_logp(spec: GaussianPenalizationSpec, q_eta_coef, q_eta
             Einv = np.atleast_2d(Einv)
             k += 1
         total += -0.5 * b.m * b.d * _LOG_2PI - 0.5 * b.m * Elogdet
-        total += -0.5 * float(np.sum(np.kron(np.eye(b.m), Einv) * Ssub))
-        off += b.size
+        total += -0.5 * float(np.sum(_second_moments(moments, cols) * Einv))
     return float(total)
 
 
-def gaussian_likelihood_logp(spec: GaussianLikelihoodSpec, q_eta_coef, q_eta_var=None):
-    gv = g_vmp(q_eta_coef, spec.AtA, spec.Aty, spec.yty, context="likelihood logp")
+def gaussian_likelihood_logp(spec: GaussianLikelihoodSpec, q_eta_coef, q_eta_var=None, moments=None):
+    """E_q{log likelihood factor}; ``moments`` are q(theta1)'s moments when
+    the caller has them already."""
+    if moments is None:
+        moments = mvn_moments(q_eta_coef, spec.d, "likelihood logp")
+    gv = moments.expected_quadratic(spec.AtA, spec.Aty, spec.yty)
     n = spec.n
     if spec.sigma_sq_fixed is not None:
         s2 = spec.sigma_sq_fixed

@@ -46,6 +46,7 @@ from .fragments_glm import (
     PoissonFragmentState,
     ProbitFragmentState,
 )
+from .natparam import TwoLevelLayout
 
 TRUNCATED_LINEAR = "truncated_linear"
 OSULLIVAN_LIKE = "osullivan_like"
@@ -252,6 +253,13 @@ def _standardize_x(x):
     return (x - mean) / sd, mean, sd
 
 
+def _require_finite(name, values):
+    """Reject NaN/inf input at build time, naming the argument and the row."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{name} has a non-finite value ({values[bad[0]]}) at row {bad[0]}")
+
+
 def original_coefficients(model: ModelSpec, q_coef):
     """Posterior mean/covariance of the coefficients on the caller's scale."""
     mu = np.asarray(q_coef.common["mu"])
@@ -311,13 +319,16 @@ def build_linear_regression(
         raise ValueError("empty response")
     if X.shape[0] != y.size:
         raise ValueError(f"X has {X.shape[0]} rows but y has {y.size} entries")
+    _require_finite("y", y)
     d = X.shape[1]
+    for j in range(d):
+        _require_finite(f"X[:, {j}]", X[:, j])
     mu_beta = np.zeros(d) if mu_beta is None else np.asarray(mu_beta, dtype=float)
     Sigma_beta = (
         sigma_beta_sq * np.eye(d) if Sigma_beta is None else np.asarray(Sigma_beta, dtype=float)
     )
 
-    meta = {"y": y, "X": X}
+    meta = {"y": y, "X": X, "hyper": Hyperparameters(sigma_beta_sq=sigma_beta_sq, A=A_hyper)}
     if standardize:
         Xs, M = _standardize_design(X)
         Minv = np.linalg.inv(M)
@@ -342,8 +353,8 @@ def build_linear_regression(
     return ModelSpec(nodes, fragments, "identity", "coef", {}, meta)
 
 
-def _penalized_gaussian_coef_nodes(p):
-    return [StochasticNode("coef", expfam.MULTIVARIATE_NORMAL, p)]
+def _penalized_gaussian_coef_nodes(p, layout=None):
+    return [StochasticNode("coef", expfam.MULTIVARIATE_NORMAL, p, layout)]
 
 
 def build_penalized_spline(
@@ -364,6 +375,8 @@ def build_penalized_spline(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if y.size != x.size:
         raise ValueError("x and y lengths differ")
+    _require_finite("y", y)
+    _require_finite("x", x)
     hyper = hyper or Hyperparameters()
     xs, x_mean, x_sd = _standardize_x(x)
     Z, basis = spline_design(xs, K, spline_kind)
@@ -406,7 +419,7 @@ def build_penalized_spline(
     )
     _scale_chain(nodes, fragments, "eps", "sigsq_eps", hyper.A)
 
-    meta = {"y": y, "x": x, "x_mean": x_mean, "x_sd": x_sd, "basis": basis, "C": C}
+    meta = {"y": y, "x": x, "x_mean": x_mean, "x_sd": x_sd, "basis": basis, "C": C, "hyper": hyper}
 
     def fit_design(grid):
         gs = (np.asarray(grid, dtype=float) - x_mean) / x_sd
@@ -431,6 +444,8 @@ def build_glm_spline(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if y.size != x.size:
         raise ValueError("x and y lengths differ")
+    _require_finite("y", y)
+    _require_finite("x", x)
     hyper = hyper or Hyperparameters()
     xs, x_mean, x_sd = _standardize_x(x)
     Z, basis = spline_design(xs, K, spline_kind)
@@ -469,7 +484,7 @@ def build_glm_spline(
             ("a_u",),
         ),
     ]
-    meta = {"y": y, "x": x, "x_mean": x_mean, "x_sd": x_sd, "basis": basis, "C": C}
+    meta = {"y": y, "x": x, "x_mean": x_mean, "x_sd": x_sd, "basis": basis, "C": C, "hyper": hyper}
 
     def fit_design(grid):
         gs = (np.asarray(grid, dtype=float) - x_mean) / x_sd
@@ -503,6 +518,9 @@ def build_group_curves(
     lab = np.atleast_1d(np.asarray(group_label, dtype=float))
     if not (y.size == x.size == gid.size == lab.size):
         raise ValueError("y, x, group_id, group_label lengths differ")
+    _require_finite("y", y)
+    _require_finite("x", x)
+    _require_finite("group_label", lab)
     if not np.all((lab == 0) | (lab == 1)):
         raise ValueError("group labels must be binary 0/1")
     hyper = hyper or Hyperparameters()
@@ -527,6 +545,8 @@ def build_group_curves(
     cols = [X, Zw, Zb]
     blocks = [PenalizedBlock(K_gbl, 1, SCALAR_D1), PenalizedBlock(K_gbl, 1, SCALAR_D1)]
     chains = ["gbl_w", "gbl_b"]
+    n_glob = 4 + 2 * K_gbl
+    group_cols = []  # per block of group columns: an (m, columns per group) array
 
     if include_subject_lines:
         ZU = np.zeros((n, 2 * m))
@@ -537,6 +557,7 @@ def build_group_curves(
         cols.append(ZU)
         blocks.append(PenalizedBlock(m, 2, TOTALLY_CONNECTED))
         chains.append("subject")
+        group_cols.append(n_glob + np.arange(2 * m).reshape(m, 2))
 
     if K_grp > 0:
         Z_grp_base, basis_grp = spline_design(xs, K_grp, spline_kind)
@@ -547,14 +568,26 @@ def build_group_curves(
         cols.append(Zg)
         blocks.append(PenalizedBlock(m * K_grp, 1, SCALAR_D1))
         chains.append("grp")
+        start = n_glob + (2 * m if include_subject_lines else 0)
+        group_cols.append(start + np.arange(m * K_grp).reshape(m, K_grp))
     else:
         basis_grp = None
 
     C = np.column_stack(cols)
     p = C.shape[1]
     pen = GaussianPenalizationSpec(np.zeros(4), hyper.sigma_beta_sq * np.eye(4), tuple(blocks))
+    lik = GaussianLikelihoodSpec(y, C)
+    layout = None
+    if group_cols:
+        layout = TwoLevelLayout(np.arange(n_glob), np.hstack(group_cols))
+        bad = layout.off_pattern_group(lik.AtA)
+        if bad is not None:
+            raise ValueError(
+                f"design couples group {bad} with another group: "
+                "C^T C is nonzero off the two-level pattern"
+            )
 
-    nodes = _penalized_gaussian_coef_nodes(p)
+    nodes = _penalized_gaussian_coef_nodes(p, layout)
     fragments = []
     pen_ports = ["coef"]
 
@@ -591,14 +624,12 @@ def build_group_curves(
 
     fragments.insert(0, FragmentBinding("penalization", GAUSSIAN_PENALIZATION, pen, tuple(pen_ports)))
     fragments.append(
-        FragmentBinding(
-            "likelihood", GAUSSIAN_LIKELIHOOD, GaussianLikelihoodSpec(y, C), ("coef", "sigsq_eps")
-        )
+        FragmentBinding("likelihood", GAUSSIAN_LIKELIHOOD, lik, ("coef", "sigsq_eps"))
     )
     _scale_chain(nodes, fragments, "eps", "sigsq_eps", hyper.A)
 
     meta = {
-        "y": y, "x": x, "x_mean": x_mean, "x_sd": x_sd,
+        "y": y, "x": x, "x_mean": x_mean, "x_sd": x_sd, "hyper": hyper,
         "basis_gbl": basis_gbl, "basis_grp": basis_grp,
         "C": C, "m_groups": m, "K_gbl": K_gbl, "K_grp": K_grp,
         "include_subject_lines": include_subject_lines,

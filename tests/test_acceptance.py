@@ -54,7 +54,6 @@ from semivmp.mfvb import (
     sample_scale_chain,
 )
 from semivmp.models import (
-    Hyperparameters,
     build_glm_spline,
     build_linear_regression,
     build_penalized_spline,
@@ -362,7 +361,6 @@ def test_08_synthetic_recovery(announce):
         "probit": stats.norm.ppf,
         "log": lambda p: np.log(10.0 * p),
     }
-    hyper = Hyperparameters()
     results = []
     exact_meets_old_bound = []
     ok = True
@@ -371,7 +369,7 @@ def test_08_synthetic_recovery(announce):
         x = r.uniform(size=n)
         f = demo_mean_function(x)
         y = r.binomial(1, f) if link != "log" else r.poisson(10.0 * f)
-        model = build_glm_spline(y, x, K=K, link=link, hyper=hyper)
+        model = build_glm_spline(y, x, K=K, link=link)
         graph = build_factor_graph(model)
         t0 = time.perf_counter()
         try:
@@ -384,6 +382,7 @@ def test_08_synthetic_recovery(announce):
         dt = time.perf_counter() - t0
         vmp_mean = fitted_curve(q_coef, model.curves["fit"], grid, link="identity").mean
 
+        hyper = model.meta["hyper"]
         draws = sample_glm_spline_posterior(
             y, model.meta["C"], link, n_fixed=2, sigma_beta_sq=hyper.sigma_beta_sq, A=hyper.A,
             n_draws=10_000, burn=1000, seed=8,

@@ -143,6 +143,19 @@ def test_bad_cell_reports_line_number(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_non_finite_cell_reports_column_and_line(tmp_path, capsys, cell):
+    p = tmp_path / "nonfinite.csv"
+    p.write_text(f"x,y\n0.1,1.0\n0.2,0.5\n{cell},2.0\n", encoding="utf-8")
+    code = cli.main(
+        ["fit", "--model", "penspline", "--data", str(p), "--response", "y",
+         "--predictor", "x", "--out", str(tmp_path / "o.json")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "line 4" in err and "column 'x'" in err and "non-finite" in err
+
+
 def test_ragged_row_reports_line_number(tmp_path, capsys):
     p = tmp_path / "ragged.csv"
     p.write_text("x,y\n0.1,1.0\n0.2\n", encoding="utf-8")

@@ -26,7 +26,7 @@ from semivmp.fragments_glm import (
     LogisticFragmentState,
     PoissonFragmentState,
 )
-from semivmp.natparam import vec
+from semivmp.natparam import TwoLevelLayout, vec
 
 from conftest import make_regression_data
 
@@ -137,6 +137,15 @@ def test_port_count_rejected():
         build_factor_graph(m)
 
 
+def test_layout_must_match_its_node():
+    layout = TwoLevelLayout([0], [[1, 2], [3, 4]])
+    assert StochasticNode("coef", MULTIVARIATE_NORMAL, 5, layout).layout is layout
+    with pytest.raises(GraphStructureError, match="5 columns"):
+        StochasticNode("coef", MULTIVARIATE_NORMAL, 4, layout)
+    with pytest.raises(GraphStructureError, match="multivariate normal"):
+        StochasticNode("s", INVERSE_CHI_SQUARED, 5, layout)
+
+
 def test_initialization_conventions():
     y, X = make_regression_data(1, n=30)
     g = build_factor_graph(models.build_linear_regression(y, X))
@@ -168,15 +177,15 @@ def test_node_to_factor_is_sum_of_other_factors():
     g = build_factor_graph(models.build_linear_regression(y, X))
     run_vmp(g, max_iter=3, tol=1e-15, track_elbo=False)
     msg = update_node_to_factor(g, "sigsq_eps", "likelihood")
-    np.testing.assert_allclose(msg.payload, g.fac_to_node[("link_eps", "sigsq_eps")])
-    assert msg.to_factor and msg.source == "sigsq_eps" and msg.target == "likelihood"
+    np.testing.assert_allclose(msg, g.fac_to_node[("link_eps", "sigsq_eps")])
+    assert msg is g.node_to_fac[("sigsq_eps", "likelihood")]
 
 
 def test_update_factor_returns_outbound_messages():
     g = build_factor_graph(prior_only_model())
     (out,) = update_factor(g, "prior")
-    assert out.source == "prior" and out.target == "theta" and not out.to_factor
-    np.testing.assert_allclose(out.payload, mvn_eta(np.zeros(2), 4.0 * np.eye(2)))
+    assert out is g.fac_to_node[("prior", "theta")]
+    np.testing.assert_allclose(out, mvn_eta(np.zeros(2), 4.0 * np.eye(2)))
 
 
 def test_converged_graph_is_a_fixed_point():

@@ -9,6 +9,8 @@ from semivmp.engine import build_factor_graph, q_density, run_vmp
 from semivmp.models import (
     OSULLIVAN_LIKE,
     TRUNCATED_LINEAR,
+    Hyperparameters,
+    build_glm_spline,
     build_group_curves,
     build_linear_regression,
     build_penalized_spline,
@@ -266,6 +268,109 @@ def test_group_curves_fit_runs_with_full_structure():
     qS = q_density(g, "Sigma_subject")
     evals = np.linalg.eigvalsh(qS.common["Lambda"])
     assert np.all(evals > 0)
+
+
+@pytest.mark.parametrize("kind", [TRUNCATED_LINEAR, OSULLIVAN_LIKE])
+@pytest.mark.parametrize("K_grp", [0, 3])
+@pytest.mark.parametrize("subject_lines", [True, False])
+def test_group_curves_two_level_layout(subject_lines, K_grp, kind):
+    y, x, gid, lab = group_data()
+    m = build_group_curves(y, x, gid, lab, K_gbl=6, K_grp=K_grp, spline_kind=kind,
+                           include_subject_lines=subject_lines)
+    (coef,) = [n for n in m.nodes if n.name == m.coef_node]
+    layout = coef.layout
+    if not subject_lines and K_grp == 0:
+        assert layout is None  # no group columns: the dense path
+        return
+    C = m.meta["C"]
+    p = C.shape[1]
+    cols = np.concatenate([layout.glob, layout.groups.ravel()])
+    assert np.array_equal(np.sort(cols), np.arange(p))  # every column exactly once
+    assert layout.groups.shape == (6, 2 * subject_lines + K_grp)
+    on = np.zeros((p, p), dtype=bool)
+    on[layout.glob, :] = on[:, layout.glob] = True
+    for g in layout.groups:
+        on[np.ix_(g, g)] = True
+    assert np.all((C.T @ C)[~on] == 0.0)
+
+
+def test_group_curves_rejects_design_off_the_pattern(monkeypatch):
+    real = models.TwoLevelLayout
+
+    def swapped(glob, groups):  # file one column of group 0 under group 1
+        groups = groups.copy()
+        groups[0, 0], groups[1, 0] = groups[1, 0], groups[0, 0]
+        return real(glob, groups)
+
+    monkeypatch.setattr(models, "TwoLevelLayout", swapped)
+    y, x, gid, lab = group_data()
+    with pytest.raises(ValueError, match="couples group 0"):
+        build_group_curves(y, x, gid, lab, K_gbl=6, K_grp=3)
+
+
+# --- input validation and stored priors ---------------------------------------
+
+
+def _poison(values, row, bad):
+    values = np.array(values, dtype=float)
+    values[row] = bad
+    return values
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_linear_regression_rejects_non_finite(bad):
+    y, X = make_regression_data(3, n=30)
+    with pytest.raises(ValueError, match=r"^y has a non-finite value .* at row 4$"):
+        build_linear_regression(_poison(y, 4, bad), X)
+    X = X.copy()
+    X[7, 2] = bad
+    with pytest.raises(ValueError, match=r"^X\[:, 2\] has a non-finite value .* at row 7$"):
+        build_linear_regression(y, X)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_penalized_spline_rejects_non_finite(bad):
+    y, x = spline_data(3, 60)
+    with pytest.raises(ValueError, match=r"^y has a non-finite value .* at row 5$"):
+        build_penalized_spline(_poison(y, 5, bad), x, K=5)
+    with pytest.raises(ValueError, match=r"^x has a non-finite value .* at row 9$"):
+        build_penalized_spline(y, _poison(x, 9, bad), K=5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_glm_spline_rejects_non_finite(bad):
+    r = np.random.default_rng(4)
+    x = r.uniform(size=60)
+    y = r.integers(0, 2, 60).astype(float)
+    with pytest.raises(ValueError, match=r"^y has a non-finite value .* at row 2$"):
+        build_glm_spline(_poison(y, 2, bad), x, K=5, link="logit")
+    with pytest.raises(ValueError, match=r"^x has a non-finite value .* at row 11$"):
+        build_glm_spline(y, _poison(x, 11, bad), K=5, link="log")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_group_curves_rejects_non_finite(bad):
+    y, x, gid, lab = group_data()
+    with pytest.raises(ValueError, match=r"^y has a non-finite value .* at row 3$"):
+        build_group_curves(_poison(y, 3, bad), x, gid, lab, K_gbl=6, K_grp=3)
+    with pytest.raises(ValueError, match=r"^x has a non-finite value .* at row 8$"):
+        build_group_curves(y, _poison(x, 8, bad), gid, lab, K_gbl=6, K_grp=3)
+    with pytest.raises(ValueError, match=r"^group_label has a non-finite value .* at row 21$"):
+        build_group_curves(y, x, gid, _poison(lab, 21, bad), K_gbl=6, K_grp=3)
+
+
+def test_builders_keep_their_prior():
+    hyper = Hyperparameters(sigma_beta_sq=37.0, A=2.5, nu=3.0)
+    y, x = spline_data(5, 80)
+    yb = (y > 0).astype(float)
+    assert build_penalized_spline(y, x, K=5, hyper=hyper).meta["hyper"] == hyper
+    assert build_glm_spline(yb, x, K=5, link="probit", hyper=hyper).meta["hyper"] == hyper
+    gy, gx, gid, lab = group_data()
+    assert build_group_curves(gy, gx, gid, lab, K_gbl=6, K_grp=3, hyper=hyper).meta["hyper"] == hyper
+    ly, X = make_regression_data(5, n=30)
+    kept = build_linear_regression(ly, X, sigma_beta_sq=37.0, A_hyper=2.5).meta["hyper"]
+    assert (kept.sigma_beta_sq, kept.A) == (37.0, 2.5)
+    assert build_glm_spline(yb, x, K=5).meta["hyper"] == Hyperparameters()
 
 
 # --- GLM splines --------------------------------------------------------------

@@ -7,7 +7,9 @@ from hypothesis.extra.numpy import arrays
 from semivmp.natparam import (
     DimensionError,
     SpdFactorizationError,
+    TwoLevelLayout,
     g_vmp,
+    mvn_moments,
     mvn_moments_from_natural,
     spd_chol,
     spd_inverse,
@@ -122,3 +124,89 @@ def test_g_vmp_improper_input_raises():
     eta = np.concatenate([[0.0], 0.5 * vec(np.eye(1))])
     with pytest.raises(SpdFactorizationError):
         g_vmp(eta, np.eye(1), np.zeros(1), 0.0)
+
+
+# --- two-level (block-arrowhead) moments ---------------------------------------
+
+
+def arrowhead_natural(rng, m, q, g):
+    """(layout, eta, pattern mask) for a random SPD precision whose groups
+    meet only through the global columns; columns are shuffled so the layout
+    is not contiguous."""
+    p = g + m * q
+    perm = rng.permutation(p)
+    layout = TwoLevelLayout(perm[:g], perm[g:].reshape(m, q))
+    P = np.zeros((p, p))
+    G = layout.glob
+    schur = random_spd(rng, g)
+    for cols in layout.groups:
+        D = random_spd(rng, q)
+        B = rng.normal(size=(q, g))
+        P[np.ix_(cols, cols)] = D
+        P[np.ix_(cols, G)] = B
+        P[np.ix_(G, cols)] = B.T
+        schur = schur + B.T @ np.linalg.solve(D, B)
+    P[np.ix_(G, G)] = symmetrize(schur)  # leaves Schur complement random_spd: SPD
+    on = P != 0.0
+    on[np.ix_(G, G)] = True
+    eta = np.concatenate([rng.normal(size=p) * 3.0, -0.5 * vec(P)])
+    return layout, eta, on
+
+
+def assert_rel(got, want, tol=1e-10):
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(np.asarray(got) - want)) <= tol * scale
+
+
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_two_level_moments_match_dense(m, q, g, seed):
+    rng = np.random.default_rng(seed)
+    layout, eta, on = arrowhead_natural(rng, m, q, g)
+    p = layout.p
+    dense = mvn_moments(eta, p)
+    two = mvn_moments(eta, p, layout=layout)
+    assert_rel(two.mu, dense.mu)
+    assert_rel(two.logdet, dense.logdet)
+    G = layout.glob
+    assert_rel(two.Sigma_GG, dense.Sigma[np.ix_(G, G)])
+    for i, cols in enumerate(layout.groups):
+        assert_rel(two.Sigma_iG[i], dense.Sigma[np.ix_(cols, G)])
+        assert_rel(two.Sigma_ii[i], dense.Sigma[np.ix_(cols, cols)])
+    rows, cols = np.nonzero(on)
+    assert_rel(two.entries(rows, cols), dense.Sigma[rows, cols])
+    Q = random_spd(rng, p) * on
+    r = rng.normal(size=p)
+    assert_rel(g_vmp(eta, Q, r, 1.5, layout=layout), g_vmp(eta, Q, r, 1.5))
+
+
+def test_two_level_moments_name_the_failing_group(rng):
+    layout, eta, _ = arrowhead_natural(rng, 4, 3, 2)
+    p = layout.p
+    P = -2.0 * vec_inverse(eta[p:], p)
+    cols = layout.groups[2]
+    P[np.ix_(cols, cols)] = -np.eye(3)
+    bad = np.concatenate([eta[:p], -0.5 * vec(P)])
+    with pytest.raises(SpdFactorizationError, match=r"\(q coef\): group 2 block") as exc:
+        mvn_moments(bad, p, context="q coef", layout=layout)
+    assert exc.value.context == "q coef"
+
+
+def test_two_level_layout_validation(rng):
+    with pytest.raises(DimensionError, match="exactly once"):
+        TwoLevelLayout([0, 1], [[1, 2], [3, 4]])
+    with pytest.raises(DimensionError):
+        TwoLevelLayout([], [[0, 1]])
+    layout, eta, _ = arrowhead_natural(rng, 3, 2, 2)
+    two = mvn_moments(eta, layout.p, layout=layout)
+    with pytest.raises(DimensionError, match="between two groups"):
+        two.entries(layout.groups[0, 0], layout.groups[1, 0])
+    with pytest.raises(DimensionError, match="layout covers"):
+        mvn_moments(eta, layout.p + 1, layout=layout)
+
+
+def test_off_pattern_group_finds_coupled_groups(rng):
+    layout, eta, on = arrowhead_natural(rng, 4, 2, 3)
+    Q = on.astype(float)
+    assert layout.off_pattern_group(Q) is None
+    Q[layout.groups[1, 0], layout.groups[3, 1]] = 1e-300
+    assert layout.off_pattern_group(Q) == 1
