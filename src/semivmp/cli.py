@@ -151,21 +151,17 @@ def cmd_fit(req: FitRequest) -> int:
     report = run_vmp(graph, max_iter=req.iters, tol=req.tol)
     elapsed = time.perf_counter() - t0
 
-    qtable = {}
-    for node in graph.nodes:
-        qd = q_density(graph, node)
-        qtable[node] = {
-            "family": qd.family,
-            "d": qd.d,
-            "eta": qd.eta_q,
-            "common": qd.common,
-        }
+    qds = {node: q_density(graph, node) for node in graph.nodes}
+    qtable = {
+        node: {"family": qd.family, "d": qd.d, "eta": qd.eta_q, "common": qd.common}
+        for node, qd in qds.items()
+    }
+    qc = qds[model.coef_node]
 
     curves = {}
     if model.curves:
         x = model.meta["x"]
         grid = np.linspace(float(np.min(x)), float(np.max(x)), 201)
-        qc = q_density(graph, model.coef_node)
         for name, builder in model.curves.items():
             fc = models.fitted_curve(qc, builder, grid, link=model.link)
             curves[name] = {
@@ -177,7 +173,7 @@ def cmd_fit(req: FitRequest) -> int:
 
     extras = {}
     if "coef_transform" in model.meta:
-        mu, Sigma = models.original_coefficients(model, q_density(graph, model.coef_node))
+        mu, Sigma = models.original_coefficients(model, qc)
         extras["coefficients_original_scale"] = {"mu": mu, "Sigma": Sigma}
 
     doc = {

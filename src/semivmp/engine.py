@@ -7,6 +7,17 @@ factors in schedule order; visiting a factor first refreshes the node-to-factor
 messages on its edges (sum of the other factors' messages into each node), then
 asks the fragment for fresh factor-to-node messages.  A node's q-density is the
 sum of all inbound factor messages.
+
+A fragment is any object with three methods, all in port order:
+
+- ``ports()``: the (family, d) each port needs;
+- ``update(n2f, f2n, nodes, context)``: the fragment to keep (itself, or a
+  replaced state) and its new factor-to-node messages;
+- ``logp(q_etas, moments)``: its term E_q{log fragment} of the ELBO, given
+  the q-density vectors and, for normal ports, their moments.
+
+A fragment may also set ``start_precision``, the precision of the normal
+messages it starts from.  The engine knows no fragment kind.
 """
 
 from __future__ import annotations
@@ -15,31 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expfam, fragments_gaussian as fg, fragments_glm as glm
+from . import expfam
 from .expfam import NatParam
-from .natparam import SpdFactorizationError, TwoLevelLayout, mvn_moments
+from .natparam import SpdFactorizationError, TwoLevelLayout, mvn_moments, vec
 
-GAUSSIAN_PRIOR = "gaussian_prior"
-IW_PRIOR = "iw_prior"
-ITERATED_IGW = "iterated_igw"
-GAUSSIAN_PENALIZATION = "gaussian_penalization"
-GAUSSIAN_LIKELIHOOD = "gaussian_likelihood"
-LOGISTIC_LIKELIHOOD = "logistic_likelihood"
-PROBIT_LIKELIHOOD = "probit_likelihood"
-POISSON_LIKELIHOOD = "poisson_likelihood"
-
-FRAGMENT_KINDS = (
-    GAUSSIAN_PRIOR,
-    IW_PRIOR,
-    ITERATED_IGW,
-    GAUSSIAN_PENALIZATION,
-    GAUSSIAN_LIKELIHOOD,
-    LOGISTIC_LIKELIHOOD,
-    PROBIT_LIKELIHOOD,
-    POISSON_LIKELIHOOD,
-)
-
-_GLM_KINDS = (LOGISTIC_LIKELIHOOD, PROBIT_LIKELIHOOD, POISSON_LIKELIHOOD)
+_PROTOCOL = ("ports", "update", "logp")
 
 
 class GraphStructureError(ValueError):
@@ -88,12 +79,12 @@ class StochasticNode:
 
 @dataclass(frozen=True)
 class FragmentBinding:
-    """One fragment instance in a model: kind tag, its spec (or, for the GLM
-    kinds, the initial fragment state), and the stochastic nodes it touches."""
+    """One fragment instance in a model: its name, the fragment (a spec, or
+    for the GLM likelihoods the initial fragment state), and the stochastic
+    nodes its ports touch."""
 
     name: str
-    kind: str
-    spec: object
+    fragment: object
     ports: tuple
 
     def __post_init__(self):
@@ -103,10 +94,8 @@ class FragmentBinding:
 @dataclass
 class FactorNode:
     name: str
-    kind: str
-    spec: object
+    fragment: object  # replaced by each update, so fragment state stays per graph
     neighbors: tuple
-    state: object = None  # mutable slot for GLM fragment state
 
 
 @dataclass(frozen=True)
@@ -133,50 +122,19 @@ class FactorGraph:
         self.fac_to_node = {}
         self.node_to_fac = {}
         self.node_factors = {}
-        self.iteration = 0
-
-    def neighbors_of_node(self, name):
-        return self.node_factors[name]
 
 
-def _vague_init(family, d):
+def _vague_init(family, d, precision):
     """A vague proper member of each family, used for the starting
-    factor-to-node messages (scalar kinds: shape/scale-1 maps; matrix kinds:
-    unit scale matrix; normal: precision 0.01 I)."""
+    factor-to-node messages (scalar families: shape/scale-1 maps; matrix
+    families: unit scale matrix; normal: the fragment's start precision times I)."""
     if family == expfam.MULTIVARIATE_NORMAL:
-        return np.concatenate([np.zeros(d), -0.5 * fg.vec(0.01 * np.eye(d))])
+        return np.concatenate([np.zeros(d), -0.5 * vec(precision * np.eye(d))])
     if family == expfam.INVERSE_CHI_SQUARED:
         return np.array([-1.5, -0.5])
     if family in (expfam.INVERSE_WISHART, expfam.INVERSE_G_WISHART_DIAG):
-        return np.concatenate([[-0.5 * (d + 2.0)], -0.5 * fg.vec(np.eye(d))])
+        return np.concatenate([[-0.5 * (d + 2.0)], -0.5 * vec(np.eye(d))])
     raise GraphStructureError(f"no initialization convention for family '{family}'")
-
-
-def _port_requirements(kind, spec):
-    """Expected (family, d) per port for structural validation."""
-    if kind == GAUSSIAN_PRIOR:
-        return [(expfam.MULTIVARIATE_NORMAL, spec.d)]
-    if kind == IW_PRIOR:
-        return [(fg.family_for_kind(spec.graph_kind), spec.d)]
-    if kind == ITERATED_IGW:
-        d = spec.d_Theta
-        return [
-            (fg.family_for_kind(spec.graph_kind), d),
-            (fg.family_for_kind(spec.theta2_kind), d),
-        ]
-    if kind == GAUSSIAN_PENALIZATION:
-        reqs = [(expfam.MULTIVARIATE_NORMAL, spec.total_dim)]
-        for b in spec.stochastic_blocks():
-            reqs.append((fg.family_for_kind(b.kind), b.d))
-        return reqs
-    if kind == GAUSSIAN_LIKELIHOOD:
-        reqs = [(expfam.MULTIVARIATE_NORMAL, spec.d)]
-        if spec.sigma_sq_fixed is None:
-            reqs.append((expfam.INVERSE_CHI_SQUARED, 1))
-        return reqs
-    if kind in _GLM_KINDS:
-        return [(expfam.MULTIVARIATE_NORMAL, spec.A.shape[1])]
-    raise GraphStructureError(f"unknown fragment kind '{kind}'")
 
 
 def build_factor_graph(model) -> FactorGraph:
@@ -194,9 +152,12 @@ def build_factor_graph(model) -> FactorGraph:
     for frag in model.fragments:
         if frag.name in graph.factors:
             raise GraphStructureError(f"duplicate factor name '{frag.name}'")
-        if frag.kind not in FRAGMENT_KINDS:
-            raise GraphStructureError(f"unknown fragment kind '{frag.kind}'")
-        reqs = _port_requirements(frag.kind, frag.spec)
+        if not all(callable(getattr(frag.fragment, m, None)) for m in _PROTOCOL):
+            raise GraphStructureError(
+                f"factor '{frag.name}': {type(frag.fragment).__name__} is not a fragment "
+                "(it needs ports, update and logp)"
+            )
+        reqs = frag.fragment.ports()
         if len(frag.ports) != len(reqs):
             raise GraphStructureError(
                 f"factor '{frag.name}' wants {len(reqs)} ports, got {len(frag.ports)}"
@@ -212,8 +173,7 @@ def build_factor_graph(model) -> FactorGraph:
                     f"factor '{frag.name}' port '{pname}' expects family={fam} d={d}, "
                     f"node has family={node.family} d={node.d}"
                 )
-        state = frag.spec if frag.kind in _GLM_KINDS else None
-        graph.factors[frag.name] = FactorNode(frag.name, frag.kind, frag.spec, frag.ports, state)
+        graph.factors[frag.name] = FactorNode(frag.name, frag.fragment, frag.ports)
         for pname in frag.ports:
             graph.node_factors[pname].append(frag.name)
 
@@ -222,14 +182,10 @@ def build_factor_graph(model) -> FactorGraph:
             raise GraphStructureError(f"node '{nname}' is attached to no factor")
 
     for fname, factor in graph.factors.items():
+        precision = getattr(factor.fragment, "start_precision", 0.01)
         for nname in factor.neighbors:
             node = graph.nodes[nname]
-            init = _vague_init(node.family, node.d)
-            if factor.kind in _GLM_KINDS:
-                # unit precision instead of 10^-2: the exp-moment updates of the
-                # count/binary fragments diverge when the first combined density
-                # has variance ~100 on the coefficient scale
-                init = np.concatenate([np.zeros(node.d), -0.5 * fg.vec(np.eye(node.d))])
+            init = _vague_init(node.family, node.d, precision)
             graph.fac_to_node[(fname, nname)] = init.copy()
             graph.node_to_fac[(nname, fname)] = np.zeros_like(init)
     return graph
@@ -246,58 +202,22 @@ def update_node_to_factor(graph: FactorGraph, node: str, factor: str) -> np.ndar
     return total
 
 
-def _dispatch(graph, factor):
-    """Fresh outbound payloads for one factor, in neighbor order."""
-    spec = factor.spec
-    nb = factor.neighbors
-    n2f = [graph.node_to_fac[(n, factor.name)] for n in nb]
-    f2n = [graph.fac_to_node[(factor.name, n)] for n in nb]
-    kind = factor.kind
-    if kind == GAUSSIAN_PRIOR:
-        return [fg.gaussian_prior_message(spec)]
-    if kind == IW_PRIOR:
-        return [fg.inverse_wishart_prior_message(spec)]
-    if kind == ITERATED_IGW:
-        m1, m2 = fg.iterated_igw_messages(spec, n2f[0], n2f[1], f2n[0], f2n[1], context=factor.name)
-        return [m1, m2]
-    if kind == GAUSSIAN_PENALIZATION:
-        mc, mths = fg.gaussian_penalization_messages(
-            spec, n2f[0], n2f[1:], f2n[0], f2n[1:], context=factor.name,
-            layout=graph.nodes[nb[0]].layout,
-        )
-        return [mc] + list(mths)
-    if kind == GAUSSIAN_LIKELIHOOD:
-        m1, m2 = fg.gaussian_likelihood_messages(
-            spec, n2f[0], n2f[1] if len(nb) > 1 else None,
-            f2n[0], f2n[1] if len(nb) > 1 else None, context=factor.name,
-            layout=graph.nodes[nb[0]].layout,
-        )
-        return [m1] if m2 is None else [m1, m2]
-    if kind == LOGISTIC_LIKELIHOOD:
-        factor.state, msg = glm.jaakkola_jordan_update(factor.state, f2n[0], n2f[0])
-        return [msg]
-    if kind == PROBIT_LIKELIHOOD:
-        factor.state, msg = glm.albert_chib_update(factor.state, f2n[0], n2f[0])
-        return [msg]
-    if kind == POISSON_LIKELIHOOD:
-        factor.state, msg = glm.knowles_minka_wand_update(factor.state, f2n[0], n2f[0])
-        return [msg]
-    raise GraphStructureError(f"unknown fragment kind '{kind}'")
-
-
 def update_factor(graph: FactorGraph, factor_name: str, damping: float = 1.0):
     """Run one factor update (messages refreshed first), with optional damping
     eta_new = rho * proposed + (1 - rho) * old.  Returns the new outbound
     payloads, in neighbor order."""
     factor = graph.factors[factor_name]
-    for nname in factor.neighbors:
-        update_node_to_factor(graph, nname, factor_name)
+    nb = factor.neighbors
+    n2f = [update_node_to_factor(graph, nname, factor_name) for nname in nb]
+    f2n = [graph.fac_to_node[(factor_name, nname)] for nname in nb]
     try:
-        payloads = _dispatch(graph, factor)
+        factor.fragment, payloads = factor.fragment.update(
+            n2f, f2n, [graph.nodes[nname] for nname in nb], factor_name
+        )
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as err:
         raise VmpNumericsError(factor_name, err) from err
     out = []
-    for nname, payload in zip(factor.neighbors, payloads):
+    for nname, payload in zip(nb, payloads):
         if not np.all(np.isfinite(payload)):
             raise VmpNumericsError(factor_name, f"non-finite message to node '{nname}'")
         old = graph.fac_to_node[(factor_name, nname)]
@@ -315,15 +235,29 @@ def _eta_q(graph, node_name):
     return total
 
 
+def _q_moments(node, eta, layout):
+    """Moments of a normal q-density from one factorization; a precision that
+    does not factor makes the q-density improper."""
+    try:
+        return mvn_moments(eta, node.d, f"q-density {node.name}", layout)
+    except SpdFactorizationError:
+        raise ImproperQDensityError(node.name, eta) from None
+
+
 def q_density(graph: FactorGraph, node_name: str) -> QDensity:
     node = graph.nodes[node_name]
     eta = _eta_q(graph, node_name)
     if not np.all(np.isfinite(eta)):
         raise ImproperQDensityError(node_name, eta)
-    nat = NatParam(node.family, eta, node.d)
-    if not expfam.is_proper(nat):
-        raise ImproperQDensityError(node_name, eta)
-    return QDensity(node_name, node.family, node.d, eta, expfam.natural_to_common(nat))
+    if node.family == expfam.MULTIVARIATE_NORMAL:
+        mom = _q_moments(node, eta, None)  # dense: callers read all of Sigma
+        common = {"mu": mom.mu, "Sigma": mom.Sigma}
+    else:
+        nat = NatParam(node.family, eta, node.d)
+        if not expfam.is_proper(nat):
+            raise ImproperQDensityError(node_name, eta)
+        common = expfam.natural_to_common(nat)
+    return QDensity(node_name, node.family, node.d, eta, common)
 
 
 def elbo(graph: FactorGraph) -> float:
@@ -331,48 +265,24 @@ def elbo(graph: FactorGraph) -> float:
 
     Each multivariate normal q-density is factored once (two-level when its
     node has a layout); that one factorization gives its properness, its
-    entropy and the moments the Gaussian fragments' terms read.
+    entropy and the moments the fragments' terms read.
     """
     total = 0.0
     etas, moments = {}, {}
     for nname, node in graph.nodes.items():
         eta = _eta_q(graph, nname)
-        nat = NatParam(node.family, eta, node.d)
         if node.family == expfam.MULTIVARIATE_NORMAL:
-            try:
-                mom = mvn_moments(eta, node.d, f"q-density {nname}", node.layout)
-            except SpdFactorizationError:
-                raise ImproperQDensityError(nname, eta) from None
-            moments[nname] = mom
-            total += expfam.mvn_entropy(node.d, mom.logdet)
-        elif not expfam.is_proper(nat):
-            raise ImproperQDensityError(nname, eta)
+            moments[nname] = _q_moments(node, eta, node.layout)
+            total += expfam.mvn_entropy(node.d, moments[nname].logdet)
         else:
+            nat = NatParam(node.family, eta, node.d)
+            if not expfam.is_proper(nat):
+                raise ImproperQDensityError(nname, eta)
             total += expfam.entropy(nat)
         etas[nname] = eta
-    for fname, factor in graph.factors.items():
-        spec, nb, kind = factor.spec, factor.neighbors, factor.kind
-        if kind == GAUSSIAN_PRIOR:
-            total += fg.gaussian_prior_logp(spec, etas[nb[0]], moments=moments[nb[0]])
-        elif kind == IW_PRIOR:
-            total += fg.inverse_wishart_prior_logp(spec, etas[nb[0]])
-        elif kind == ITERATED_IGW:
-            total += fg.iterated_igw_logp(spec, etas[nb[0]], etas[nb[1]])
-        elif kind == GAUSSIAN_PENALIZATION:
-            total += fg.gaussian_penalization_logp(
-                spec, etas[nb[0]], [etas[n] for n in nb[1:]], moments=moments[nb[0]]
-            )
-        elif kind == GAUSSIAN_LIKELIHOOD:
-            qvar = etas[nb[1]] if len(nb) > 1 else None
-            total += fg.gaussian_likelihood_logp(spec, etas[nb[0]], qvar, moments=moments[nb[0]])
-        elif kind == LOGISTIC_LIKELIHOOD:
-            total += glm.jaakkola_jordan_elbo(factor.state, etas[nb[0]])
-        elif kind == PROBIT_LIKELIHOOD:
-            total += glm.albert_chib_elbo(factor.state, etas[nb[0]])
-        elif kind == POISSON_LIKELIHOOD:
-            total += glm.knowles_minka_wand_elbo(factor.state, etas[nb[0]])
-        else:
-            raise GraphStructureError(f"unknown fragment kind '{kind}'")
+    for factor in graph.factors.values():
+        nb = factor.neighbors
+        total += factor.fragment.logp([etas[n] for n in nb], [moments.get(n) for n in nb])
     return float(total)
 
 
@@ -412,7 +322,6 @@ def run_vmp(
     for _ in range(max_iter):
         for fname in schedule:
             update_factor(graph, fname, damping=damping)
-        graph.iteration += 1
         report.iterations += 1
         cur = np.concatenate([_eta_q(graph, n) for n in graph.nodes])
         delta = float(np.max(np.abs(cur - prev) / np.maximum(1.0, np.abs(prev))))

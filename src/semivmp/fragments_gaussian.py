@@ -10,7 +10,9 @@ factor are sequential — each later port sees the earlier ports' new messages,
 which is what makes a full sweep an exact coordinate-ascent pass.
 
 The companion ``*_logp`` functions give each factor's contribution
-E_q{log factor} to the evidence lower bound.
+E_q{log factor} to the evidence lower bound.  Each spec is also the fragment
+the engine runs: its ``ports``, ``update`` and ``logp`` methods call these
+module functions by name at call time.
 """
 
 from __future__ import annotations
@@ -95,6 +97,15 @@ class GaussianPriorSpec:
     def d(self):
         return self.mu.size
 
+    def ports(self):
+        return [(expfam.MULTIVARIATE_NORMAL, self.d)]
+
+    def update(self, n2f, f2n, nodes, context):
+        return self, [gaussian_prior_message(self)]
+
+    def logp(self, q_etas, moments):
+        return gaussian_prior_logp(self, q_etas[0], moments=moments[0])
+
 
 @dataclass(frozen=True)
 class InverseWishartPriorSpec:
@@ -117,6 +128,15 @@ class InverseWishartPriorSpec:
     def d(self):
         return self.Lambda.shape[0]
 
+    def ports(self):
+        return [(family_for_kind(self.graph_kind), self.d)]
+
+    def update(self, n2f, f2n, nodes, context):
+        return self, [inverse_wishart_prior_message(self)]
+
+    def logp(self, q_etas, moments):
+        return inverse_wishart_prior_logp(self, q_etas[0])
+
 
 @dataclass(frozen=True)
 class IteratedIGWSpec:
@@ -131,6 +151,19 @@ class IteratedIGWSpec:
     kappa: float
     d_Theta: int = 1
     theta2_kind: str = SCALAR_D1
+
+    def ports(self):
+        return [
+            (family_for_kind(self.graph_kind), self.d_Theta),
+            (family_for_kind(self.theta2_kind), self.d_Theta),
+        ]
+
+    def update(self, n2f, f2n, nodes, context):
+        msg1, msg2 = iterated_igw_messages(self, n2f[0], n2f[1], f2n[0], f2n[1], context=context)
+        return self, [msg1, msg2]
+
+    def logp(self, q_etas, moments):
+        return iterated_igw_logp(self, q_etas[0], q_etas[1])
 
 
 @dataclass(frozen=True)
@@ -170,6 +203,20 @@ class GaussianPenalizationSpec:
     def stochastic_blocks(self):
         return [b for b in self.blocks if b.fixed_Theta is None]
 
+    def ports(self):
+        return [(expfam.MULTIVARIATE_NORMAL, self.total_dim)] + [
+            (family_for_kind(b.kind), b.d) for b in self.stochastic_blocks()
+        ]
+
+    def update(self, n2f, f2n, nodes, context):
+        msg_coef, msgs_theta = gaussian_penalization_messages(
+            self, n2f[0], n2f[1:], f2n[0], f2n[1:], context=context, layout=nodes[0].layout
+        )
+        return self, [msg_coef, *msgs_theta]
+
+    def logp(self, q_etas, moments):
+        return gaussian_penalization_logp(self, q_etas[0], q_etas[1:], moments=moments[0])
+
 
 @dataclass(frozen=True)
 class GaussianLikelihoodSpec:
@@ -197,6 +244,22 @@ class GaussianLikelihoodSpec:
     @property
     def d(self):
         return self.A.shape[1]
+
+    def ports(self):
+        if self.sigma_sq_fixed is None:
+            return [(expfam.MULTIVARIATE_NORMAL, self.d), (expfam.INVERSE_CHI_SQUARED, 1)]
+        return [(expfam.MULTIVARIATE_NORMAL, self.d)]
+
+    def update(self, n2f, f2n, nodes, context):
+        n2f_var, f2n_var = (n2f[1], f2n[1]) if len(n2f) > 1 else (None, None)
+        msg1, msg2 = gaussian_likelihood_messages(
+            self, n2f[0], n2f_var, f2n[0], f2n_var, context=context, layout=nodes[0].layout
+        )
+        return self, [msg1] if msg2 is None else [msg1, msg2]
+
+    def logp(self, q_etas, moments):
+        q_var = q_etas[1] if len(q_etas) > 1 else None
+        return gaussian_likelihood_logp(self, q_etas[0], q_var, moments=moments[0])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ probit fragment that integrates out truncated-normal auxiliaries in closed
 form, and a fixed-point Poisson fragment for the log link.  Each update is
 pure: it takes the current fragment state plus the two message vectors on the
 coefficient edge and returns a replacement state and a fresh outbound message.
+Each state is also the fragment the engine runs: its ``ports``, ``update``
+and ``logp`` methods call these module functions by name at call time.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln, log_ndtr
 
+from .expfam import MULTIVARIATE_NORMAL
 from .natparam import mvn_moments_from_natural, vec, vec_inverse
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -44,8 +47,20 @@ def _check_binary(y):
     return y
 
 
+class _GlmFragment:
+    """The one port every GLM fragment has: the coefficient node."""
+
+    # unit precision instead of the engine's 10^-2: the exp-moment updates of
+    # the count/binary fragments diverge when the first combined density has
+    # variance ~100 on the coefficient scale
+    start_precision = 1.0
+
+    def ports(self):
+        return [(MULTIVARIATE_NORMAL, self.A.shape[1])]
+
+
 @dataclass(frozen=True)
-class LogisticFragmentState:
+class LogisticFragmentState(_GlmFragment):
     y: np.ndarray
     A: np.ndarray
     xi: np.ndarray = None
@@ -63,9 +78,16 @@ class LogisticFragmentState:
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "Xi", Xi)
 
+    def update(self, n2f, f2n, nodes, context):
+        state, msg = jaakkola_jordan_update(self, f2n[0], n2f[0])
+        return state, [msg]
+
+    def logp(self, q_etas, moments):
+        return jaakkola_jordan_elbo(self, q_etas[0], moments=moments[0])
+
 
 @dataclass(frozen=True)
-class ProbitFragmentState:
+class ProbitFragmentState(_GlmFragment):
     y: np.ndarray
     A: np.ndarray
     nu: np.ndarray = None
@@ -78,9 +100,16 @@ class ProbitFragmentState:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "nu", nu)
 
+    def update(self, n2f, f2n, nodes, context):
+        state, msg = albert_chib_update(self, f2n[0], n2f[0])
+        return state, [msg]
+
+    def logp(self, q_etas, moments):
+        return albert_chib_elbo(self, q_etas[0], moments=moments[0])
+
 
 @dataclass(frozen=True)
-class PoissonFragmentState:
+class PoissonFragmentState(_GlmFragment):
     y: np.ndarray
     A: np.ndarray
     omega: np.ndarray = None
@@ -94,6 +123,21 @@ class PoissonFragmentState:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "omega", omega)
+
+    def update(self, n2f, f2n, nodes, context):
+        state, msg = knowles_minka_wand_update(self, f2n[0], n2f[0])
+        return state, [msg]
+
+    def logp(self, q_etas, moments):
+        return knowles_minka_wand_elbo(self, q_etas[0], moments=moments[0])
+
+
+def _q_moments(state, q_eta, moments, context):
+    """(mu, Sigma) of q(theta): from ``moments`` (dense) when the caller has
+    them already, else from one factorization of q_eta."""
+    if moments is None:
+        return mvn_moments_from_natural(q_eta, state.A.shape[1], context=context)
+    return moments.mu, moments.Sigma
 
 
 def _combined_moments(state, eta_factor_to_theta, eta_theta_to_factor, context):
@@ -182,19 +226,21 @@ def knowles_minka_wand_update(state: PoissonFragmentState, eta_factor_to_theta, 
 # ELBO contributions: E_q{log p(y | theta)} (exact or lower bound)
 
 
-def jaakkola_jordan_elbo(state: LogisticFragmentState, q_eta):
-    """Tangent lower bound on the logistic log likelihood under q."""
-    mu, Sigma = mvn_moments_from_natural(q_eta, state.A.shape[1], context="logistic elbo")
+def jaakkola_jordan_elbo(state: LogisticFragmentState, q_eta, moments=None):
+    """Tangent lower bound on the logistic log likelihood under q; ``moments``
+    are q's dense moments when the caller has them already."""
+    mu, Sigma = _q_moments(state, q_eta, moments, "logistic elbo")
     A = state.A
     second = np.einsum("ij,jk,ik->i", A, Sigma + np.outer(mu, mu), A)
     W = tangent_weight(state.xi)
     return float((state.y - 0.5) @ (A @ mu) - W @ second + np.sum(tangent_offset(state.xi)))
 
 
-def albert_chib_elbo(state: ProbitFragmentState, q_eta):
+def albert_chib_elbo(state: ProbitFragmentState, q_eta, moments=None):
     """Exact E_q log p(y | theta) for the probit model with the auxiliaries
-    collapsed; truncated-normal entropies cancel the cross terms."""
-    mu, Sigma = mvn_moments_from_natural(q_eta, state.A.shape[1], context="probit elbo")
+    collapsed; truncated-normal entropies cancel the cross terms.  ``moments``
+    are q's dense moments when the caller has them already."""
+    mu, Sigma = _q_moments(state, q_eta, moments, "probit elbo")
     A = state.A
     m = A @ mu
     sgn = 2.0 * state.y - 1.0
@@ -202,8 +248,10 @@ def albert_chib_elbo(state: ProbitFragmentState, q_eta):
     return float(np.sum(log_ndtr(sgn * m)) - 0.5 * np.sum(s2))
 
 
-def knowles_minka_wand_elbo(state: PoissonFragmentState, q_eta):
-    mu, Sigma = mvn_moments_from_natural(q_eta, state.A.shape[1], context="poisson elbo")
+def knowles_minka_wand_elbo(state: PoissonFragmentState, q_eta, moments=None):
+    """E_q log p(y | theta) for the Poisson log-link model; ``moments`` are
+    q's dense moments when the caller has them already."""
+    mu, Sigma = _q_moments(state, q_eta, moments, "poisson elbo")
     A = state.A
     lin = A @ mu + 0.5 * np.einsum("ij,jk,ik->i", A, Sigma, A)
     if float(np.max(lin)) > OVERFLOW_LIMIT:

@@ -18,18 +18,7 @@ from scipy.stats import norm
 from scipy.special import expit, ndtr
 
 from . import expfam
-from .engine import (
-    GAUSSIAN_LIKELIHOOD,
-    GAUSSIAN_PENALIZATION,
-    GAUSSIAN_PRIOR,
-    ITERATED_IGW,
-    IW_PRIOR,
-    LOGISTIC_LIKELIHOOD,
-    POISSON_LIKELIHOOD,
-    PROBIT_LIKELIHOOD,
-    FragmentBinding,
-    StochasticNode,
-)
+from .engine import FragmentBinding, StochasticNode
 from .fragments_gaussian import (
     SCALAR_D1,
     TOTALLY_CONNECTED,
@@ -281,19 +270,11 @@ def _scale_chain(nodes, fragments, tag, sigsq_name, A_hyper):
     nodes.append(StochasticNode(sigsq_name, expfam.INVERSE_CHI_SQUARED))
     nodes.append(StochasticNode(a_name, expfam.INVERSE_CHI_SQUARED))
     fragments.append(
-        FragmentBinding(
-            f"link_{tag}",
-            ITERATED_IGW,
-            IteratedIGWSpec(SCALAR_D1, kappa=1.0),
-            (sigsq_name, a_name),
-        )
+        FragmentBinding(f"link_{tag}", IteratedIGWSpec(SCALAR_D1, kappa=1.0), (sigsq_name, a_name))
     )
     fragments.append(
         FragmentBinding(
-            f"prior_{a_name}",
-            IW_PRIOR,
-            InverseWishartPriorSpec(1.0, np.array([[A_hyper**-2.0]])),
-            (a_name,),
+            f"prior_{a_name}", InverseWishartPriorSpec(1.0, np.array([[A_hyper**-2.0]])), (a_name,)
         )
     )
 
@@ -340,21 +321,48 @@ def build_linear_regression(
 
     nodes = [StochasticNode("coef", expfam.MULTIVARIATE_NORMAL, d)]
     lik_spec = GaussianLikelihoodSpec(y, Xs, sigma_sq_fixed=fixed_sigma_sq)
-    fragments = [
-        FragmentBinding("prior_coef", GAUSSIAN_PRIOR, GaussianPriorSpec(mu_s, Sigma_s), ("coef",))
-    ]
+    fragments = [FragmentBinding("prior_coef", GaussianPriorSpec(mu_s, Sigma_s), ("coef",))]
     if fixed_sigma_sq is None:
-        fragments.append(
-            FragmentBinding("likelihood", GAUSSIAN_LIKELIHOOD, lik_spec, ("coef", "sigsq_eps"))
-        )
+        fragments.append(FragmentBinding("likelihood", lik_spec, ("coef", "sigsq_eps")))
         _scale_chain(nodes, fragments, "eps", "sigsq_eps", A_hyper)
     else:
-        fragments.append(FragmentBinding("likelihood", GAUSSIAN_LIKELIHOOD, lik_spec, ("coef",)))
+        fragments.append(FragmentBinding("likelihood", lik_spec, ("coef",)))
     return ModelSpec(nodes, fragments, "identity", "coef", {}, meta)
 
 
-def _penalized_gaussian_coef_nodes(p, layout=None):
-    return [StochasticNode("coef", expfam.MULTIVARIATE_NORMAL, p, layout)]
+def _spline_block(y, x, K, hyper, spline_kind, fixed_sigma_u_sq=None):
+    """Shared body of the spline builders: the checked data, the design
+    C = [1, x, Z] on the standardized predictor, the coef node with its
+    penalization fragment, and the meta and curve design of the fit.
+
+    The spline block is shrunk by the variance node sigsq_u unless
+    fixed_sigma_u_sq pins it; the caller adds the sigsq_u chain."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if y.size != x.size:
+        raise ValueError("x and y lengths differ")
+    _require_finite("y", y)
+    _require_finite("x", x)
+    hyper = hyper or Hyperparameters()
+    xs, x_mean, x_sd = _standardize_x(x)
+    Z, basis = spline_design(xs, K, spline_kind)
+    C = np.column_stack([np.ones(y.size), xs, Z])
+
+    if fixed_sigma_u_sq is None:
+        block, pen_ports = PenalizedBlock(K, 1, SCALAR_D1), ("coef", "sigsq_u")
+    else:
+        fixed = np.array([[fixed_sigma_u_sq]])
+        block, pen_ports = PenalizedBlock(K, 1, SCALAR_D1, fixed_Theta=fixed), ("coef",)
+    pen = GaussianPenalizationSpec(np.zeros(2), hyper.sigma_beta_sq * np.eye(2), (block,))
+    nodes = [StochasticNode("coef", expfam.MULTIVARIATE_NORMAL, 2 + K)]
+    fragments = [FragmentBinding("penalization", pen, pen_ports)]
+    meta = {"y": y, "x": x, "x_mean": x_mean, "x_sd": x_sd, "basis": basis, "C": C, "hyper": hyper}
+
+    def fit_design(grid):
+        gs = (np.asarray(grid, dtype=float) - x_mean) / x_sd
+        return np.column_stack([np.ones(gs.size), gs, basis.evaluate(gs)])
+
+    return nodes, fragments, meta, {"fit": fit_design}
 
 
 def build_penalized_spline(
@@ -371,61 +379,14 @@ def build_penalized_spline(
     shrunk by its own variance with a half-Cauchy hierarchy unless
     fixed_sigma_u_sq pins it.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if y.size != x.size:
-        raise ValueError("x and y lengths differ")
-    _require_finite("y", y)
-    _require_finite("x", x)
-    hyper = hyper or Hyperparameters()
-    xs, x_mean, x_sd = _standardize_x(x)
-    Z, basis = spline_design(xs, K, spline_kind)
-    C = np.column_stack([np.ones(y.size), xs, Z])
-    p = 2 + K
-
+    nodes, fragments, meta, curves = _spline_block(y, x, K, hyper, spline_kind, fixed_sigma_u_sq)
+    A_hyper = meta["hyper"].A
     if fixed_sigma_u_sq is None:
-        blocks = (PenalizedBlock(K, 1, SCALAR_D1),)
-    else:
-        blocks = (PenalizedBlock(K, 1, SCALAR_D1, fixed_Theta=np.array([[fixed_sigma_u_sq]])),)
-    pen = GaussianPenalizationSpec(np.zeros(2), hyper.sigma_beta_sq * np.eye(2), blocks)
-
-    nodes = _penalized_gaussian_coef_nodes(p)
-    fragments = []
-    if fixed_sigma_u_sq is None:
-        nodes.append(StochasticNode("sigsq_u", expfam.INVERSE_CHI_SQUARED))
-        fragments.append(
-            FragmentBinding("penalization", GAUSSIAN_PENALIZATION, pen, ("coef", "sigsq_u"))
-        )
-        nodes.append(StochasticNode("a_u", expfam.INVERSE_CHI_SQUARED))
-        fragments.append(
-            FragmentBinding(
-                "link_u", ITERATED_IGW, IteratedIGWSpec(SCALAR_D1, kappa=1.0), ("sigsq_u", "a_u")
-            )
-        )
-        fragments.append(
-            FragmentBinding(
-                "prior_a_u",
-                IW_PRIOR,
-                InverseWishartPriorSpec(1.0, np.array([[hyper.A**-2.0]])),
-                ("a_u",),
-            )
-        )
-    else:
-        fragments.append(FragmentBinding("penalization", GAUSSIAN_PENALIZATION, pen, ("coef",)))
-    fragments.append(
-        FragmentBinding(
-            "likelihood", GAUSSIAN_LIKELIHOOD, GaussianLikelihoodSpec(y, C), ("coef", "sigsq_eps")
-        )
-    )
-    _scale_chain(nodes, fragments, "eps", "sigsq_eps", hyper.A)
-
-    meta = {"y": y, "x": x, "x_mean": x_mean, "x_sd": x_sd, "basis": basis, "C": C, "hyper": hyper}
-
-    def fit_design(grid):
-        gs = (np.asarray(grid, dtype=float) - x_mean) / x_sd
-        return np.column_stack([np.ones(gs.size), gs, basis.evaluate(gs)])
-
-    return ModelSpec(nodes, fragments, "identity", "coef", {"fit": fit_design}, meta)
+        _scale_chain(nodes, fragments, "u", "sigsq_u", A_hyper)
+    lik = GaussianLikelihoodSpec(meta["y"], meta["C"])
+    fragments.append(FragmentBinding("likelihood", lik, ("coef", "sigsq_eps")))
+    _scale_chain(nodes, fragments, "eps", "sigsq_eps", A_hyper)
+    return ModelSpec(nodes, fragments, "identity", "coef", curves, meta)
 
 
 def build_glm_spline(
@@ -440,57 +401,19 @@ def build_glm_spline(
     """
     if link not in ("logit", "probit", "log"):
         raise ValueError(f"link must be logit, probit or log, got '{link}'")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if y.size != x.size:
-        raise ValueError("x and y lengths differ")
-    _require_finite("y", y)
-    _require_finite("x", x)
-    hyper = hyper or Hyperparameters()
-    xs, x_mean, x_sd = _standardize_x(x)
-    Z, basis = spline_design(xs, K, spline_kind)
-    C = np.column_stack([np.ones(y.size), xs, Z])
-    p = 2 + K
-
+    nodes, fragments, meta, curves = _spline_block(y, x, K, hyper, spline_kind)
+    y, C = meta["y"], meta["C"]
     if link in ("logit", "probit"):
         if not np.all((y == 0) | (y == 1)):
             raise ValueError(f"{link} link needs a 0/1 response")
-        state = (
-            LogisticFragmentState(y, C) if link == "logit" else ProbitFragmentState(y, C)
-        )
-        kind = LOGISTIC_LIKELIHOOD if link == "logit" else PROBIT_LIKELIHOOD
+        state = LogisticFragmentState(y, C) if link == "logit" else ProbitFragmentState(y, C)
     else:
         if np.any(y < 0) or np.any(y != np.round(y)):
             raise ValueError("log link needs a nonnegative integer response")
         state = PoissonFragmentState(y, C)
-        kind = POISSON_LIKELIHOOD
-
-    pen = GaussianPenalizationSpec(
-        np.zeros(2), hyper.sigma_beta_sq * np.eye(2), (PenalizedBlock(K, 1, SCALAR_D1),)
-    )
-    nodes = _penalized_gaussian_coef_nodes(p)
-    nodes.append(StochasticNode("sigsq_u", expfam.INVERSE_CHI_SQUARED))
-    nodes.append(StochasticNode("a_u", expfam.INVERSE_CHI_SQUARED))
-    fragments = [
-        FragmentBinding("penalization", GAUSSIAN_PENALIZATION, pen, ("coef", "sigsq_u")),
-        FragmentBinding("likelihood", kind, state, ("coef",)),
-        FragmentBinding(
-            "link_u", ITERATED_IGW, IteratedIGWSpec(SCALAR_D1, kappa=1.0), ("sigsq_u", "a_u")
-        ),
-        FragmentBinding(
-            "prior_a_u",
-            IW_PRIOR,
-            InverseWishartPriorSpec(1.0, np.array([[hyper.A**-2.0]])),
-            ("a_u",),
-        ),
-    ]
-    meta = {"y": y, "x": x, "x_mean": x_mean, "x_sd": x_sd, "basis": basis, "C": C, "hyper": hyper}
-
-    def fit_design(grid):
-        gs = (np.asarray(grid, dtype=float) - x_mean) / x_sd
-        return np.column_stack([np.ones(gs.size), gs, basis.evaluate(gs)])
-
-    return ModelSpec(nodes, fragments, link, "coef", {"fit": fit_design}, meta)
+    fragments.append(FragmentBinding("likelihood", state, ("coef",)))
+    _scale_chain(nodes, fragments, "u", "sigsq_u", meta["hyper"].A)
+    return ModelSpec(nodes, fragments, link, "coef", curves, meta)
 
 
 def build_group_curves(
@@ -587,7 +510,7 @@ def build_group_curves(
                 "C^T C is nonzero off the two-level pattern"
             )
 
-    nodes = _penalized_gaussian_coef_nodes(p, layout)
+    nodes = [StochasticNode("coef", expfam.MULTIVARIATE_NORMAL, p, layout)]
     fragments = []
     pen_ports = ["coef"]
 
@@ -603,7 +526,6 @@ def build_group_curves(
             fragments.append(
                 FragmentBinding(
                     "link_subject",
-                    ITERATED_IGW,
                     IteratedIGWSpec(
                         TOTALLY_CONNECTED, kappa=hyper.nu + 1.0, d_Theta=2,
                         theta2_kind=TOTALLY_DISCONNECTED,
@@ -614,7 +536,6 @@ def build_group_curves(
             fragments.append(
                 FragmentBinding(
                     "prior_A_subject",
-                    IW_PRIOR,
                     InverseWishartPriorSpec(
                         1.0, np.eye(2) / (hyper.nu * hyper.A**2), TOTALLY_DISCONNECTED
                     ),
@@ -622,10 +543,8 @@ def build_group_curves(
                 )
             )
 
-    fragments.insert(0, FragmentBinding("penalization", GAUSSIAN_PENALIZATION, pen, tuple(pen_ports)))
-    fragments.append(
-        FragmentBinding("likelihood", GAUSSIAN_LIKELIHOOD, lik, ("coef", "sigsq_eps"))
-    )
+    fragments.insert(0, FragmentBinding("penalization", pen, tuple(pen_ports)))
+    fragments.append(FragmentBinding("likelihood", lik, ("coef", "sigsq_eps")))
     _scale_chain(nodes, fragments, "eps", "sigsq_eps", hyper.A)
 
     meta = {

@@ -1,12 +1,12 @@
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from semivmp import models
+from semivmp import fragments_gaussian, fragments_glm, models
 from semivmp.engine import (
-    FRAGMENT_KINDS,
     FragmentBinding,
     GraphStructureError,
     ImproperQDensityError,
@@ -26,7 +26,7 @@ from semivmp.fragments_glm import (
     LogisticFragmentState,
     PoissonFragmentState,
 )
-from semivmp.natparam import TwoLevelLayout, vec
+from semivmp.natparam import TwoLevelLayout, mvn_moments_from_natural, vec
 
 from conftest import make_regression_data
 
@@ -45,10 +45,7 @@ def prior_only_model(d=2):
     return model_of(
         [StochasticNode("theta", MULTIVARIATE_NORMAL, d)],
         [
-            FragmentBinding(
-                "prior", "gaussian_prior",
-                GaussianPriorSpec(np.zeros(d), 4.0 * np.eye(d)), ("theta",),
-            )
+            FragmentBinding("prior", GaussianPriorSpec(np.zeros(d), 4.0 * np.eye(d)), ("theta",))
         ],
     )
 
@@ -76,13 +73,23 @@ def test_duplicate_node_rejected():
         build_factor_graph(model_of(nodes, []))
 
 
-def test_unknown_kind_rejected():
-    m = model_of(
-        [StochasticNode("t", MULTIVARIATE_NORMAL, 1)],
-        [FragmentBinding("f", "mystery", None, ("t",))],
-    )
-    with pytest.raises(GraphStructureError, match="unknown fragment kind"):
-        build_factor_graph(m)
+class _NoLogp:
+    def ports(self):
+        return [(MULTIVARIATE_NORMAL, 1)]
+
+    def update(self, n2f, f2n, nodes, context):
+        return self, [n2f[0]]
+
+
+def test_binding_without_protocol_rejected():
+    # a kind string, nothing, or an object missing one of the three methods
+    for obj in ("gaussian_prior", None, _NoLogp()):
+        m = model_of(
+            [StochasticNode("t", MULTIVARIATE_NORMAL, 1)],
+            [FragmentBinding("mystery", obj, ("t",))],
+        )
+        with pytest.raises(GraphStructureError, match="factor 'mystery'.*ports, update and logp"):
+            build_factor_graph(m)
 
 
 def test_dangling_port_rejected():
@@ -90,7 +97,7 @@ def test_dangling_port_rejected():
         [StochasticNode("t", MULTIVARIATE_NORMAL, 2)],
         [
             FragmentBinding(
-                "prior", "gaussian_prior", GaussianPriorSpec(np.zeros(2), np.eye(2)), ("ghost",)
+                "prior", GaussianPriorSpec(np.zeros(2), np.eye(2)), ("ghost",)
             )
         ],
     )
@@ -103,7 +110,7 @@ def test_family_mismatch_rejected():
         [StochasticNode("t", INVERSE_CHI_SQUARED, 1)],
         [
             FragmentBinding(
-                "prior", "gaussian_prior", GaussianPriorSpec(np.zeros(1), np.eye(1)), ("t",)
+                "prior", GaussianPriorSpec(np.zeros(1), np.eye(1)), ("t",)
             )
         ],
     )
@@ -116,7 +123,7 @@ def test_orphan_node_rejected():
         [StochasticNode("t", MULTIVARIATE_NORMAL, 1), StochasticNode("lonely", MULTIVARIATE_NORMAL, 1)],
         [
             FragmentBinding(
-                "prior", "gaussian_prior", GaussianPriorSpec(np.zeros(1), np.eye(1)), ("t",)
+                "prior", GaussianPriorSpec(np.zeros(1), np.eye(1)), ("t",)
             )
         ],
     )
@@ -129,7 +136,7 @@ def test_port_count_rejected():
         [StochasticNode("t", MULTIVARIATE_NORMAL, 1)],
         [
             FragmentBinding(
-                "prior", "gaussian_prior", GaussianPriorSpec(np.zeros(1), np.eye(1)), ("t", "t")
+                "prior", GaussianPriorSpec(np.zeros(1), np.eye(1)), ("t", "t")
             )
         ],
     )
@@ -220,6 +227,48 @@ def test_converged_glm_graph_is_a_fixed_point():
     assert worst <= 1e-8
 
 
+def test_fragment_state_stays_per_graph():
+    r = np.random.default_rng(9)
+    x = r.uniform(size=80)
+    y = r.binomial(1, models.demo_mean_function(x)).astype(float)
+    # two graphs of one ModelSpec share its bindings but not the logistic
+    # state (the tangent points xi that the ELBO reads)
+    spec = models.build_glm_spline(y, x, K=5, link="logit")
+    fitted, other = build_factor_graph(spec), build_factor_graph(spec)
+    run_vmp(fitted, max_iter=20, tol=1e-15, track_elbo=False)
+    fitted_elbo = elbo(fitted)
+    fresh = build_factor_graph(models.build_glm_spline(y, x, K=5, link="logit"))
+    for g in (other, fresh):
+        run_vmp(g, max_iter=1, tol=1e-15, track_elbo=False)
+    for key, msg in fresh.fac_to_node.items():
+        np.testing.assert_array_equal(other.fac_to_node[key], msg)
+    assert elbo(other) == elbo(fresh)
+    assert elbo(fitted) == fitted_elbo
+
+
+def test_fragments_call_module_functions_at_call_time(monkeypatch):
+    # the tracer of the benchmark patches these module attributes; a fit must
+    # reach them through the module, not through a reference bound earlier
+    calls = Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(fragments_gaussian, "gaussian_penalization_messages")
+    counting(fragments_glm, "albert_chib_update")
+    r = np.random.default_rng(10)
+    x = r.uniform(size=60)
+    y = r.binomial(1, models.demo_mean_function(x)).astype(float)
+    run_vmp(build_factor_graph(models.build_glm_spline(y, x, K=4, link="probit")), max_iter=3)
+    assert calls == {"gaussian_penalization_messages": 3, "albert_chib_update": 3}
+
+
 # --- ELBO ---------------------------------------------------------------------
 
 
@@ -262,7 +311,6 @@ def test_glm_elbo_below_monte_carlo_evidence(rng, link):
     if link == "log":
         y = np.array([1.0, 2.0, 0.0, 1.0])
         state = PoissonFragmentState(y, A)
-        kind = "poisson_likelihood"
 
         def loglik(th):
             lam = np.exp(A @ th.T)
@@ -271,7 +319,6 @@ def test_glm_elbo_below_monte_carlo_evidence(rng, link):
         y = np.array([1.0, 0.0, 1.0, 1.0])
         if link == "logit":
             state = LogisticFragmentState(y, A)
-            kind = "logistic_likelihood"
 
             def loglik(th):
                 h = A @ th.T
@@ -280,7 +327,6 @@ def test_glm_elbo_below_monte_carlo_evidence(rng, link):
             from semivmp.fragments_glm import ProbitFragmentState
 
             state = ProbitFragmentState(y, A)
-            kind = "probit_likelihood"
 
             def loglik(th):
                 h = A @ th.T
@@ -290,9 +336,8 @@ def test_glm_elbo_below_monte_carlo_evidence(rng, link):
     m = model_of(
         [StochasticNode("coef", MULTIVARIATE_NORMAL, 1)],
         [
-            FragmentBinding("prior", "gaussian_prior",
-                            GaussianPriorSpec(np.zeros(1), tau**2 * np.eye(1)), ("coef",)),
-            FragmentBinding("likelihood", kind, state, ("coef",)),
+            FragmentBinding("prior", GaussianPriorSpec(np.zeros(1), tau**2 * np.eye(1)), ("coef",)),
+            FragmentBinding("likelihood", state, ("coef",)),
         ],
     )
     g = build_factor_graph(m)
@@ -321,10 +366,10 @@ def test_numerics_error_wraps_overflow():
     m = model_of(
         [StochasticNode("coef", MULTIVARIATE_NORMAL, 1)],
         [
-            FragmentBinding("prior", "gaussian_prior",
-                            GaussianPriorSpec(np.zeros(1), np.eye(1)), ("coef",)),
-            FragmentBinding("likelihood", "poisson_likelihood",
-                            PoissonFragmentState(np.array([1.0]), np.array([[1.0]])), ("coef",)),
+            FragmentBinding("prior", GaussianPriorSpec(np.zeros(1), np.eye(1)), ("coef",)),
+            FragmentBinding(
+                "likelihood", PoissonFragmentState(np.array([1.0]), np.array([[1.0]])), ("coef",)
+            ),
         ],
     )
     g = build_factor_graph(m)
@@ -386,5 +431,16 @@ def test_q_density_common_parameters():
     assert qs.common["kappa"] == pytest.approx(31.0)  # n + 1
 
 
-def test_all_kinds_are_registered():
-    assert len(FRAGMENT_KINDS) == 8
+def test_q_density_of_a_normal_node():
+    y, X = make_regression_data(17, n=30)
+    g = build_factor_graph(models.build_linear_regression(y, X))
+    run_vmp(g, max_iter=50, tol=1e-11, track_elbo=False)
+    qc = q_density(g, "coef")
+    mu, Sigma = mvn_moments_from_natural(qc.eta_q, 3)
+    assert np.array_equal(qc.common["mu"], mu) and np.array_equal(qc.common["Sigma"], Sigma)
+    # a precision that does not factor is an improper q-density, not a numerics error
+    g.fac_to_node[("prior_coef", "coef")] = mvn_eta(np.zeros(3), -1e-6 * np.eye(3))
+    with pytest.raises(ImproperQDensityError, match="'coef'"):
+        q_density(g, "coef")
+    with pytest.raises(ImproperQDensityError, match="'coef'"):
+        elbo(g)

@@ -8,6 +8,7 @@ from semivmp.fragments_glm import (
     LogisticFragmentState,
     PoissonFragmentState,
     ProbitFragmentState,
+    albert_chib_elbo,
     albert_chib_update,
     jaakkola_jordan_elbo,
     jaakkola_jordan_update,
@@ -18,7 +19,7 @@ from semivmp.fragments_glm import (
     tangent_weight,
     zeta_prime,
 )
-from semivmp.natparam import vec
+from semivmp.natparam import mvn_moments, vec
 
 from conftest import random_spd
 
@@ -260,3 +261,16 @@ def test_state_validation():
         PoissonFragmentState(np.array([-1.0, 2.0]), np.eye(2))
     with pytest.raises(ValueError):
         PoissonFragmentState(np.array([1.5, 2.0]), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "elbo_fn, state_cls",
+    [(jaakkola_jordan_elbo, LogisticFragmentState), (albert_chib_elbo, ProbitFragmentState),
+     (knowles_minka_wand_elbo, PoissonFragmentState)],
+)
+def test_glm_elbo_reads_given_moments(rng, elbo_fn, state_cls):
+    # moments passed in by the caller give the same number as factoring q_eta
+    A = rng.normal(scale=0.3, size=(12, 3))
+    state = state_cls(rng.integers(0, 2, size=12).astype(float), A)
+    eta = mvn_eta(rng.normal(size=3), random_spd(rng, 3, 0.2))
+    assert elbo_fn(state, eta, moments=mvn_moments(eta, 3)) == elbo_fn(state, eta)

@@ -20,6 +20,15 @@ from semivmp.models import (
     spline_design,
 )
 
+from semivmp.fragments_gaussian import (
+    GaussianLikelihoodSpec,
+    GaussianPenalizationSpec,
+    GaussianPriorSpec,
+    InverseWishartPriorSpec,
+    IteratedIGWSpec,
+)
+from semivmp.fragments_glm import LogisticFragmentState, PoissonFragmentState, ProbitFragmentState
+
 from conftest import make_regression_data
 
 
@@ -292,6 +301,102 @@ def test_group_curves_two_level_layout(subject_lines, K_grp, kind):
     for g in layout.groups:
         on[np.ix_(g, g)] = True
     assert np.all((C.T @ C)[~on] == 0.0)
+
+
+# --- wiring: node order and fragment order (the default schedule) ------------
+
+
+def wiring(model):
+    """Node names, and (factor name, fragment class, ports) in schedule order."""
+    return (
+        [n.name for n in model.nodes],
+        [(f.name, type(f.fragment), f.ports) for f in model.fragments],
+    )
+
+
+def chain(tag):
+    """Node names and fragments of one sigma^2 | a half-Cauchy chain."""
+    a_name = f"a_{tag}"
+    return [f"sigsq_{tag}", a_name], [
+        (f"link_{tag}", IteratedIGWSpec, (f"sigsq_{tag}", a_name)),
+        (f"prior_{a_name}", InverseWishartPriorSpec, (a_name,)),
+    ]
+
+
+def test_linear_regression_wiring():
+    y, X = make_regression_data(1, n=30)
+    nodes, frags = chain("eps")
+    assert wiring(build_linear_regression(y, X)) == (
+        ["coef"] + nodes,
+        [("prior_coef", GaussianPriorSpec, ("coef",)),
+         ("likelihood", GaussianLikelihoodSpec, ("coef", "sigsq_eps"))] + frags,
+    )
+    assert wiring(build_linear_regression(y, X, fixed_sigma_sq=0.5)) == (
+        ["coef"],
+        [("prior_coef", GaussianPriorSpec, ("coef",)),
+         ("likelihood", GaussianLikelihoodSpec, ("coef",))],
+    )
+
+
+@pytest.mark.parametrize("kind", [TRUNCATED_LINEAR, OSULLIVAN_LIKE])
+def test_penalized_spline_wiring(kind):
+    y, x = spline_data(1, 60)
+    u_nodes, u_frags = chain("u")
+    eps_nodes, eps_frags = chain("eps")
+    lik = [("likelihood", GaussianLikelihoodSpec, ("coef", "sigsq_eps"))]
+    assert wiring(build_penalized_spline(y, x, K=5, spline_kind=kind)) == (
+        ["coef"] + u_nodes + eps_nodes,
+        [("penalization", GaussianPenalizationSpec, ("coef", "sigsq_u"))]
+        + u_frags + lik + eps_frags,
+    )
+    fixed = build_penalized_spline(y, x, K=5, spline_kind=kind, fixed_sigma_u_sq=0.3)
+    assert wiring(fixed) == (
+        ["coef"] + eps_nodes,
+        [("penalization", GaussianPenalizationSpec, ("coef",))] + lik + eps_frags,
+    )
+
+
+@pytest.mark.parametrize(
+    "link, state",
+    [("logit", LogisticFragmentState), ("probit", ProbitFragmentState),
+     ("log", PoissonFragmentState)],
+)
+def test_glm_spline_wiring(link, state):
+    r = np.random.default_rng(2)
+    x = r.uniform(size=60)
+    y = r.integers(0, 2, size=60).astype(float)
+    u_nodes, u_frags = chain("u")
+    assert wiring(build_glm_spline(y, x, K=5, link=link)) == (
+        ["coef"] + u_nodes,
+        [("penalization", GaussianPenalizationSpec, ("coef", "sigsq_u")),
+         ("likelihood", state, ("coef",))] + u_frags,
+    )
+
+
+@pytest.mark.parametrize("K_grp", [0, 3])
+@pytest.mark.parametrize("subject_lines", [True, False])
+def test_group_curves_wiring(subject_lines, K_grp):
+    y, x, gid, lab = group_data()
+    m = build_group_curves(y, x, gid, lab, K_gbl=6, K_grp=K_grp,
+                           include_subject_lines=subject_lines)
+    nodes, frags, pen_ports = ["coef"], [], ["coef"]
+    for tag in ("gbl_w", "gbl_b"):
+        n, f = chain(tag)
+        nodes, frags, pen_ports = nodes + n, frags + f, pen_ports + [f"sigsq_{tag}"]
+    if subject_lines:
+        nodes += ["Sigma_subject", "A_subject"]
+        frags += [("link_subject", IteratedIGWSpec, ("Sigma_subject", "A_subject")),
+                  ("prior_A_subject", InverseWishartPriorSpec, ("A_subject",))]
+        pen_ports.append("Sigma_subject")
+    if K_grp:
+        n, f = chain("grp")
+        nodes, frags, pen_ports = nodes + n, frags + f, pen_ports + ["sigsq_grp"]
+    eps_nodes, eps_frags = chain("eps")
+    assert wiring(m) == (
+        nodes + eps_nodes,
+        [("penalization", GaussianPenalizationSpec, tuple(pen_ports))] + frags
+        + [("likelihood", GaussianLikelihoodSpec, ("coef", "sigsq_eps"))] + eps_frags,
+    )
 
 
 def test_group_curves_rejects_design_off_the_pattern(monkeypatch):
