@@ -9,7 +9,7 @@ command line.
 
 __version__ = "0.1.0"
 
-from . import cli, engine, expfam, fragments_gaussian, fragments_glm, mfvb, models, natparam
+from . import engine, expfam, fragments_gaussian, fragments_glm, mfvb, models, natparam
 from .engine import (
     ConvergenceReport,
     FactorGraph,
@@ -66,7 +66,6 @@ __all__ = [
     "build_group_curves",
     "build_linear_regression",
     "build_penalized_spline",
-    "cli",
     "common_to_natural",
     "elbo",
     "engine",

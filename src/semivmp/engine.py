@@ -2,8 +2,8 @@
 
 A graph is bipartite between stochastic nodes (each carrying an exponential
 family) and factor nodes (each carrying one fragment).  The message store
-keeps one natural-parameter vector per edge direction.  One sweep visits the
-factors in schedule order; visiting a factor first refreshes the node-to-factor
+keeps one factor-to-node natural-parameter vector per edge.  One sweep visits
+the factors in schedule order; visiting a factor first forms the node-to-factor
 messages on its edges (sum of the other factors' messages into each node), then
 asks the fragment for fresh factor-to-node messages.  A node's q-density is the
 sum of all inbound factor messages.
@@ -120,7 +120,6 @@ class FactorGraph:
         self.nodes = {}
         self.factors = {}
         self.fac_to_node = {}
-        self.node_to_fac = {}
         self.node_factors = {}
 
 
@@ -185,20 +184,17 @@ def build_factor_graph(model) -> FactorGraph:
         precision = getattr(factor.fragment, "start_precision", 0.01)
         for nname in factor.neighbors:
             node = graph.nodes[nname]
-            init = _vague_init(node.family, node.d, precision)
-            graph.fac_to_node[(fname, nname)] = init.copy()
-            graph.node_to_fac[(nname, fname)] = np.zeros_like(init)
+            graph.fac_to_node[(fname, nname)] = _vague_init(node.family, node.d, precision)
     return graph
 
 
 def update_node_to_factor(graph: FactorGraph, node: str, factor: str) -> np.ndarray:
-    """Refresh a node-to-factor message (sum of the other factors' messages)
-    and return it."""
-    total = np.zeros_like(graph.node_to_fac[(node, factor)])
+    """The node-to-factor message: the sum of the other factors' messages
+    into the node (zero when there are none)."""
+    total = np.zeros_like(graph.fac_to_node[(factor, node)])
     for other in graph.node_factors[node]:
         if other != factor:
             total = total + graph.fac_to_node[(other, node)]
-    graph.node_to_fac[(node, factor)] = total
     return total
 
 

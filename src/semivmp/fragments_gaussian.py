@@ -27,9 +27,11 @@ from .expfam import NatParam
 from .natparam import g_vmp, mvn_moments, spd_inverse, spd_logdet, vec, vec_inverse
 from .natparam import mvn_moments_from_natural  # noqa: F401  (perfbench/tracing.py wraps it here)
 
-SCALAR_D1 = "scalar_d1"
-TOTALLY_CONNECTED = "totally_connected"
-TOTALLY_DISCONNECTED = "totally_disconnected"
+# A variance node's graph kind is the family of its q-density: a scalar
+# variance is the d=1 member of the diagonal-graph inverse G-Wishart.
+SCALAR_D1 = expfam.INVERSE_CHI_SQUARED
+TOTALLY_CONNECTED = expfam.INVERSE_WISHART
+TOTALLY_DISCONNECTED = expfam.INVERSE_G_WISHART_DIAG
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -42,15 +44,6 @@ class ImproperCombinedMessageError(ValueError):
         super().__init__(f"improper combined message ({context}) {detail}".rstrip())
 
 
-def family_for_kind(kind):
-    """Exponential family implied by a variance node's graph kind."""
-    return {
-        SCALAR_D1: expfam.INVERSE_CHI_SQUARED,
-        TOTALLY_CONNECTED: expfam.INVERSE_WISHART,
-        TOTALLY_DISCONNECTED: expfam.INVERSE_G_WISHART_DIAG,
-    }[kind]
-
-
 def variance_expectations(eta, d, kind):
     """(E{log det Theta}, E{Theta^{-1}}) for a proper variance-type vector.
 
@@ -58,11 +51,28 @@ def variance_expectations(eta, d, kind):
     otherwise.  Both are read off the expected sufficient statistic of the
     matching family, since T(Theta) = (log det Theta, vec(Theta^{-1})).
     """
-    nat = NatParam(family_for_kind(kind), eta, d)
+    nat = NatParam(kind, eta, d)
     ET = expfam.expected_sufficient_statistic(nat)
     if kind == SCALAR_D1:
         return float(ET[0]), float(ET[1])
     return float(ET[0]), vec_inverse(ET[1:], d)
+
+
+def _inverse_moment(c, d, kind, context):
+    """E{Theta^{-1}} as a d x d matrix for a combined variance-type vector.
+
+    The diagonal kinds (d=1 included) read (eta1 + 1)/eta_jj straight off the
+    vector; the full covariance goes through its expected sufficient statistic.
+    """
+    if kind == TOTALLY_CONNECTED:
+        try:
+            return variance_expectations(c, d, kind)[1]
+        except expfam.ImproperParameterError as err:
+            raise ImproperCombinedMessageError(context, str(err)) from None
+    diag = c[1 :: d + 1]
+    if not (c[0] < -1.0 and diag.max() < 0.0):
+        raise ImproperCombinedMessageError(context, f"eta={c}")
+    return np.diag((c[0] + 1.0) / diag)
 
 
 def _project(M, kind):
@@ -109,11 +119,8 @@ class GaussianPriorSpec:
 
 @dataclass(frozen=True)
 class InverseWishartPriorSpec:
-    """Constant prior factor for a variance/covariance node.
-
-    d=1 is the inverse-chi-squared prior; graph_kind picks the receiving
-    node's family for d>1 (full or diagonal inverse G-Wishart).
-    """
+    """Constant prior factor for a variance/covariance node; graph_kind is
+    the receiving node's family (d=1 is the inverse-chi-squared prior)."""
 
     kappa: float
     Lambda: np.ndarray
@@ -129,7 +136,7 @@ class InverseWishartPriorSpec:
         return self.Lambda.shape[0]
 
     def ports(self):
-        return [(family_for_kind(self.graph_kind), self.d)]
+        return [(self.graph_kind, self.d)]
 
     def update(self, n2f, f2n, nodes, context):
         return self, [inverse_wishart_prior_message(self)]
@@ -142,9 +149,10 @@ class InverseWishartPriorSpec:
 class IteratedIGWSpec:
     """Link factor Theta1 | Theta2 ~ Inverse-G-Wishart(G, kappa, Theta2^{-1}).
 
-    graph_kind describes Theta1's graph G; theta2_kind describes the receiving
-    family of the Theta2 node (needed to project matrix expectations onto what
-    that node can carry).
+    graph_kind is the family of Theta1, set by its graph G; theta2_kind is
+    the family of the Theta2 node (needed to project matrix expectations onto
+    what that node can carry).  The scalar half-Cauchy link is the d=1 case of
+    the diagonal graph.
     """
 
     graph_kind: str
@@ -154,8 +162,8 @@ class IteratedIGWSpec:
 
     def ports(self):
         return [
-            (family_for_kind(self.graph_kind), self.d_Theta),
-            (family_for_kind(self.theta2_kind), self.d_Theta),
+            (self.graph_kind, self.d_Theta),
+            (self.theta2_kind, self.d_Theta),
         ]
 
     def update(self, n2f, f2n, nodes, context):
@@ -205,7 +213,7 @@ class GaussianPenalizationSpec:
 
     def ports(self):
         return [(expfam.MULTIVARIATE_NORMAL, self.total_dim)] + [
-            (family_for_kind(b.kind), b.d) for b in self.stochastic_blocks()
+            (b.kind, b.d) for b in self.stochastic_blocks()
         ]
 
     def update(self, n2f, f2n, nodes, context):
@@ -276,13 +284,6 @@ def inverse_wishart_prior_message(spec: InverseWishartPriorSpec):
     return np.concatenate([[-0.5 * (spec.kappa + d + 1.0)], -0.5 * vec(spec.Lambda)])
 
 
-def _scalar_inv_moment(c, context):
-    """E{1/theta} = (eta1 + 1)/eta2 for a combined inverse-chi^2 vector."""
-    if not (c[0] < -1.0 and c[1] < 0.0):
-        raise ImproperCombinedMessageError(context, f"eta={c}")
-    return (c[0] + 1.0) / c[1]
-
-
 def iterated_igw_messages(
     spec: IteratedIGWSpec,
     eta_theta1_to_factor,
@@ -298,28 +299,17 @@ def iterated_igw_messages(
     formed with the new factor->Theta1 message.
     """
     kappa, d = spec.kappa, spec.d_Theta
-    if spec.graph_kind == SCALAR_D1:
-        c2 = np.asarray(eta_theta2_to_factor) + np.asarray(eta_factor_to_theta2)
-        inv2 = _scalar_inv_moment(c2, context + " [theta2]")
-        msg1 = np.array([-0.5 * (kappa + 2.0), -0.5 * inv2])
-        c1 = np.asarray(eta_theta1_to_factor) + msg1
-        inv1 = _scalar_inv_moment(c1, context + " [theta1]")
-        msg2 = np.array([-0.5 * kappa, -0.5 * inv1])
-        return msg1, msg2
-
     c2 = np.asarray(eta_theta2_to_factor) + np.asarray(eta_factor_to_theta2)
-    _, Einv2 = variance_expectations(c2, d, spec.theta2_kind)
-    Einv2 = np.atleast_2d(Einv2)
+    Einv2 = _inverse_moment(c2, d, spec.theta2_kind, context + " [theta2]")
     msg1 = np.concatenate(
-        [[-0.5 * (kappa + d + 1.0)], -0.5 * vec(_project(Einv2, spec.graph_kind))]
+        [[-0.5 * (kappa + (d + 1.0))], -0.5 * vec(_project(Einv2, spec.graph_kind))]
     )
     c1 = np.asarray(eta_theta1_to_factor) + msg1
-    _, Einv1 = variance_expectations(c1, d, spec.graph_kind)
-    Einv1 = np.atleast_2d(Einv1)
+    Einv1 = _inverse_moment(c1, d, spec.graph_kind, context + " [theta1]")
     if spec.graph_kind == TOTALLY_CONNECTED:
         lead2 = -0.5 * kappa
     else:  # per-diagonal conditionals carry shape kappa + d - 1
-        lead2 = -0.5 * (kappa + d - 1.0)
+        lead2 = -0.5 * (kappa + (d - 1.0))
     msg2 = np.concatenate([[lead2], -0.5 * vec(_project(Einv1, spec.theta2_kind))])
     return msg1, msg2
 
@@ -334,11 +324,7 @@ def _penalty_precisions(spec, etas_theta_to_factor, etas_factor_to_theta, contex
             omegas.append(spd_inverse(Th, context=f"{context} fixed block"))
             continue
         c = np.asarray(etas_theta_to_factor[k]) + np.asarray(etas_factor_to_theta[k])
-        if b.kind == SCALAR_D1:
-            omegas.append(np.array([[_scalar_inv_moment(c, f"{context} block {k}")]]))
-        else:
-            _, Einv = variance_expectations(c, b.d, b.kind)
-            omegas.append(np.atleast_2d(Einv))
+        omegas.append(_inverse_moment(c, b.d, b.kind, f"{context} block {k}"))
         k += 1
     return omegas
 
@@ -398,14 +384,8 @@ def gaussian_penalization_messages(
     for b, cols in _block_columns(spec):
         if b.fixed_Theta is not None:
             continue
-        S = _second_moments(moments, cols)
-        if b.d == 1:
-            # same number as g_vmp with the 0/1 selector over this block
-            msgs_theta.append(np.array([-0.5 * b.m, -0.5 * float(np.sum(S))]))
-        else:
-            msgs_theta.append(
-                np.concatenate([[-0.5 * b.m], -0.5 * vec(_project(S.sum(axis=0), b.kind))])
-            )
+        S = _second_moments(moments, cols).sum(axis=0)
+        msgs_theta.append(np.concatenate([[-0.5 * b.m], -0.5 * vec(_project(S, b.kind))]))
     return msg_coef, msgs_theta
 
 
@@ -439,7 +419,7 @@ def gaussian_likelihood_messages(
         msg1 = np.concatenate([spec.Aty * w, -0.5 * w * vec(spec.AtA)])
         return msg1, None
     c2 = np.asarray(eta_theta2_to_factor) + np.asarray(eta_factor_to_theta2)
-    w = _scalar_inv_moment(c2, context + " [variance]")  # E{1/theta2}
+    w = _inverse_moment(c2, 1, SCALAR_D1, context + " [variance]")[0, 0]  # E{1/theta2}
     msg1 = np.concatenate([spec.Aty, -0.5 * vec(spec.AtA)]) * w
     c1 = np.asarray(eta_theta1_to_factor) + msg1
     msg2 = np.array(
@@ -471,10 +451,9 @@ def gaussian_prior_logp(spec: GaussianPriorSpec, q_eta, moments=None):
 
 
 def inverse_wishart_prior_logp(spec: InverseWishartPriorSpec, q_eta):
-    fam = family_for_kind(spec.graph_kind)
     msg = inverse_wishart_prior_message(spec)
-    q = NatParam(fam, q_eta, spec.d)
-    prior = NatParam(fam, msg, spec.d)
+    q = NatParam(spec.graph_kind, q_eta, spec.d)
+    prior = NatParam(spec.graph_kind, msg, spec.d)
     return (
         float(msg @ expfam.expected_sufficient_statistic(q))
         - expfam.log_partition(prior)
@@ -485,19 +464,9 @@ def inverse_wishart_prior_logp(spec: InverseWishartPriorSpec, q_eta):
 def iterated_igw_logp(spec: IteratedIGWSpec, q_eta_theta1, q_eta_theta2):
     kappa, d = spec.kappa, spec.d_Theta
     Elogdet2, Einv2 = variance_expectations(q_eta_theta2, d, spec.theta2_kind)
-    q1 = NatParam(family_for_kind(spec.graph_kind), q_eta_theta1, d)
-    ET1 = expfam.expected_sufficient_statistic(q1)
-    if spec.graph_kind == SCALAR_D1:
-        coeff = np.array([-0.5 * (kappa + 2.0), -0.5 * Einv2])
-        return (
-            float(coeff @ ET1)
-            - 0.5 * kappa * Elogdet2
-            - (0.5 * kappa * np.log(2.0) + float(gammaln(0.5 * kappa)))
-        )
-    Einv2 = np.atleast_2d(Einv2)
-    coeff = np.concatenate(
-        [[-0.5 * (kappa + d + 1.0)], -0.5 * vec(_project(Einv2, spec.graph_kind))]
-    )
+    ET1 = expfam.expected_sufficient_statistic(NatParam(spec.graph_kind, q_eta_theta1, d))
+    Einv2 = _project(np.atleast_2d(Einv2), spec.graph_kind)
+    coeff = np.concatenate([[-0.5 * (kappa + (d + 1.0))], -0.5 * vec(Einv2)])
     if spec.graph_kind == TOTALLY_CONNECTED:
         return (
             float(coeff @ ET1)
@@ -505,7 +474,7 @@ def iterated_igw_logp(spec: IteratedIGWSpec, q_eta_theta1, q_eta_theta2):
             - _log_iw_norm(d, kappa)
             - 0.25 * d * (d - 1.0) * np.log(np.pi)
         )
-    kt = kappa + d - 1.0  # per-diagonal shape
+    kt = kappa + (d - 1.0)  # per-diagonal shape
     return (
         float(coeff @ ET1)
         - 0.5 * kt * Elogdet2

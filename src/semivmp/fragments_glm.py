@@ -5,7 +5,9 @@ the coefficient node: a tangent (variational-bound) logistic fragment, a
 probit fragment that integrates out truncated-normal auxiliaries in closed
 form, and a fixed-point Poisson fragment for the log link.  Each update is
 pure: it takes the current fragment state plus the two message vectors on the
-coefficient edge and returns a replacement state and a fresh outbound message.
+coefficient edge and returns the state to keep and a fresh outbound message.
+Only the logistic state changes: it carries the tangent points xi that its
+ELBO term reads.
 Each state is also the fragment the engine runs: its ``ports``, ``update``
 and ``logp`` methods call these module functions by name at call time.
 """
@@ -64,19 +66,16 @@ class LogisticFragmentState(_GlmFragment):
     y: np.ndarray
     A: np.ndarray
     xi: np.ndarray = None
-    Xi: np.ndarray = None
 
     def __post_init__(self):
         y = _check_binary(self.y)
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         xi = np.ones(y.size) if self.xi is None else np.atleast_1d(np.asarray(self.xi, dtype=float))
-        Xi = np.zeros((A.shape[1],) * 2) if self.Xi is None else np.asarray(self.Xi, dtype=float)
         if np.any(xi < 0):
             raise ValueError("xi must be nonnegative")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "Xi", Xi)
 
     def update(self, n2f, f2n, nodes, context):
         state, msg = jaakkola_jordan_update(self, f2n[0], n2f[0])
@@ -90,15 +89,12 @@ class LogisticFragmentState(_GlmFragment):
 class ProbitFragmentState(_GlmFragment):
     y: np.ndarray
     A: np.ndarray
-    nu: np.ndarray = None
 
     def __post_init__(self):
         y = _check_binary(self.y)
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        nu = np.zeros(y.size) if self.nu is None else np.atleast_1d(np.asarray(self.nu, dtype=float))
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "nu", nu)
 
     def update(self, n2f, f2n, nodes, context):
         state, msg = albert_chib_update(self, f2n[0], n2f[0])
@@ -112,17 +108,14 @@ class ProbitFragmentState(_GlmFragment):
 class PoissonFragmentState(_GlmFragment):
     y: np.ndarray
     A: np.ndarray
-    omega: np.ndarray = None
 
     def __post_init__(self):
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
         if np.any(y < 0) or np.any(y != np.round(y)):
             raise ValueError("count response must contain nonnegative integers")
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        omega = np.ones(y.size) if self.omega is None else np.atleast_1d(np.asarray(self.omega, dtype=float))
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "omega", omega)
 
     def update(self, n2f, f2n, nodes, context):
         state, msg = knowles_minka_wand_update(self, f2n[0], n2f[0])
@@ -174,7 +167,7 @@ def jaakkola_jordan_update(state: LogisticFragmentState, eta_factor_to_theta, et
     xi = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", A, Xi, A), 0.0))
     W = tangent_weight(xi)
     msg = np.concatenate([A.T @ (state.y - 0.5), -vec(A.T @ (W[:, None] * A))])
-    return replace(state, xi=xi, Xi=Xi), msg
+    return replace(state, xi=xi), msg
 
 
 def zeta_prime(x):
@@ -206,7 +199,7 @@ def albert_chib_update(state: ProbitFragmentState, eta_factor_to_theta, eta_thet
     sgn = 2.0 * state.y - 1.0
     shifted = nu + sgn * zeta_prime(sgn * nu)  # truncated-normal means, auxiliaries integrated out
     msg = np.concatenate([A.T @ shifted, -0.5 * vec(A.T @ A)])
-    return replace(state, nu=nu), msg
+    return state, msg
 
 
 def knowles_minka_wand_update(state: PoissonFragmentState, eta_factor_to_theta, eta_theta_to_factor):
@@ -219,7 +212,7 @@ def knowles_minka_wand_update(state: PoissonFragmentState, eta_factor_to_theta, 
     omega = np.exp(lin)
     first = A.T @ (state.y - omega) + A.T @ (omega[:, None] * A) @ mu
     msg = np.concatenate([first, -0.5 * vec(A.T @ (omega[:, None] * A))])
-    return replace(state, omega=omega), msg
+    return state, msg
 
 
 # ---------------------------------------------------------------------------

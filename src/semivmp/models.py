@@ -263,20 +263,20 @@ def original_coefficients(model: ModelSpec, q_coef):
 # builders
 
 
-def _scale_chain(nodes, fragments, tag, sigsq_name, A_hyper):
-    """Append the sigma^2 | a ~ Inv-chi^2(1, 1/a), a ~ Inv-chi^2(1, 1/A^2)
-    half-Cauchy construction for one scalar variance node."""
-    a_name = f"a_{tag}"
-    nodes.append(StochasticNode(sigsq_name, expfam.INVERSE_CHI_SQUARED))
-    nodes.append(StochasticNode(a_name, expfam.INVERSE_CHI_SQUARED))
-    fragments.append(
-        FragmentBinding(f"link_{tag}", IteratedIGWSpec(SCALAR_D1, kappa=1.0), (sigsq_name, a_name))
-    )
-    fragments.append(
-        FragmentBinding(
-            f"prior_{a_name}", InverseWishartPriorSpec(1.0, np.array([[A_hyper**-2.0]])), (a_name,)
-        )
-    )
+def _variance_chain(nodes, fragments, tag, theta, a, A_hyper, d=1, nu=1.0):
+    """Append the Huang-Wand construction for one d x d variance node theta:
+    theta | a ~ Inverse-G-Wishart(G, nu + d - 1, a^{-1}) with G full, and a
+    diagonal a ~ Inverse-G-Wishart(diag, 1, I/(nu A^2)).
+
+    At d=1 and nu=1 it is the half-Cauchy(A) chain of a scalar variance,
+    sigma^2 | a ~ Inv-chi^2(1, 1/a), a ~ Inv-chi^2(1, 1/A^2)."""
+    kind, a_kind = (SCALAR_D1, SCALAR_D1) if d == 1 else (TOTALLY_CONNECTED, TOTALLY_DISCONNECTED)
+    nodes.append(StochasticNode(theta, kind, d))
+    nodes.append(StochasticNode(a, a_kind, d))
+    link = IteratedIGWSpec(kind, kappa=nu + (d - 1.0), d_Theta=d, theta2_kind=a_kind)
+    fragments.append(FragmentBinding(f"link_{tag}", link, (theta, a)))
+    prior = InverseWishartPriorSpec(1.0, np.eye(d) * (A_hyper**-2.0 / nu), a_kind)
+    fragments.append(FragmentBinding(f"prior_{a}", prior, (a,)))
 
 
 def build_linear_regression(
@@ -324,7 +324,7 @@ def build_linear_regression(
     fragments = [FragmentBinding("prior_coef", GaussianPriorSpec(mu_s, Sigma_s), ("coef",))]
     if fixed_sigma_sq is None:
         fragments.append(FragmentBinding("likelihood", lik_spec, ("coef", "sigsq_eps")))
-        _scale_chain(nodes, fragments, "eps", "sigsq_eps", A_hyper)
+        _variance_chain(nodes, fragments, "eps", "sigsq_eps", "a_eps", A_hyper)
     else:
         fragments.append(FragmentBinding("likelihood", lik_spec, ("coef",)))
     return ModelSpec(nodes, fragments, "identity", "coef", {}, meta)
@@ -382,10 +382,10 @@ def build_penalized_spline(
     nodes, fragments, meta, curves = _spline_block(y, x, K, hyper, spline_kind, fixed_sigma_u_sq)
     A_hyper = meta["hyper"].A
     if fixed_sigma_u_sq is None:
-        _scale_chain(nodes, fragments, "u", "sigsq_u", A_hyper)
+        _variance_chain(nodes, fragments, "u", "sigsq_u", "a_u", A_hyper)
     lik = GaussianLikelihoodSpec(meta["y"], meta["C"])
     fragments.append(FragmentBinding("likelihood", lik, ("coef", "sigsq_eps")))
-    _scale_chain(nodes, fragments, "eps", "sigsq_eps", A_hyper)
+    _variance_chain(nodes, fragments, "eps", "sigsq_eps", "a_eps", A_hyper)
     return ModelSpec(nodes, fragments, "identity", "coef", curves, meta)
 
 
@@ -412,7 +412,7 @@ def build_glm_spline(
             raise ValueError("log link needs a nonnegative integer response")
         state = PoissonFragmentState(y, C)
     fragments.append(FragmentBinding("likelihood", state, ("coef",)))
-    _scale_chain(nodes, fragments, "u", "sigsq_u", meta["hyper"].A)
+    _variance_chain(nodes, fragments, "u", "sigsq_u", "a_u", meta["hyper"].A)
     return ModelSpec(nodes, fragments, link, "coef", curves, meta)
 
 
@@ -467,7 +467,7 @@ def build_group_curves(
 
     cols = [X, Zw, Zb]
     blocks = [PenalizedBlock(K_gbl, 1, SCALAR_D1), PenalizedBlock(K_gbl, 1, SCALAR_D1)]
-    chains = ["gbl_w", "gbl_b"]
+    chains = [(tag, f"sigsq_{tag}", f"a_{tag}", 1.0) for tag in ("gbl_w", "gbl_b")]
     n_glob = 4 + 2 * K_gbl
     group_cols = []  # per block of group columns: an (m, columns per group) array
 
@@ -479,7 +479,7 @@ def build_group_curves(
             ZU[rows, 2 * g + 1] = xs[rows]
         cols.append(ZU)
         blocks.append(PenalizedBlock(m, 2, TOTALLY_CONNECTED))
-        chains.append("subject")
+        chains.append(("subject", "Sigma_subject", "A_subject", hyper.nu))
         group_cols.append(n_glob + np.arange(2 * m).reshape(m, 2))
 
     if K_grp > 0:
@@ -490,7 +490,7 @@ def build_group_curves(
             Zg[rows, g * K_grp : (g + 1) * K_grp] = Z_grp_base[rows]
         cols.append(Zg)
         blocks.append(PenalizedBlock(m * K_grp, 1, SCALAR_D1))
-        chains.append("grp")
+        chains.append(("grp", "sigsq_grp", "a_grp", 1.0))
         start = n_glob + (2 * m if include_subject_lines else 0)
         group_cols.append(start + np.arange(m * K_grp).reshape(m, K_grp))
     else:
@@ -512,40 +512,12 @@ def build_group_curves(
 
     nodes = [StochasticNode("coef", expfam.MULTIVARIATE_NORMAL, p, layout)]
     fragments = []
-    pen_ports = ["coef"]
-
-    for tag, blk in zip(chains, blocks):
-        if blk.d == 1:
-            sig = f"sigsq_{tag}"
-            pen_ports.append(sig)
-            _scale_chain(nodes, fragments, tag, sig, hyper.A)
-        else:
-            nodes.append(StochasticNode("Sigma_subject", expfam.INVERSE_WISHART, 2))
-            nodes.append(StochasticNode("A_subject", expfam.INVERSE_G_WISHART_DIAG, 2))
-            pen_ports.append("Sigma_subject")
-            fragments.append(
-                FragmentBinding(
-                    "link_subject",
-                    IteratedIGWSpec(
-                        TOTALLY_CONNECTED, kappa=hyper.nu + 1.0, d_Theta=2,
-                        theta2_kind=TOTALLY_DISCONNECTED,
-                    ),
-                    ("Sigma_subject", "A_subject"),
-                )
-            )
-            fragments.append(
-                FragmentBinding(
-                    "prior_A_subject",
-                    InverseWishartPriorSpec(
-                        1.0, np.eye(2) / (hyper.nu * hyper.A**2), TOTALLY_DISCONNECTED
-                    ),
-                    ("A_subject",),
-                )
-            )
-
-    fragments.insert(0, FragmentBinding("penalization", pen, tuple(pen_ports)))
+    for (tag, theta, a, nu), blk in zip(chains, blocks):
+        _variance_chain(nodes, fragments, tag, theta, a, hyper.A, blk.d, nu)
+    pen_ports = ("coef", *(theta for _, theta, _, _ in chains))
+    fragments.insert(0, FragmentBinding("penalization", pen, pen_ports))
     fragments.append(FragmentBinding("likelihood", lik, ("coef", "sigsq_eps")))
-    _scale_chain(nodes, fragments, "eps", "sigsq_eps", hyper.A)
+    _variance_chain(nodes, fragments, "eps", "sigsq_eps", "a_eps", hyper.A)
 
     meta = {
         "y": y, "x": x, "x_mean": x_mean, "x_sd": x_sd, "hyper": hyper,

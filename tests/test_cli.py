@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,3 +236,16 @@ def test_validate_detects_injected_fault(monkeypatch, capsys):
 def test_unknown_model_rejected_by_parser(capsys):
     with pytest.raises(SystemExit):
         cli.main(["fit", "--model", "anova", "--data", "x.csv", "--response", "y"])
+
+
+def test_module_entry_point_runs_without_warning():
+    # the package root must not import semivmp.cli, or runpy warns that the
+    # module was already in sys.modules before `python -m` executed it
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "semivmp.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "fit" in proc.stdout

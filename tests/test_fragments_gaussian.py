@@ -20,6 +20,7 @@ from semivmp.fragments_gaussian import (
     InverseWishartPriorSpec,
     IteratedIGWSpec,
     PenalizedBlock,
+    _inverse_moment,
     gaussian_likelihood_logp,
     gaussian_likelihood_messages,
     gaussian_penalization_logp,
@@ -162,6 +163,34 @@ def test_iterated_improper_combined_raises():
         iterated_igw_messages(spec, healthy, bad, healthy, bad)
 
 
+def test_iterated_improper_diagonal_theta2_names_the_port():
+    spec = IteratedIGWSpec(TOTALLY_CONNECTED, 3.0, 2, TOTALLY_DISCONNECTED)
+    theta1 = iw_eta(5.0, np.eye(2))
+    bad = iw_eta(3.0, np.diag([1.0, -1.0]))  # a positive diagonal entry of eta
+    with pytest.raises(ImproperCombinedMessageError) as info:
+        iterated_igw_messages(spec, theta1 / 2, bad / 2, theta1 / 2, bad / 2, context="link_A")
+    assert info.value.context == "link_A [theta2]"
+
+
+@pytest.mark.parametrize(
+    "kind, d",
+    [(SCALAR_D1, 1), (TOTALLY_DISCONNECTED, 1), (TOTALLY_DISCONNECTED, 3),
+     (TOTALLY_CONNECTED, 1), (TOTALLY_CONNECTED, 3)],
+)
+def test_inverse_moment_matches_expected_statistic(rng, kind, d):
+    # the update path reads E{Theta^{-1}} off the vector for the diagonal kinds;
+    # it must give the very numbers of the expected sufficient statistic
+    for _ in range(5):
+        kappa = rng.uniform(0.5, 6.0) + d
+        if kind == TOTALLY_CONNECTED:
+            Lam = random_spd(rng, d)
+        else:
+            Lam = np.diag(rng.uniform(0.1, 5.0, size=d))
+        eta = iw_eta(kappa, Lam)
+        _, Einv = variance_expectations(eta, d, kind)
+        np.testing.assert_array_equal(_inverse_moment(eta, d, kind, "test"), np.atleast_2d(Einv))
+
+
 # --- Gaussian penalization ---------------------------------------------------
 
 
@@ -219,6 +248,20 @@ def test_penalization_improper_raises(rng):
     bad = np.array([0.0, -1.0])
     with pytest.raises(ImproperCombinedMessageError):
         gaussian_penalization_messages(spec, eta_coef / 2, [bad], eta_coef / 2, [bad])
+
+
+def test_penalization_improper_connected_block_names_the_port(rng):
+    blocks = (PenalizedBlock(3, 1, SCALAR_D1), PenalizedBlock(3, 2, TOTALLY_CONNECTED))
+    spec = GaussianPenalizationSpec(np.zeros(2), np.eye(2), blocks)
+    eta_coef = mvn_eta(rng.normal(size=11), random_spd(rng, 11))
+    good = invchisq_eta(5.0, 4.0)
+    bad = iw_eta(5.0, np.diag([1.0, -1.0]))  # Lambda not positive definite
+    with pytest.raises(ImproperCombinedMessageError) as info:
+        gaussian_penalization_messages(
+            spec, eta_coef / 2, [good / 2, bad / 2], eta_coef / 2, [good / 2, bad / 2],
+            context="penalization",
+        )
+    assert info.value.context == "penalization block 1"
 
 
 # --- Gaussian likelihood -----------------------------------------------------

@@ -66,7 +66,6 @@ def test_jj_update_identity_design():
     eta = mvn_eta(np.zeros(2), np.eye(2))
     new, msg = jaakkola_jordan_update(state, *split(eta))
     np.testing.assert_allclose(new.xi, [1.0, 1.0], rtol=1e-14)
-    np.testing.assert_allclose(new.Xi, np.eye(2), rtol=1e-14)
     W = np.tanh(0.5) / 4.0
     np.testing.assert_allclose(msg[:2], [-0.5, 0.5], rtol=1e-14)
     np.testing.assert_allclose(msg[2:], -vec(W * np.eye(2)), rtol=1e-13)
@@ -154,9 +153,8 @@ def test_ac_first_block_truncated_normal_means(rng):
     A = rng.normal(size=(n, d))
     mu = rng.normal(size=d)
     eta = mvn_eta(mu, random_spd(rng, d))
-    new, msg = albert_chib_update(ProbitFragmentState(y, A), *split(eta))
+    _, msg = albert_chib_update(ProbitFragmentState(y, A), *split(eta))
     nu = A @ mu
-    np.testing.assert_allclose(new.nu, nu, rtol=1e-12)
     sgn = 2.0 * y - 1.0
     shifted = nu + sgn * zeta_prime(sgn * nu)
     np.testing.assert_allclose(msg[:d], A.T @ shifted, rtol=1e-12)
@@ -168,9 +166,8 @@ def test_ac_first_block_truncated_normal_means(rng):
 def test_kmw_update_unit_case():
     state = PoissonFragmentState(np.array([2.0]), np.array([[1.0]]))
     eta = mvn_eta(np.zeros(1), np.eye(1))  # mu=0, Sigma=1 -> lin = 1/2
-    new, msg = knowles_minka_wand_update(state, *split(eta))
+    _, msg = knowles_minka_wand_update(state, *split(eta))
     w = np.exp(0.5)
-    np.testing.assert_allclose(new.omega, [w], rtol=1e-14)
     np.testing.assert_allclose(msg, [2.0 - w, -0.5 * w], rtol=1e-14)
 
 

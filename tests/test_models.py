@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from semivmp import models
+from semivmp import expfam, models
 from semivmp.engine import build_factor_graph, q_density, run_vmp
 from semivmp.models import (
     OSULLIVAN_LIKE,
@@ -21,6 +21,9 @@ from semivmp.models import (
 )
 
 from semivmp.fragments_gaussian import (
+    SCALAR_D1,
+    TOTALLY_CONNECTED,
+    TOTALLY_DISCONNECTED,
     GaussianLikelihoodSpec,
     GaussianPenalizationSpec,
     GaussianPriorSpec,
@@ -323,19 +326,58 @@ def chain(tag):
     ]
 
 
+def variance_params(model):
+    """(kappa, d, Theta1 kind, Theta2 kind) of each iterated-IGW link and
+    (kappa, Lambda, kind) of each a-prior, by factor name."""
+    out = {}
+    for f in model.fragments:
+        s = f.fragment
+        if isinstance(s, IteratedIGWSpec):
+            out[f.name] = (s.kappa, s.d_Theta, s.graph_kind, s.theta2_kind)
+        elif isinstance(s, InverseWishartPriorSpec):
+            out[f.name] = (s.kappa, s.Lambda.tolist(), s.graph_kind)
+    return out
+
+
+def half_cauchy(tag):
+    """variance_params of one scalar half-Cauchy chain at the default A = 1e5:
+    the d=1, nu=1 Huang-Wand chain."""
+    return {
+        f"link_{tag}": (1.0, 1, SCALAR_D1, SCALAR_D1),
+        f"prior_a_{tag}": (1.0, [[1e-10]], SCALAR_D1),
+    }
+
+
+# nu = 2 at d = 2: kappa = nu + d - 1 = 3 and Lambda = I / (nu A^2)
+SUBJECT = {
+    "link_subject": (3.0, 2, TOTALLY_CONNECTED, TOTALLY_DISCONNECTED),
+    "prior_A_subject": (1.0, [[5e-11, 0.0], [0.0, 5e-11]], TOTALLY_DISCONNECTED),
+}
+
+
+def test_variance_kinds_are_families():
+    assert (SCALAR_D1, TOTALLY_CONNECTED, TOTALLY_DISCONNECTED) == (
+        expfam.INVERSE_CHI_SQUARED, expfam.INVERSE_WISHART, expfam.INVERSE_G_WISHART_DIAG,
+    )
+
+
 def test_linear_regression_wiring():
     y, X = make_regression_data(1, n=30)
     nodes, frags = chain("eps")
-    assert wiring(build_linear_regression(y, X)) == (
+    model = build_linear_regression(y, X)
+    assert wiring(model) == (
         ["coef"] + nodes,
         [("prior_coef", GaussianPriorSpec, ("coef",)),
          ("likelihood", GaussianLikelihoodSpec, ("coef", "sigsq_eps"))] + frags,
     )
-    assert wiring(build_linear_regression(y, X, fixed_sigma_sq=0.5)) == (
+    assert variance_params(model) == half_cauchy("eps")
+    fixed = build_linear_regression(y, X, fixed_sigma_sq=0.5)
+    assert wiring(fixed) == (
         ["coef"],
         [("prior_coef", GaussianPriorSpec, ("coef",)),
          ("likelihood", GaussianLikelihoodSpec, ("coef",))],
     )
+    assert variance_params(fixed) == {}
 
 
 @pytest.mark.parametrize("kind", [TRUNCATED_LINEAR, OSULLIVAN_LIKE])
@@ -344,16 +386,19 @@ def test_penalized_spline_wiring(kind):
     u_nodes, u_frags = chain("u")
     eps_nodes, eps_frags = chain("eps")
     lik = [("likelihood", GaussianLikelihoodSpec, ("coef", "sigsq_eps"))]
-    assert wiring(build_penalized_spline(y, x, K=5, spline_kind=kind)) == (
+    model = build_penalized_spline(y, x, K=5, spline_kind=kind)
+    assert wiring(model) == (
         ["coef"] + u_nodes + eps_nodes,
         [("penalization", GaussianPenalizationSpec, ("coef", "sigsq_u"))]
         + u_frags + lik + eps_frags,
     )
+    assert variance_params(model) == half_cauchy("u") | half_cauchy("eps")
     fixed = build_penalized_spline(y, x, K=5, spline_kind=kind, fixed_sigma_u_sq=0.3)
     assert wiring(fixed) == (
         ["coef"] + eps_nodes,
         [("penalization", GaussianPenalizationSpec, ("coef",))] + lik + eps_frags,
     )
+    assert variance_params(fixed) == half_cauchy("eps")
 
 
 @pytest.mark.parametrize(
@@ -366,11 +411,13 @@ def test_glm_spline_wiring(link, state):
     x = r.uniform(size=60)
     y = r.integers(0, 2, size=60).astype(float)
     u_nodes, u_frags = chain("u")
-    assert wiring(build_glm_spline(y, x, K=5, link=link)) == (
+    model = build_glm_spline(y, x, K=5, link=link)
+    assert wiring(model) == (
         ["coef"] + u_nodes,
         [("penalization", GaussianPenalizationSpec, ("coef", "sigsq_u")),
          ("likelihood", state, ("coef",))] + u_frags,
     )
+    assert variance_params(model) == half_cauchy("u")
 
 
 @pytest.mark.parametrize("K_grp", [0, 3])
@@ -380,6 +427,7 @@ def test_group_curves_wiring(subject_lines, K_grp):
     m = build_group_curves(y, x, gid, lab, K_gbl=6, K_grp=K_grp,
                            include_subject_lines=subject_lines)
     nodes, frags, pen_ports = ["coef"], [], ["coef"]
+    params = half_cauchy("gbl_w") | half_cauchy("gbl_b") | half_cauchy("eps")
     for tag in ("gbl_w", "gbl_b"):
         n, f = chain(tag)
         nodes, frags, pen_ports = nodes + n, frags + f, pen_ports + [f"sigsq_{tag}"]
@@ -388,15 +436,33 @@ def test_group_curves_wiring(subject_lines, K_grp):
         frags += [("link_subject", IteratedIGWSpec, ("Sigma_subject", "A_subject")),
                   ("prior_A_subject", InverseWishartPriorSpec, ("A_subject",))]
         pen_ports.append("Sigma_subject")
+        params |= SUBJECT
     if K_grp:
         n, f = chain("grp")
         nodes, frags, pen_ports = nodes + n, frags + f, pen_ports + ["sigsq_grp"]
+        params |= half_cauchy("grp")
     eps_nodes, eps_frags = chain("eps")
     assert wiring(m) == (
         nodes + eps_nodes,
         [("penalization", GaussianPenalizationSpec, tuple(pen_ports))] + frags
         + [("likelihood", GaussianLikelihoodSpec, ("coef", "sigsq_eps"))] + eps_frags,
     )
+    assert variance_params(m) == params
+
+
+def test_variance_chains_follow_the_prior():
+    y, x, gid, lab = group_data()
+    A, nu = 2.5, 3.0
+    params = variance_params(build_group_curves(
+        y, x, gid, lab, K_gbl=6, K_grp=3, hyper=Hyperparameters(A=A, nu=nu)
+    ))
+    # the subject covariance gets kappa = nu + d - 1 and Lambda = I / (nu A^2);
+    # each scalar variance keeps the half-Cauchy(A) chain, nu = 1
+    assert params["link_subject"] == (nu + 1.0, 2, TOTALLY_CONNECTED, TOTALLY_DISCONNECTED)
+    np.testing.assert_allclose(params["prior_A_subject"][1], np.eye(2) / (nu * A**2), rtol=1e-15)
+    for tag in ("gbl_w", "gbl_b", "grp", "eps"):
+        assert params[f"link_{tag}"] == (1.0, 1, SCALAR_D1, SCALAR_D1)
+        np.testing.assert_allclose(params[f"prior_a_{tag}"][1], [[A**-2]], rtol=1e-15)
 
 
 def test_group_curves_rejects_design_off_the_pattern(monkeypatch):
