@@ -7,20 +7,22 @@ form, and a fixed-point Poisson fragment for the log link.  Each update is
 pure: it takes the current fragment state plus the two message vectors on the
 coefficient edge and returns the state to keep and a fresh outbound message.
 Only the logistic state changes: it carries the tangent points xi that its
-ELBO term reads.
+ELBO term reads.  Every row quadratic form a_i^T S a_i goes through
+``natparam.row_quadratic``, one matrix product over the n rows; the probit
+state holds its constant A^T A, so the probit ELBO term is a trace.
 Each state is also the fragment the engine runs: its ``ports``, ``update``
 and ``logp`` methods call these module functions by name at call time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import gammaln, log_ndtr
 
 from .expfam import MULTIVARIATE_NORMAL
-from .natparam import mvn_moments_from_natural, vec, vec_inverse
+from .natparam import mvn_moments_from_natural, row_quadratic, vec, vec_inverse
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -28,18 +30,29 @@ OVERFLOW_LIMIT = 700.0
 
 
 class LinearPredictorOverflowError(ArithmeticError):
-    """exp() of a linear predictor would overflow.
+    """A linear predictor left the range where a GLM fragment is meaningful.
 
-    This is a modeling signal (diverging iterates or wild predictor scale),
-    not a numerics bug, so it is raised instead of silently clipping.
+    Raised when exp() of the Poisson linear predictor would overflow, or when
+    a binary (logistic or probit) fit's mean linear predictor exceeds the
+    same limit in magnitude.  Past it exp(-|A mu|) is below 1e-304, so every
+    fitted probability is 0 or 1 to double precision and further growth
+    fits nothing.  This is a modeling signal, not a numerics bug, so it is
+    raised instead of silently clipping.  Completely separated binary data
+    under a flat coefficient prior also diverge, but slowly: at 200 sweeps
+    their max |A mu| is tens, so such a fit returns unconverged instead.
     """
 
     def __init__(self, worst):
         self.worst = float(worst)
         super().__init__(
-            f"linear predictor {worst:.3g} exceeds {OVERFLOW_LIMIT:g}; "
-            "consider damping (rho < 1) or rescaling predictors"
+            f"linear predictor {worst:.3g} exceeds {OVERFLOW_LIMIT:g}; the fit is "
+            "diverging: consider damping (rho < 1) or a tighter coefficient prior"
         )
+
+
+def _check_linear_predictor(worst):
+    if worst > OVERFLOW_LIMIT:
+        raise LinearPredictorOverflowError(worst)
 
 
 def _check_binary(y):
@@ -89,12 +102,14 @@ class LogisticFragmentState(_GlmFragment):
 class ProbitFragmentState(_GlmFragment):
     y: np.ndarray
     A: np.ndarray
+    AtA: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y = _check_binary(self.y)
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "A", A)
+        object.__setattr__(self, "AtA", A.T @ A)  # the constant message precision
 
     def update(self, n2f, f2n, nodes, context):
         state, msg = albert_chib_update(self, f2n[0], n2f[0])
@@ -162,9 +177,10 @@ def tangent_offset(xi):
 
 def jaakkola_jordan_update(state: LogisticFragmentState, eta_factor_to_theta, eta_theta_to_factor):
     mu, Sigma = _combined_moments(state, eta_factor_to_theta, eta_theta_to_factor, "logistic fragment")
-    Xi = Sigma + np.outer(mu, mu)  # second moment of the combined coefficient density
     A = state.A
-    xi = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", A, Xi, A), 0.0))
+    _check_linear_predictor(float(np.max(np.abs(A @ mu))))
+    Xi = Sigma + np.outer(mu, mu)  # second moment of the combined coefficient density
+    xi = np.sqrt(np.maximum(row_quadratic(A, Xi), 0.0))
     W = tangent_weight(xi)
     msg = np.concatenate([A.T @ (state.y - 0.5), -vec(A.T @ (W[:, None] * A))])
     return replace(state, xi=xi), msg
@@ -196,22 +212,22 @@ def albert_chib_update(state: ProbitFragmentState, eta_factor_to_theta, eta_thet
     mu, _ = _combined_moments(state, eta_factor_to_theta, eta_theta_to_factor, "probit fragment")
     A = state.A
     nu = A @ mu
+    _check_linear_predictor(float(np.max(np.abs(nu))))
     sgn = 2.0 * state.y - 1.0
     shifted = nu + sgn * zeta_prime(sgn * nu)  # truncated-normal means, auxiliaries integrated out
-    msg = np.concatenate([A.T @ shifted, -0.5 * vec(A.T @ A)])
+    msg = np.concatenate([A.T @ shifted, -0.5 * vec(state.AtA)])
     return state, msg
 
 
 def knowles_minka_wand_update(state: PoissonFragmentState, eta_factor_to_theta, eta_theta_to_factor):
     mu, Sigma = _combined_moments(state, eta_factor_to_theta, eta_theta_to_factor, "poisson fragment")
     A = state.A
-    lin = A @ mu + 0.5 * np.einsum("ij,jk,ik->i", A, Sigma, A)
-    worst = float(np.max(lin))
-    if worst > OVERFLOW_LIMIT:
-        raise LinearPredictorOverflowError(worst)
+    lin = A @ mu + 0.5 * row_quadratic(A, Sigma)
+    _check_linear_predictor(float(np.max(lin)))
     omega = np.exp(lin)
-    first = A.T @ (state.y - omega) + A.T @ (omega[:, None] * A) @ mu
-    msg = np.concatenate([first, -0.5 * vec(A.T @ (omega[:, None] * A))])
+    AtOA = A.T @ (omega[:, None] * A)
+    first = A.T @ (state.y - omega) + AtOA @ mu
+    msg = np.concatenate([first, -0.5 * vec(AtOA)])
     return state, msg
 
 
@@ -224,7 +240,7 @@ def jaakkola_jordan_elbo(state: LogisticFragmentState, q_eta, moments=None):
     are q's dense moments when the caller has them already."""
     mu, Sigma = _q_moments(state, q_eta, moments, "logistic elbo")
     A = state.A
-    second = np.einsum("ij,jk,ik->i", A, Sigma + np.outer(mu, mu), A)
+    second = row_quadratic(A, Sigma + np.outer(mu, mu))
     W = tangent_weight(state.xi)
     return float((state.y - 0.5) @ (A @ mu) - W @ second + np.sum(tangent_offset(state.xi)))
 
@@ -232,13 +248,11 @@ def jaakkola_jordan_elbo(state: LogisticFragmentState, q_eta, moments=None):
 def albert_chib_elbo(state: ProbitFragmentState, q_eta, moments=None):
     """Exact E_q log p(y | theta) for the probit model with the auxiliaries
     collapsed; truncated-normal entropies cancel the cross terms.  ``moments``
-    are q's dense moments when the caller has them already."""
+    are q's dense moments when the caller has them already.  The sum of the
+    row forms a_i^T Sigma a_i is the trace tr(Sigma A^T A)."""
     mu, Sigma = _q_moments(state, q_eta, moments, "probit elbo")
-    A = state.A
-    m = A @ mu
     sgn = 2.0 * state.y - 1.0
-    s2 = np.einsum("ij,jk,ik->i", A, Sigma, A)
-    return float(np.sum(log_ndtr(sgn * m)) - 0.5 * np.sum(s2))
+    return float(np.sum(log_ndtr(sgn * (state.A @ mu))) - 0.5 * np.sum(state.AtA * Sigma))
 
 
 def knowles_minka_wand_elbo(state: PoissonFragmentState, q_eta, moments=None):
@@ -246,9 +260,8 @@ def knowles_minka_wand_elbo(state: PoissonFragmentState, q_eta, moments=None):
     q's dense moments when the caller has them already."""
     mu, Sigma = _q_moments(state, q_eta, moments, "poisson elbo")
     A = state.A
-    lin = A @ mu + 0.5 * np.einsum("ij,jk,ik->i", A, Sigma, A)
-    if float(np.max(lin)) > OVERFLOW_LIMIT:
-        raise LinearPredictorOverflowError(float(np.max(lin)))
+    lin = A @ mu + 0.5 * row_quadratic(A, Sigma)
+    _check_linear_predictor(float(np.max(lin)))
     return float(state.y @ (A @ mu) - np.sum(np.exp(lin)) - np.sum(gammaln(state.y + 1.0)))
 
 
@@ -260,7 +273,7 @@ def kmw_local_objective(state: PoissonFragmentState, mu, Sigma, eta_other):
     """
     mu = np.asarray(mu, dtype=float)
     A = state.A
-    lin = A @ mu + 0.5 * np.einsum("ij,jk,ik->i", A, Sigma, A)
+    lin = A @ mu + 0.5 * row_quadratic(A, Sigma)
     eta_other = np.asarray(eta_other)
     d = mu.size
     M = vec_inverse(eta_other[d:], d)

@@ -35,7 +35,7 @@ from .fragments_glm import (
     PoissonFragmentState,
     ProbitFragmentState,
 )
-from .natparam import TwoLevelLayout
+from .natparam import TwoLevelLayout, row_quadratic
 
 TRUNCATED_LINEAR = "truncated_linear"
 OSULLIVAN_LIKE = "osullivan_like"
@@ -200,7 +200,7 @@ def fitted_curve(q_coef, design_builder, grid, link="identity") -> FittedCurve:
     mu = np.asarray(q_coef.common["mu"])
     Sigma = np.asarray(q_coef.common["Sigma"])
     center = C @ mu
-    sd = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", C, Sigma, C), 0.0))
+    sd = np.sqrt(np.maximum(row_quadratic(C, Sigma), 0.0))
     g = inverse_link(link)
     return FittedCurve(grid, g(center), g(center - _Z975 * sd), g(center + _Z975 * sd))
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from semivmp import fragments_gaussian, fragments_glm, models
+from semivmp import cli, fragments_gaussian, fragments_glm, models
 from semivmp.engine import (
     FragmentBinding,
     GraphStructureError,
@@ -378,6 +378,41 @@ def test_numerics_error_wraps_overflow():
         update_factor(g, "likelihood")
     assert exc.value.factor == "likelihood"
     assert isinstance(exc.value.__cause__, LinearPredictorOverflowError)
+
+
+def test_diverging_probit_fit_is_reported(monkeypatch):
+    # a sign-flipped truncated-normal shift makes the probit fit diverge; the
+    # fit must stop and name the factor instead of returning a huge curve
+    real = fragments_glm.zeta_prime
+    monkeypatch.setattr(fragments_glm, "zeta_prime", lambda x: -real(x))
+    r = np.random.default_rng(0)
+    x = r.uniform(size=500)
+    y = r.binomial(1, models.demo_mean_function(x)).astype(float)
+    g = build_factor_graph(models.build_glm_spline(y, x, K=25, link="probit"))
+    with pytest.raises(VmpNumericsError, match="likelihood") as exc:
+        run_vmp(g, max_iter=200, tol=1e-300, track_elbo=False)
+    assert exc.value.factor == "likelihood"
+    assert isinstance(g.factors["likelihood"].fragment, fragments_glm.ProbitFragmentState)
+    assert isinstance(exc.value.__cause__, LinearPredictorOverflowError)
+    assert exc.value.__cause__.worst > fragments_glm.OVERFLOW_LIMIT
+
+
+@pytest.mark.parametrize("link", ["logit", "probit"])
+def test_separated_binary_fit_returns_unconverged(link):
+    # completely separated 0/1 data under the CLI's flat coefficient prior have
+    # no finite fit, but the linear predictor grows slowly: at the CLI's sweep
+    # cap it is tens, far below the overflow guard, so the fit returns with
+    # converged False instead of raising
+    defaults = cli.FitRequest(model="glmspline", data="", response="y")
+    x = np.sort(np.random.default_rng(0).uniform(size=100))
+    y = (x > 0.5).astype(float)
+    hyper = models.Hyperparameters(sigma_beta_sq=defaults.sigma_beta_sq, A=defaults.a_hyper)
+    spec = models.build_glm_spline(y, x, K=defaults.knots, link=link, hyper=hyper)
+    g = build_factor_graph(spec)
+    report = run_vmp(g, max_iter=defaults.iters, tol=defaults.tol, track_elbo=False)
+    assert not report.converged and report.iterations == defaults.iters
+    worst = np.max(np.abs(spec.meta["C"] @ q_density(g, "coef").common["mu"]))
+    assert 5.0 < worst < fragments_glm.OVERFLOW_LIMIT / 10
 
 
 # --- run_vmp contract ---------------------------------------------------------

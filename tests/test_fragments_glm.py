@@ -1,7 +1,12 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
+from semivmp import fragments_glm
+from semivmp.engine import build_factor_graph, elbo, q_density, run_vmp
 from semivmp.fragments_glm import (
     OVERFLOW_LIMIT,
     LinearPredictorOverflowError,
@@ -19,6 +24,7 @@ from semivmp.fragments_glm import (
     tangent_weight,
     zeta_prime,
 )
+from semivmp.models import build_glm_spline, demo_mean_function
 from semivmp.natparam import mvn_moments, vec
 
 from conftest import random_spd
@@ -160,6 +166,20 @@ def test_ac_first_block_truncated_normal_means(rng):
     np.testing.assert_allclose(msg[:d], A.T @ shifted, rtol=1e-12)
 
 
+def test_ac_elbo_is_the_row_sum_form(rng):
+    # the trace tr(Sigma A^T A) stands for the sum of the row forms a_i^T Sigma a_i
+    n, d = 40, 4
+    y = rng.integers(0, 2, n).astype(float)
+    A = rng.normal(size=(n, d))
+    for _ in range(5):
+        eta = mvn_eta(rng.normal(size=d), random_spd(rng, d, 0.3))
+        state = ProbitFragmentState(y, A)
+        np.testing.assert_array_equal(state.AtA, A.T @ A)
+        assert albert_chib_elbo(state, eta) == pytest.approx(
+            reference_albert_chib_elbo(state, eta), rel=1e-12
+        )
+
+
 # --- Poisson -----------------------------------------------------------------
 
 
@@ -226,6 +246,21 @@ def test_kmw_overflow_raises():
 # --- shared behavior ---------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "update, state_cls", [(jaakkola_jordan_update, LogisticFragmentState),
+                          (albert_chib_update, ProbitFragmentState)],
+)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_binary_linear_predictor_divergence_raises(update, state_cls, sign):
+    state = state_cls(np.array([1.0, 0.0]), np.array([[1.0], [0.5]]))
+    eta = mvn_eta(np.array([sign * (OVERFLOW_LIMIT + 100.0)]), np.eye(1))
+    with pytest.raises(LinearPredictorOverflowError) as exc:
+        update(state, *split(eta))
+    assert exc.value.worst == pytest.approx(OVERFLOW_LIMIT + 100.0)
+    inside = mvn_eta(np.array([sign * (OVERFLOW_LIMIT - 100.0)]), np.eye(1))
+    update(state, *split(inside))
+
+
 def test_updates_are_pure(rng):
     n, d = 5, 2
     A = rng.normal(size=(n, d))
@@ -238,13 +273,16 @@ def test_updates_are_pure(rng):
         (knowles_minka_wand_update, PoissonFragmentState(yc, A * 0.2)),
     ]
     for update, state in cases:
+        names = [f.name for f in dataclasses.fields(state)]
+        before = {name: np.copy(getattr(state, name)) for name in names}
         s1, m1 = update(state, *split(eta))
         s2, m2 = update(state, *split(eta))
         np.testing.assert_array_equal(m1, m2)
-        # input state untouched; returned states identical
-        for field in ("xi", "Xi", "nu", "omega"):
-            if hasattr(s1, field):
-                np.testing.assert_array_equal(getattr(s1, field), getattr(s2, field))
+        # input state untouched; returned states identical in every field
+        assert [f.name for f in dataclasses.fields(s1)] == names
+        for name in names:
+            np.testing.assert_array_equal(getattr(state, name), before[name])
+            np.testing.assert_array_equal(getattr(s1, name), getattr(s2, name))
 
 
 def test_state_validation():
@@ -271,3 +309,43 @@ def test_glm_elbo_reads_given_moments(rng, elbo_fn, state_cls):
     state = state_cls(rng.integers(0, 2, size=12).astype(float), A)
     eta = mvn_eta(rng.normal(size=3), random_spd(rng, 3, 0.2))
     assert elbo_fn(state, eta, moments=mvn_moments(eta, 3)) == elbo_fn(state, eta)
+
+
+# --- the BLAS row forms against the reference they replace -------------------
+
+
+def einsum_row_quadratic(A, S):
+    return np.einsum("ij,jk,ik->i", A, S, A)
+
+
+def reference_albert_chib_elbo(state, q_eta, moments=None):
+    """The probit ELBO term as the row sum of its a_i^T Sigma a_i."""
+    q = mvn_moments(q_eta, state.A.shape[1]) if moments is None else moments
+    sgn = 2.0 * state.y - 1.0
+    return float(np.sum(log_ndtr(sgn * (state.A @ q.mu)))
+                 - 0.5 * np.sum(einsum_row_quadratic(state.A, q.Sigma)))
+
+
+def criterion_08_fit(link):
+    """The criterion-08 data (n=500, K=25, data seed 0) fitted to tol 1e-12."""
+    r = np.random.default_rng(0)
+    x = r.uniform(size=500)
+    f = demo_mean_function(x)
+    y = r.binomial(1, f) if link != "log" else r.poisson(10.0 * f)
+    graph = build_factor_graph(build_glm_spline(y, x, K=25, link=link))
+    report = run_vmp(graph, max_iter=2000, tol=1e-12, track_elbo=False)
+    assert report.converged
+    etas = {node: q_density(graph, node).eta_q for node in graph.nodes}
+    return etas, elbo(graph)
+
+
+@pytest.mark.parametrize("link", ["logit", "probit", "log"])
+def test_fixed_point_matches_einsum_reference(monkeypatch, link):
+    etas, bound = criterion_08_fit(link)
+    monkeypatch.setattr(fragments_glm, "row_quadratic", einsum_row_quadratic)
+    monkeypatch.setattr(fragments_glm, "albert_chib_elbo", reference_albert_chib_elbo)
+    ref_etas, ref_bound = criterion_08_fit(link)
+    for node, ref in ref_etas.items():
+        gap = np.max(np.abs(etas[node] - ref) / np.maximum(1.0, np.abs(ref)))
+        assert gap <= 1e-12, node
+    assert bound == pytest.approx(ref_bound, rel=1e-12)

@@ -11,6 +11,7 @@ from semivmp.natparam import (
     g_vmp,
     mvn_moments,
     mvn_moments_from_natural,
+    row_quadratic,
     spd_chol,
     spd_inverse,
     spd_logdet,
@@ -54,6 +55,20 @@ def test_vec_inverse_length_mismatch():
 def test_symmetrize():
     M = np.array([[0.0, 2.0], [4.0, 6.0]])
     np.testing.assert_array_equal(symmetrize(M), [[0.0, 3.0], [3.0, 6.0]])
+
+
+@given(st.integers(1, 50), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_row_quadratic_matches_three_index_einsum(n, p, seed):
+    # the error is judged against the sum of absolute terms, sum_jk |a_j S_jk a_k|,
+    # since an indefinite S can make a_i^T S a_i cancel to near zero
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+    S = symmetrize(rng.normal(size=(p, p)))
+    want = np.einsum("ij,jk,ik->i", A, S, A)
+    scale = np.einsum("ij,jk,ik->i", np.abs(A), np.abs(S), np.abs(A))
+    got = row_quadratic(A, S)
+    assert got.shape == (n,)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 def test_spd_helpers_match_numpy(rng):
