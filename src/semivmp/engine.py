@@ -28,7 +28,14 @@ import numpy as np
 
 from . import expfam
 from .expfam import NatParam
-from .natparam import SpdFactorizationError, TwoLevelLayout, mvn_moments, vec
+from .natparam import (
+    SpdFactorizationError,
+    TwoLevelLayout,
+    mvn_moments,
+    natural_position,
+    natural_size,
+    vec,
+)
 
 _PROTOCOL = ("ports", "update", "logp")
 
@@ -59,8 +66,9 @@ class VmpNumericsError(RuntimeError):
 class StochasticNode:
     """A node of the graph.  A multivariate normal node may carry the
     TwoLevelLayout its precision keeps (set by the builder that knows the
-    columns); every consumer of its moments then uses the O(m) two-level
-    factorization instead of a dense one."""
+    columns); every message on its edges is then packed on that pattern, and
+    every consumer of its moments uses the O(m) two-level factorization
+    instead of a dense one."""
 
     name: str
     family: str
@@ -123,12 +131,17 @@ class FactorGraph:
         self.node_factors = {}
 
 
-def _vague_init(family, d, precision):
+def _vague_init(node, precision):
     """A vague proper member of each family, used for the starting
     factor-to-node messages (scalar families: shape/scale-1 maps; matrix
-    families: unit scale matrix; normal: the fragment's start precision times I)."""
+    families: unit scale matrix; normal: the fragment's start precision times
+    I, stored as the node stores its messages)."""
+    family, d = node.family, node.d
     if family == expfam.MULTIVARIATE_NORMAL:
-        return np.concatenate([np.zeros(d), -0.5 * vec(precision * np.eye(d))])
+        eta = np.zeros(natural_size(d, node.layout))
+        diag = np.arange(d)
+        eta[natural_position(diag, diag, d, node.layout)] = -0.5 * precision
+        return eta
     if family == expfam.INVERSE_CHI_SQUARED:
         return np.array([-1.5, -0.5])
     if family in (expfam.INVERSE_WISHART, expfam.INVERSE_G_WISHART_DIAG):
@@ -183,8 +196,7 @@ def build_factor_graph(model) -> FactorGraph:
     for fname, factor in graph.factors.items():
         precision = getattr(factor.fragment, "start_precision", 0.01)
         for nname in factor.neighbors:
-            node = graph.nodes[nname]
-            graph.fac_to_node[(fname, nname)] = _vague_init(node.family, node.d, precision)
+            graph.fac_to_node[(fname, nname)] = _vague_init(graph.nodes[nname], precision)
     return graph
 
 
@@ -194,7 +206,7 @@ def update_node_to_factor(graph: FactorGraph, node: str, factor: str) -> np.ndar
     total = np.zeros_like(graph.fac_to_node[(factor, node)])
     for other in graph.node_factors[node]:
         if other != factor:
-            total = total + graph.fac_to_node[(other, node)]
+            total += graph.fac_to_node[(other, node)]
     return total
 
 
@@ -214,9 +226,15 @@ def update_factor(graph: FactorGraph, factor_name: str, damping: float = 1.0):
         raise VmpNumericsError(factor_name, err) from err
     out = []
     for nname, payload in zip(nb, payloads):
+        old = graph.fac_to_node[(factor_name, nname)]
+        if np.shape(payload) != old.shape:
+            raise VmpNumericsError(
+                factor_name,
+                f"message to node '{nname}' has shape {np.shape(payload)}, "
+                f"the edge stores {old.shape}",
+            )
         if not np.all(np.isfinite(payload)):
             raise VmpNumericsError(factor_name, f"non-finite message to node '{nname}'")
-        old = graph.fac_to_node[(factor_name, nname)]
         new = payload if damping == 1.0 else damping * payload + (1.0 - damping) * old
         graph.fac_to_node[(factor_name, nname)] = new
         out.append(new)
@@ -227,27 +245,32 @@ def _eta_q(graph, node_name):
     flist = graph.node_factors[node_name]
     total = graph.fac_to_node[(flist[0], node_name)].copy()
     for fname in flist[1:]:
-        total = total + graph.fac_to_node[(fname, node_name)]
+        total += graph.fac_to_node[(fname, node_name)]
     return total
 
 
-def _q_moments(node, eta, layout):
-    """Moments of a normal q-density from one factorization; a precision that
-    does not factor makes the q-density improper."""
+def _q_moments(node, eta):
+    """Moments of a normal q-density from one factorization (two-level on a
+    layout); a precision that does not factor makes the q-density improper."""
     try:
-        return mvn_moments(eta, node.d, f"q-density {node.name}", layout)
+        return mvn_moments(eta, node.d, f"q-density {node.name}", node.layout)
     except SpdFactorizationError:
         raise ImproperQDensityError(node.name, eta) from None
 
 
 def q_density(graph: FactorGraph, node_name: str) -> QDensity:
+    """The q-density of a node, its natural vector and its common parameters
+    in dense form (a packed vector is unpacked, and the dense Sigma is built
+    from the two-level factors)."""
     node = graph.nodes[node_name]
     eta = _eta_q(graph, node_name)
     if not np.all(np.isfinite(eta)):
         raise ImproperQDensityError(node_name, eta)
     if node.family == expfam.MULTIVARIATE_NORMAL:
-        mom = _q_moments(node, eta, None)  # dense: callers read all of Sigma
-        common = {"mu": mom.mu, "Sigma": mom.Sigma}
+        mom = _q_moments(node, eta)
+        common = {"mu": mom.mu, "Sigma": mom.covariance()}
+        if node.layout is not None:
+            eta = node.layout.unpack(eta)
     else:
         nat = NatParam(node.family, eta, node.d)
         if not expfam.is_proper(nat):
@@ -268,7 +291,7 @@ def elbo(graph: FactorGraph) -> float:
     for nname, node in graph.nodes.items():
         eta = _eta_q(graph, nname)
         if node.family == expfam.MULTIVARIATE_NORMAL:
-            moments[nname] = _q_moments(node, eta, node.layout)
+            moments[nname] = _q_moments(node, eta)
             total += expfam.mvn_entropy(node.d, moments[nname].logdet)
         else:
             nat = NatParam(node.family, eta, node.d)

@@ -17,14 +17,25 @@ module functions by name at call time.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
 
 from . import expfam
 from .expfam import NatParam
-from .natparam import g_vmp, mvn_moments, spd_inverse, spd_logdet, vec, vec_inverse
+from .natparam import (
+    g_vmp,
+    mvn_moments,
+    natural_position,
+    natural_size,
+    spd_inverse,
+    spd_logdet,
+    vec,
+    vec_inverse,
+)
 from .natparam import mvn_moments_from_natural  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 # A variance node's graph kind is the family of its q-density: a scalar
@@ -70,16 +81,25 @@ def _inverse_moment(c, d, kind, context):
         except expfam.ImproperParameterError as err:
             raise ImproperCombinedMessageError(context, str(err)) from None
     diag = c[1 :: d + 1]
-    if not (c[0] < -1.0 and diag.max() < 0.0):
+    if not (c[0] < -1.0 and all(x < 0.0 for x in diag.tolist())):  # NaN fails too
         raise ImproperCombinedMessageError(context, f"eta={c}")
-    return np.diag((c[0] + 1.0) / diag)
+    E = np.zeros((d, d))
+    E.flat[:: d + 1] = (c[0] + 1.0) / diag
+    return E
 
 
-def _project(M, kind):
-    """Drop entries a receiving node cannot carry (off-diagonals for diagonal graphs)."""
+def _variance_message(lead, M, kind):
+    """The message (lead, -1/2 vec(M)) to a variance node of ``kind``, with M
+    projected onto what that node carries (off-diagonals dropped for the
+    diagonal graph), written into one array."""
+    d = M.shape[0]
+    msg = np.zeros(1 + d * d)
+    msg[0] = lead
     if kind == TOTALLY_DISCONNECTED:
-        return np.diag(np.diag(M))
-    return M
+        msg[1 :: d + 1] = -0.5 * M.diagonal()
+    else:
+        msg[1:] = -0.5 * M.ravel(order="F")
+    return msg
 
 
 def _log_iw_norm(d, kappa):
@@ -226,6 +246,16 @@ class GaussianPenalizationSpec:
         return gaussian_penalization_logp(self, q_etas[0], q_etas[1:], moments=moments[0])
 
 
+class _StoredQuadratic(NamedTuple):
+    """A^T A as a coefficient node on ``layout`` stores its precision (the
+    p x p array, or its packed pattern entries) and the natural vector
+    (A^T y, -1/2 A^T A) stored the same way."""
+
+    layout: object
+    AtA: np.ndarray
+    natural: np.ndarray
+
+
 @dataclass(frozen=True)
 class GaussianLikelihoodSpec:
     """y | theta1, theta2 ~ N(A theta1, theta2 I); theta2 may be a known constant."""
@@ -244,6 +274,23 @@ class GaussianLikelihoodSpec:
         object.__setattr__(self, "AtA", A.T @ A)
         object.__setattr__(self, "Aty", A.T @ y)
         object.__setattr__(self, "yty", float(y @ y))
+        object.__setattr__(self, "stored", None)
+
+    def on(self, layout):
+        """This likelihood with ``stored`` set for a coefficient node on
+        ``layout``.  ``update`` returns it and the engine keeps it, so A^T A
+        is packed once per graph."""
+        if self.stored is not None and self.stored.layout is layout:
+            return self
+        if layout is None:
+            AtA, quad = self.AtA, vec(self.AtA)
+        else:
+            AtA = quad = layout.pack_matrix(self.AtA)
+        bound = copy.copy(self)
+        object.__setattr__(
+            bound, "stored", _StoredQuadratic(layout, AtA, np.concatenate([self.Aty, -0.5 * quad]))
+        )
+        return bound
 
     @property
     def n(self):
@@ -259,11 +306,12 @@ class GaussianLikelihoodSpec:
         return [(expfam.MULTIVARIATE_NORMAL, self.d)]
 
     def update(self, n2f, f2n, nodes, context):
+        spec = self.on(nodes[0].layout)
         n2f_var, f2n_var = (n2f[1], f2n[1]) if len(n2f) > 1 else (None, None)
         msg1, msg2 = gaussian_likelihood_messages(
-            self, n2f[0], n2f_var, f2n[0], f2n_var, context=context, layout=nodes[0].layout
+            spec, n2f[0], n2f_var, f2n[0], f2n_var, context=context, layout=nodes[0].layout
         )
-        return self, [msg1] if msg2 is None else [msg1, msg2]
+        return spec, [msg1] if msg2 is None else [msg1, msg2]
 
     def logp(self, q_etas, moments):
         q_var = q_etas[1] if len(q_etas) > 1 else None
@@ -301,16 +349,14 @@ def iterated_igw_messages(
     kappa, d = spec.kappa, spec.d_Theta
     c2 = np.asarray(eta_theta2_to_factor) + np.asarray(eta_factor_to_theta2)
     Einv2 = _inverse_moment(c2, d, spec.theta2_kind, context + " [theta2]")
-    msg1 = np.concatenate(
-        [[-0.5 * (kappa + (d + 1.0))], -0.5 * vec(_project(Einv2, spec.graph_kind))]
-    )
+    msg1 = _variance_message(-0.5 * (kappa + (d + 1.0)), Einv2, spec.graph_kind)
     c1 = np.asarray(eta_theta1_to_factor) + msg1
     Einv1 = _inverse_moment(c1, d, spec.graph_kind, context + " [theta1]")
     if spec.graph_kind == TOTALLY_CONNECTED:
         lead2 = -0.5 * kappa
     else:  # per-diagonal conditionals carry shape kappa + d - 1
         lead2 = -0.5 * (kappa + (d - 1.0))
-    msg2 = np.concatenate([[lead2], -0.5 * vec(_project(Einv1, spec.theta2_kind))])
+    msg2 = _variance_message(lead2, Einv1, spec.theta2_kind)
     return msg1, msg2
 
 
@@ -358,24 +404,21 @@ def gaussian_penalization_messages(
     etas_theta_to_factor / etas_factor_to_theta list only the stochastic
     blocks, in block order; fixed-Theta blocks contribute their known
     precision to the coefficient message and receive nothing.  ``layout``
-    (the coefficient node's TwoLevelLayout, if any) selects the two-level
-    moments of the combined coefficient density.
+    (the coefficient node's TwoLevelLayout, if any) means the coefficient
+    vectors are packed on it; S0^{-1} and each Omega_l are written at their
+    positions in the message, dense or packed alike.
     """
     p = spec.total_dim
     d0 = spec.d0
     S0inv = spd_inverse(spec.Sigma0, context=f"{context} Sigma0")
     omegas = _penalty_precisions(spec, etas_theta_to_factor, etas_factor_to_theta, context)
 
-    precision = np.zeros((p, p))
-    precision[:d0, :d0] = S0inv
-    off = d0
-    for b, Om in zip(spec.blocks, omegas):
-        blk = np.kron(np.eye(b.m), Om)
-        precision[off : off + b.size, off : off + b.size] = blk
-        off += b.size
-    first = np.zeros(p)
-    first[:d0] = S0inv @ spec.mu0
-    msg_coef = np.concatenate([first, -0.5 * vec(precision)])
+    msg_coef = np.zeros(natural_size(p, layout))
+    msg_coef[:d0] = S0inv @ spec.mu0
+    fixed = np.arange(d0)
+    msg_coef[natural_position(fixed[:, None], fixed[None, :], p, layout)] = -0.5 * S0inv
+    for (b, cols), Om in zip(_block_columns(spec), omegas):
+        msg_coef[natural_position(cols[:, :, None], cols[:, None, :], p, layout)] = -0.5 * Om
 
     c_coef = np.asarray(eta_coef_to_factor) + msg_coef
     moments = mvn_moments(c_coef, p, f"{context} combined coefficients", layout)
@@ -385,21 +428,8 @@ def gaussian_penalization_messages(
         if b.fixed_Theta is not None:
             continue
         S = _second_moments(moments, cols).sum(axis=0)
-        msgs_theta.append(np.concatenate([[-0.5 * b.m], -0.5 * vec(_project(S, b.kind))]))
+        msgs_theta.append(_variance_message(-0.5 * b.m, S, b.kind))
     return msg_coef, msgs_theta
-
-
-def penalty_selector(spec: GaussianPenalizationSpec, ell):
-    """0/1 quadratic-form selector matrix for penalized block ell (diagnostics/tests)."""
-    p = spec.total_dim
-    D = np.zeros((p, p))
-    off = spec.d0
-    for i, b in enumerate(spec.blocks):
-        if i == ell:
-            ones = np.ones((b.d, b.d))
-            D[off : off + b.size, off : off + b.size] = np.kron(np.eye(b.m), ones)
-        off += b.size
-    return D
 
 
 def gaussian_likelihood_messages(
@@ -413,19 +443,19 @@ def gaussian_likelihood_messages(
 ):
     """Updated (factor->theta1, factor->theta2) messages; theta2 parts are None
     when sigma_sq_fixed pins the noise variance.  ``layout`` is theta1's
-    TwoLevelLayout, if any; A^T A must then be zero off its pattern."""
+    TwoLevelLayout, if any: theta1's vectors are then packed on it, and
+    A^T A must be zero off its pattern."""
+    stored = spec.on(layout).stored
     if spec.sigma_sq_fixed is not None:
-        w = 1.0 / spec.sigma_sq_fixed
-        msg1 = np.concatenate([spec.Aty * w, -0.5 * w * vec(spec.AtA)])
-        return msg1, None
+        return stored.natural * (1.0 / spec.sigma_sq_fixed), None
     c2 = np.asarray(eta_theta2_to_factor) + np.asarray(eta_factor_to_theta2)
     w = _inverse_moment(c2, 1, SCALAR_D1, context + " [variance]")[0, 0]  # E{1/theta2}
-    msg1 = np.concatenate([spec.Aty, -0.5 * vec(spec.AtA)]) * w
+    msg1 = stored.natural * w
     c1 = np.asarray(eta_theta1_to_factor) + msg1
     msg2 = np.array(
         [
             -0.5 * spec.n,
-            g_vmp(c1, spec.AtA, spec.Aty, spec.yty, context + " [coefficients]", layout),
+            g_vmp(c1, stored.AtA, spec.Aty, spec.yty, context + " [coefficients]", layout),
         ]
     )
     return msg1, msg2
@@ -465,8 +495,7 @@ def iterated_igw_logp(spec: IteratedIGWSpec, q_eta_theta1, q_eta_theta2):
     kappa, d = spec.kappa, spec.d_Theta
     Elogdet2, Einv2 = variance_expectations(q_eta_theta2, d, spec.theta2_kind)
     ET1 = expfam.expected_sufficient_statistic(NatParam(spec.graph_kind, q_eta_theta1, d))
-    Einv2 = _project(np.atleast_2d(Einv2), spec.graph_kind)
-    coeff = np.concatenate([[-0.5 * (kappa + (d + 1.0))], -0.5 * vec(Einv2)])
+    coeff = _variance_message(-0.5 * (kappa + (d + 1.0)), np.atleast_2d(Einv2), spec.graph_kind)
     if spec.graph_kind == TOTALLY_CONNECTED:
         return (
             float(coeff @ ET1)
@@ -516,10 +545,11 @@ def gaussian_penalization_logp(
 
 def gaussian_likelihood_logp(spec: GaussianLikelihoodSpec, q_eta_coef, q_eta_var=None, moments=None):
     """E_q{log likelihood factor}; ``moments`` are q(theta1)'s moments when
-    the caller has them already."""
+    the caller has them already (two-level moments read A^T A packed)."""
     if moments is None:
         moments = mvn_moments(q_eta_coef, spec.d, "likelihood logp")
-    gv = moments.expected_quadratic(spec.AtA, spec.Aty, spec.yty)
+    AtA = spec.on(moments.layout).stored.AtA
+    gv = moments.expected_quadratic(AtA, spec.Aty, spec.yty)
     n = spec.n
     if spec.sigma_sq_fixed is not None:
         s2 = spec.sigma_sq_fixed

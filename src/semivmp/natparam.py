@@ -11,7 +11,9 @@ Normal moments come from one factorization each: dense, or — for a
 coefficient vector whose precision is block-arrowhead (global columns plus
 one block per group, as in the group-curves model) — the two-level
 factorization of Nolan & Wand (2020), which costs O(m) in the group count
-and forms only the covariance blocks on that pattern.
+and forms only the covariance blocks on that pattern.  Such a vector is
+stored packed, the pattern entries only (block-arrowhead storage, Nolan,
+Menictas & Wand, JMLR 2020), so no p x p array is formed while sweeping.
 """
 
 from __future__ import annotations
@@ -111,12 +113,16 @@ def spd_logdet(M, context=""):
 
 class _Moments:
     """Mean ``mu``, ``logdet`` (log det of the precision) and covariance
-    entries of one multivariate normal, all read off a single factorization."""
+    entries of one multivariate normal, all read off a single factorization.
+    A matrix Q handed to them is stored as the normal's node stores its
+    precision: a p x p array, or on a ``layout`` its packed pattern entries."""
+
+    layout = None
 
     def expected_quadratic(self, Q, r, s):
         """E{-1/2 (theta^T Q theta - 2 r^T theta + s)}, through the mean and
         covariance: -1/2 (tr(Q Sigma) + mu^T Q mu) + r^T mu - s/2."""
-        quad = float(self.mu @ Q @ self.mu) + self.trace_product(Q)
+        quad = self.mean_quadratic(Q) + self.trace_product(Q)
         return -0.5 * quad + float(r @ self.mu) - 0.5 * float(s)
 
 
@@ -128,9 +134,17 @@ class DenseMoments(_Moments):
         """Sigma[rows, cols] for broadcastable integer index arrays."""
         return self.Sigma[rows, cols]
 
+    def mean_quadratic(self, Q):
+        """mu^T Q mu."""
+        return float(self.mu @ Q @ self.mu)
+
     def trace_product(self, Q):
         """tr(Q Sigma) for symmetric Q."""
         return float(np.sum(Q * self.Sigma))
+
+    def covariance(self):
+        """The p x p covariance."""
+        return self.Sigma
 
 
 def _dense_moments(eta, d, context):
@@ -164,6 +178,18 @@ class TwoLevelLayout:
     be nonzero only in the global rows and columns and in each group's own
     q x q block (groups meet only through the global columns), which is the
     block-arrowhead pattern that :func:`two_level_moments` factors in O(m).
+
+    A normal node with a layout stores its natural vector **packed**: the p
+    entries of the first part, then the pattern entries of the p x p matrix
+    part in four blocks, each in C order:
+
+        GG (g, g): M[G_a, G_b]        iG (m, q, g): M[I_ik, G_a]
+        Gi (m, q, g): M[G_a, I_ik]    ii (m, q, q): M[I_ik, I_il]
+
+    This is the dense vector with its structural zeros dropped, so sums,
+    damping and relative changes give the same numbers on both.  (At m=1 the
+    two have the same length but not the same order: which form a vector
+    has follows from its node, never from its length.)
     """
 
     def __init__(self, glob, groups):
@@ -178,28 +204,82 @@ class TwoLevelLayout:
         if not np.array_equal(np.sort(np.concatenate([glob, groups.ravel()])), np.arange(p)):
             raise DimensionError(f"layout must name each of the {p} columns exactly once")
         m, q = groups.shape
+        g = glob.size
         owner = np.empty(p, dtype=np.intp)  # group of each column, -1 for global
         pos = np.empty(p, dtype=np.intp)  # position inside that group (or the global block)
-        owner[glob], pos[glob] = -1, np.arange(glob.size)
+        owner[glob], pos[glob] = -1, np.arange(g)
         owner[groups], pos[groups] = np.arange(m)[:, None], np.arange(q)[None, :]
         self.glob, self.groups, self.owner, self.pos = glob, groups, owner, pos
-        self.p, self.g, self.m, self.q = p, glob.size, m, q
+        # row of each column in its stacked block: GG rows, or the m q rows of iG / ii
+        self._stacked = np.where(owner < 0, pos, owner * q + pos)
+        self.p, self.g, self.m, self.q = p, g, m, q
+        shapes = ((g, g), (m, q, g), (m, q, g), (m, q, q))
+        ends = np.cumsum([g * g, m * q * g, m * q * g, m * q * q])
+        begins = np.r_[0, ends[:-1]]
+        self._blocks = tuple(zip(begins, ends, shapes))  # each block among the pattern entries
+        self._starts = p + begins  # and where it starts in the packed vector
+        self.packed_size = p + int(ends[-1])
 
-    def blocks(self, M):
-        """Pattern blocks of a p x p array: M_GG (g, g), M_iG (m, q, g),
-        M_Gi transposed to (m, q, g), and M_ii (m, q, q)."""
+    def _index_pairs(self):
+        """(rows, cols) index arrays of the four pattern blocks, packed order."""
         G, I = self.glob, self.groups
         return (
-            M[np.ix_(G, G)],
-            M[I[:, :, None], G],
-            M[G[:, None], I[:, None, :]].swapaxes(1, 2),
-            M[I[:, :, None], I[:, None, :]],
+            (G[:, None], G[None, :]),
+            (I[:, :, None], G),
+            (G, I[:, :, None]),
+            (I[:, :, None], I[:, None, :]),
         )
+
+    def pack_matrix(self, M):
+        """The pattern entries of a p x p array, in packed order."""
+        return np.concatenate([M[r, c].ravel() for r, c in self._index_pairs()])
+
+    def split(self, Q):
+        """The blocks (GG, iG, Gi, ii) of packed pattern entries, as views."""
+        return tuple(Q[b:e].reshape(shape) for b, e, shape in self._blocks)
+
+    def pack(self, eta):
+        """Packed form of a dense natural vector (length p + p^2)."""
+        eta = np.asarray(eta, dtype=float)
+        p = self.p
+        return np.concatenate([eta[:p], self.pack_matrix(eta[p:].reshape((p, p), order="F"))])
+
+    def unpack(self, eta):
+        """Dense natural vector of a packed one; zero off the pattern."""
+        p = self.p
+        dense = np.zeros(p + p * p)
+        dense[:p] = eta[:p]
+        M = dense[p:].reshape((p, p), order="F")  # a view: column-stacked
+        for (r, c), blk in zip(self._index_pairs(), self.split(eta[p:])):
+            M[r, c] = blk
+        return dense
+
+    def _locate(self, rows, cols):
+        """(block, offset) of the pattern entries (rows, cols): block 0-3 is
+        GG, iG, Gi, ii and offset the C-order position inside it."""
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        gr, gc = self.owner[rows], self.owner[cols]
+        if np.any((gr != gc) & (gr >= 0) & (gc >= 0)):
+            raise DimensionError("entries between two groups are not on the pattern")
+        block = 3 - (gr < 0) - 2 * (gc < 0)
+        sr, sc = self._stacked[rows], self._stacked[cols]
+        offset = np.where(
+            block == 3,
+            sr * self.q + self.pos[cols],
+            np.where(block == 2, sc * self.g + sr, sr * self.g + sc),
+        )
+        return block, offset
+
+    def position(self, rows, cols):
+        """Positions in the packed natural vector of the matrix-part entries
+        (rows, cols), which must lie on the pattern."""
+        block, offset = self._locate(rows, cols)
+        return self._starts[block] + offset
 
     def off_pattern_group(self, M):
         """First group whose rows of the p x p array M hold a nonzero entry
         off the pattern, or None (global rows are all on the pattern)."""
-        if np.count_nonzero(M) == sum(np.count_nonzero(b) for b in self.blocks(M)):
+        if np.count_nonzero(M) == np.count_nonzero(self.pack_matrix(M)):
             return None
         for i, cols in enumerate(self.groups):
             rows = M[cols]  # a copy: clear the on-pattern part, look for anything left
@@ -210,50 +290,82 @@ class TwoLevelLayout:
         return None
 
 
+def natural_size(d, layout=None):
+    """Length of the natural vector of a d-variate normal: d + d^2, or the
+    packed length on a layout."""
+    return d + d * d if layout is None else layout.packed_size
+
+
+def natural_position(rows, cols, d, layout=None):
+    """Positions of the matrix-part entries (rows, cols) in the natural vector
+    of a d-variate normal: column-stacked, or packed on a layout."""
+    if layout is None:
+        return d + np.asarray(rows) + d * np.asarray(cols)
+    return layout.position(rows, cols)
+
+
 class TwoLevelMoments(_Moments):
     """Moments on a :class:`TwoLevelLayout`: the mean, log det of the
-    precision and the covariance blocks on the pattern only."""
+    precision and the covariance blocks on the pattern only.  ``schur_factor``
+    is the lower Cholesky factor L of Sigma_GG^{-1} = L L^T."""
 
-    def __init__(self, layout, mu, logdet, Sigma_GG, Sigma_iG, Sigma_ii):
+    def __init__(self, layout, mu, logdet, Sigma_GG, Sigma_iG, Sigma_ii, schur_factor):
         self.layout, self.mu, self.logdet = layout, mu, logdet
         self.Sigma_GG, self.Sigma_iG, self.Sigma_ii = Sigma_GG, Sigma_iG, Sigma_ii
+        self.schur_factor = schur_factor
 
     def entries(self, rows, cols):
         """Sigma[rows, cols] for index pairs on the pattern (both global, one
         global, or both in the same group)."""
-        rows, cols = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
-        lay = self.layout
-        gr, pr, gc, pc = lay.owner[rows], lay.pos[rows], lay.owner[cols], lay.pos[cols]
-        out = np.empty(rows.shape)
-        both = (gr < 0) & (gc < 0)
-        out[both] = self.Sigma_GG[pr[both], pc[both]]
-        row_grp = (gr >= 0) & (gc < 0)
-        out[row_grp] = self.Sigma_iG[gr[row_grp], pr[row_grp], pc[row_grp]]
-        col_grp = (gr < 0) & (gc >= 0)
-        out[col_grp] = self.Sigma_iG[gc[col_grp], pc[col_grp], pr[col_grp]]
-        same = (gr >= 0) & (gr == gc)
-        out[same] = self.Sigma_ii[gr[same], pr[same], pc[same]]
-        if not np.all(both | row_grp | col_grp | same):
-            raise DimensionError("covariance entries between two groups are not on the pattern")
+        block, offset = self.layout._locate(rows, cols)
+        out = np.empty(block.shape)
+        # a Gi entry is the iG entry of the transposed pair
+        for b, S in enumerate((self.Sigma_GG, self.Sigma_iG, self.Sigma_iG, self.Sigma_ii)):
+            sel = block == b
+            out[sel] = S.ravel()[offset[sel]]
         return out
 
+    def mean_quadratic(self, Q):
+        """mu^T Q mu for packed pattern entries Q."""
+        lay = self.layout
+        Q_GG, Q_iG, Q_Gi, Q_ii = lay.split(Q)
+        mu_G, mu_I = self.mu[lay.glob], self.mu[lay.groups]
+        return float(
+            mu_G @ Q_GG @ mu_G
+            + mu_I.ravel() @ ((Q_iG + Q_Gi).reshape(-1, lay.g) @ mu_G)
+            + np.einsum("ik,ikl,il->", mu_I, Q_ii, mu_I)
+        )
+
     def trace_product(self, Q):
-        """tr(Q Sigma) for a Q that is zero off the pattern."""
-        Q_GG, Q_iG, Q_Gi, Q_ii = self.layout.blocks(Q)
+        """tr(Q Sigma) for packed pattern entries Q."""
+        Q_GG, Q_iG, Q_Gi, Q_ii = self.layout.split(Q)
         return float(
             np.sum(Q_GG * self.Sigma_GG)
             + np.sum((Q_iG + Q_Gi) * self.Sigma_iG)
             + np.sum(Q_ii * self.Sigma_ii)
         )
 
+    def covariance(self):
+        """The dense p x p covariance.  Between two groups i != j it is
+        Sigma_iG Sigma_GG^{-1} Sigma_Gj, one product of O(p^2 g)."""
+        lay = self.layout
+        G, I = lay.glob, lay.groups
+        U = self.Sigma_iG.reshape(-1, lay.g)
+        X = U @ self.schur_factor
+        inverse = np.argsort(np.concatenate([I.ravel(), G]))
+        blocked = np.block([[X @ X.T, U], [U.T, self.Sigma_GG]])  # group columns first
+        Sigma = blocked.take(inverse, axis=0).take(inverse, axis=1)
+        Sigma[I[:, :, None], I[:, None, :]] = self.Sigma_ii
+        return Sigma
+
 
 def two_level_moments(eta, layout, context=""):
     """Moments of a multivariate normal whose precision has the pattern of
     ``layout``, in O(m) operations.
 
-    Only the pattern entries of the precision are read from eta; entries off
-    the pattern are taken to be zero.  The m group blocks D_i are factored as
-    one batch and eliminated into the g x g Schur complement
+    eta is packed on ``layout`` (see :class:`TwoLevelLayout`): it holds the
+    pattern entries only.  The m group blocks D_i are factored as one batch
+    and eliminated into the g x g Schur complement
     S = P_GG - sum_i B_i^T D_i^{-1} B_i (B_i = P_iG), so that
 
         Sigma_GG = S^{-1},  Sigma_iG = -D_i^{-1} B_i Sigma_GG,
@@ -262,9 +374,11 @@ def two_level_moments(eta, layout, context=""):
     """
     eta = np.asarray(eta, dtype=float)
     p, g = layout.p, layout.g
-    if eta.size != p + p * p:
-        raise DimensionError(f"expected natural vector of length {p + p * p}, got {eta.size}")
-    M_GG, M_iG, M_Gi, M_ii = layout.blocks(eta[p:].reshape((p, p), order="F"))
+    if eta.size != layout.packed_size:
+        raise DimensionError(
+            f"expected a packed natural vector of length {layout.packed_size}, got {eta.size}"
+        )
+    M_GG, M_iG, M_Gi, M_ii = layout.split(eta[p:])
     A = -(M_GG + M_GG.T)
     B = -(M_iG + M_Gi)
     D = -(M_ii + M_ii.swapaxes(1, 2))
@@ -297,12 +411,12 @@ def two_level_moments(eta, layout, context=""):
     mu[layout.glob], mu[layout.groups] = mu_G, mu_I
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(L, axis1=1, axis2=2))))
     logdet += 2.0 * float(np.sum(np.log(np.diag(c[0]))))
-    return TwoLevelMoments(layout, mu, logdet, Sigma_GG, Sigma_iG, Sigma_ii)
+    return TwoLevelMoments(layout, mu, logdet, Sigma_GG, Sigma_iG, Sigma_ii, np.tril(c[0]))
 
 
 def mvn_moments(eta, d, context="", layout=None):
     """Moments of a multivariate normal natural vector: dense when layout is
-    None, otherwise on the two-level pattern of ``layout``."""
+    None, otherwise packed on the two-level pattern of ``layout``."""
     if layout is None:
         return _dense_moments(eta, d, context)
     if layout.p != d:
@@ -315,9 +429,9 @@ def g_vmp(eta, Q, r, s, context="", layout=None):
 
     Evaluated through the mean/covariance: -1/2 (tr(Q Sigma) + mu^T Q mu)
     + r^T mu - s/2, which is algebraically identical to the direct
-    natural-parameter expression but numerically stabler.  With a layout, Q
-    must be zero off its pattern.
+    natural-parameter expression but numerically stabler.  With a layout, eta
+    and Q are packed on its pattern.
     """
     Q = np.asarray(Q, dtype=float)
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    return mvn_moments(eta, Q.shape[0], context, layout).expected_quadratic(Q, r, s)
+    return mvn_moments(eta, r.size, context, layout).expected_quadratic(Q, r, s)

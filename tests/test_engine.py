@@ -153,6 +153,33 @@ def test_layout_must_match_its_node():
         StochasticNode("s", INVERSE_CHI_SQUARED, 5, layout)
 
 
+def layout_prior_model():
+    """A prior that knows nothing of packing, on a node with a layout."""
+    layout = TwoLevelLayout([0], [[1, 2], [3, 4]])
+    return layout, model_of(
+        [StochasticNode("coef", MULTIVARIATE_NORMAL, 5, layout)],
+        [FragmentBinding("prior", GaussianPriorSpec(np.zeros(5), np.eye(5)), ("coef",))],
+    )
+
+
+def test_layout_node_starts_packed():
+    layout, m = layout_prior_model()
+    start = build_factor_graph(m).fac_to_node[("prior", "coef")]
+    assert start.shape == (layout.packed_size,) and layout.packed_size < 5 + 25
+    np.testing.assert_array_equal(
+        layout.unpack(start), np.concatenate([np.zeros(5), -0.5 * vec(0.01 * np.eye(5))])
+    )
+
+
+def test_message_of_another_shape_names_factor_and_node():
+    # the dense prior message would otherwise fail later, as a broadcast error
+    _, m = layout_prior_model()
+    g = build_factor_graph(m)
+    with pytest.raises(VmpNumericsError, match=r"factor 'prior'.*node 'coef'") as exc:
+        run_vmp(g, max_iter=1)
+    assert exc.value.factor == "prior"
+
+
 def test_initialization_conventions():
     y, X = make_regression_data(1, n=30)
     g = build_factor_graph(models.build_linear_regression(y, X))

@@ -31,7 +31,6 @@ from semivmp.fragments_gaussian import (
     inverse_wishart_prior_message,
     iterated_igw_logp,
     iterated_igw_messages,
-    penalty_selector,
     variance_expectations,
 )
 from semivmp.natparam import g_vmp, mvn_moments_from_natural, vec
@@ -239,7 +238,8 @@ def test_penalization_theta_message_is_quadratic_expectation(rng):
     # the quadratic part is G_VMP with the 0/1 selector of block 0, evaluated
     # at the combined coefficient vector refreshed by the new message
     comb = eta_coef / 2 + msg_coef
-    D = penalty_selector(spec, 0)
+    D = np.zeros((7, 7))
+    D[2:5, 2:5] = np.eye(3)  # block 0 holds columns 2-4, one per group (d=1)
     assert msg_th[1] == pytest.approx(g_vmp(comb, D, np.zeros(7), 0.0), rel=1e-12)
 
 

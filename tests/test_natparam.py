@@ -144,26 +144,33 @@ def test_g_vmp_improper_input_raises():
 # --- two-level (block-arrowhead) moments ---------------------------------------
 
 
-def arrowhead_natural(rng, m, q, g):
-    """(layout, eta, pattern mask) for a random SPD precision whose groups
-    meet only through the global columns; columns are shuffled so the layout
-    is not contiguous."""
-    p = g + m * q
-    perm = rng.permutation(p)
-    layout = TwoLevelLayout(perm[:g], perm[g:].reshape(m, q))
+def arrowhead_precision(rng, layout):
+    """A random SPD precision on the pattern of ``layout``: its groups meet
+    only through the global columns."""
+    p = layout.p
     P = np.zeros((p, p))
     G = layout.glob
-    schur = random_spd(rng, g)
+    schur = random_spd(rng, layout.g)
     for cols in layout.groups:
-        D = random_spd(rng, q)
-        B = rng.normal(size=(q, g))
+        D = random_spd(rng, layout.q)
+        B = rng.normal(size=(layout.q, layout.g))
         P[np.ix_(cols, cols)] = D
         P[np.ix_(cols, G)] = B
         P[np.ix_(G, cols)] = B.T
         schur = schur + B.T @ np.linalg.solve(D, B)
     P[np.ix_(G, G)] = symmetrize(schur)  # leaves Schur complement random_spd: SPD
+    return P
+
+
+def arrowhead_natural(rng, m, q, g):
+    """(layout, dense eta, pattern mask) for a random SPD precision on the
+    pattern; columns are shuffled so the layout is not contiguous."""
+    p = g + m * q
+    perm = rng.permutation(p)
+    layout = TwoLevelLayout(perm[:g], perm[g:].reshape(m, q))
+    P = arrowhead_precision(rng, layout)
     on = P != 0.0
-    on[np.ix_(G, G)] = True
+    on[np.ix_(layout.glob, layout.glob)] = True
     eta = np.concatenate([rng.normal(size=p) * 3.0, -0.5 * vec(P)])
     return layout, eta, on
 
@@ -179,7 +186,7 @@ def test_two_level_moments_match_dense(m, q, g, seed):
     layout, eta, on = arrowhead_natural(rng, m, q, g)
     p = layout.p
     dense = mvn_moments(eta, p)
-    two = mvn_moments(eta, p, layout=layout)
+    two = mvn_moments(layout.pack(eta), p, layout=layout)
     assert_rel(two.mu, dense.mu)
     assert_rel(two.logdet, dense.logdet)
     G = layout.glob
@@ -189,9 +196,11 @@ def test_two_level_moments_match_dense(m, q, g, seed):
         assert_rel(two.Sigma_ii[i], dense.Sigma[np.ix_(cols, cols)])
     rows, cols = np.nonzero(on)
     assert_rel(two.entries(rows, cols), dense.Sigma[rows, cols])
+    assert_rel(two.covariance(), dense.Sigma)
     Q = random_spd(rng, p) * on
     r = rng.normal(size=p)
-    assert_rel(g_vmp(eta, Q, r, 1.5, layout=layout), g_vmp(eta, Q, r, 1.5))
+    packed = (layout.pack(eta), layout.pack_matrix(Q))
+    assert_rel(g_vmp(*packed, r, 1.5, layout=layout), g_vmp(eta, Q, r, 1.5))
 
 
 def test_two_level_moments_name_the_failing_group(rng):
@@ -202,7 +211,7 @@ def test_two_level_moments_name_the_failing_group(rng):
     P[np.ix_(cols, cols)] = -np.eye(3)
     bad = np.concatenate([eta[:p], -0.5 * vec(P)])
     with pytest.raises(SpdFactorizationError, match=r"\(q coef\): group 2 block") as exc:
-        mvn_moments(bad, p, context="q coef", layout=layout)
+        mvn_moments(layout.pack(bad), p, context="q coef", layout=layout)
     assert exc.value.context == "q coef"
 
 
@@ -212,11 +221,15 @@ def test_two_level_layout_validation(rng):
     with pytest.raises(DimensionError):
         TwoLevelLayout([], [[0, 1]])
     layout, eta, _ = arrowhead_natural(rng, 3, 2, 2)
-    two = mvn_moments(eta, layout.p, layout=layout)
+    two = mvn_moments(layout.pack(eta), layout.p, layout=layout)
     with pytest.raises(DimensionError, match="between two groups"):
         two.entries(layout.groups[0, 0], layout.groups[1, 0])
+    with pytest.raises(DimensionError, match="between two groups"):
+        layout.position(layout.groups[0, 0], layout.groups[1, 0])
     with pytest.raises(DimensionError, match="layout covers"):
-        mvn_moments(eta, layout.p + 1, layout=layout)
+        mvn_moments(layout.pack(eta), layout.p + 1, layout=layout)
+    with pytest.raises(DimensionError, match="packed natural vector"):
+        mvn_moments(eta, layout.p, layout=layout)  # dense, not packed
 
 
 def test_off_pattern_group_finds_coupled_groups(rng):
