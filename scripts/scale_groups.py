@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Time and measure a group-curve fit as the group count m grows.
+
+    python3 scripts/scale_groups.py --groups 200 400 1000 --repeats 5
+
+For each m the script generates the README's grouped dataset with m groups
+of ``--per-group`` rows (``scripts/make_synthetic_data.py``, run in-process
+into a temporary directory) and reports three phases of a fit:
+
+- build: ``build_group_curves`` plus ``build_factor_graph`` (the benchmark's
+  set-up);
+- sweep: one ``run_vmp`` sweep with the ELBO;
+- q_density: the q-density of the ``coef`` node, with its dense Sigma.
+
+Each time is the minimum over ``--repeats`` runs (the sweeps continue on one
+graph).  Each peak is the ``tracemalloc`` peak of one more run of the phase,
+untimed.  The last column gives the size of one dense p x p array for
+comparison, and a final line gives each time relative to the first m.
+
+BLAS is pinned to one thread before numpy is imported, and the package is
+imported from this checkout's ``src``.  The script writes nothing outside
+its temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import os
+import runpy
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from semivmp.engine import build_factor_graph, q_density, run_vmp  # noqa: E402
+from semivmp.models import build_group_curves  # noqa: E402
+
+
+def grouped_data(outdir, groups, per_group, seed):
+    """(y, x, subject, arm) of make_synthetic_data.py's grouped dataset."""
+    saved = sys.argv
+    sys.argv = ["make_synthetic_data.py", "--outdir", str(outdir), "--seed", str(seed),
+                "--groups", str(groups), "--per-group", str(per_group)]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_path(str(ROOT / "scripts" / "make_synthetic_data.py"), run_name="__main__")
+    finally:
+        sys.argv = saved
+    table = np.genfromtxt(outdir / "grouped_curves.csv", delimiter=",", names=True, dtype=None,
+                          encoding="utf-8")
+    return (table["y"].astype(float), table["x"].astype(float), table["subject"].astype(str),
+            table["arm"].astype(float))
+
+
+def timed(fn, repeats):
+    """(minimum seconds over repeats, result of the last run)."""
+    best, result = np.inf, None
+    for _ in range(repeats):
+        t0 = perf_counter()
+        result = fn()
+        best = min(best, perf_counter() - t0)
+    return best, result
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def measure(data, repeats):
+    def build():
+        return build_factor_graph(build_group_curves(*data))
+
+    def sweep():
+        return run_vmp(graph, max_iter=1, tol=1e-300, track_elbo=True)
+
+    def coef_q():
+        return q_density(graph, "coef")
+
+    build_s, graph = timed(build, repeats)
+    sweep_s, _ = timed(sweep, repeats)
+    q_s, _ = timed(coef_q, repeats)
+    p = graph.nodes["coef"].d
+    peaks = [peak_bytes(fn) for fn in (build, sweep, coef_q)]
+    return p, (build_s, sweep_s, q_s), peaks
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--groups", type=int, nargs="+", default=[200, 400, 1000])
+    ap.add_argument("--per-group", type=int, default=25)
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    if args.repeats < 1 or min(args.groups) < 1:
+        ap.error("--repeats and every --groups value must be at least 1")
+
+    print(f"{'m':>6} {'p':>6} {'build s':>9} {'sweep ms':>9} {'q_density s':>12} "
+          f"{'build MB':>9} {'sweep MB':>9} {'q_density MB':>13} {'p x p MB':>9}", flush=True)
+    first = None
+    with tempfile.TemporaryDirectory() as tmp:
+        for m in args.groups:
+            data = grouped_data(Path(tmp) / f"m{m}", m, args.per_group, args.seed)
+            p, (build_s, sweep_s, q_s), peaks = measure(data, args.repeats)
+            first = first or (m, build_s, sweep_s, q_s)
+            mb = [x / 1e6 for x in peaks]
+            print(f"{m:>6} {p:>6} {build_s:>9.4f} {1e3 * sweep_s:>9.2f} {q_s:>12.4f} "
+                  f"{mb[0]:>9.1f} {mb[1]:>9.1f} {mb[2]:>13.1f} {8 * p * p / 1e6:>9.0f}", flush=True)
+            last = (m, build_s, sweep_s, q_s)
+    if len(args.groups) > 1:
+        ratios = [b / a for a, b in zip(first[1:], last[1:])]
+        print(f"m={last[0]} against m={first[0]} ({last[0] / first[0]:g}x the groups): build "
+              f"{ratios[0]:.2f}x, sweep {ratios[1]:.2f}x, q_density {ratios[2]:.2f}x")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

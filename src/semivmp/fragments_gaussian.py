@@ -17,9 +17,8 @@ module functions by name at call time.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -27,6 +26,7 @@ from scipy.special import gammaln
 from . import expfam
 from .expfam import NatParam
 from .natparam import (
+    TwoLevelLayout,
     g_vmp,
     mvn_moments,
     natural_position,
@@ -209,16 +209,29 @@ class PenalizedBlock:
 @dataclass(frozen=True)
 class GaussianPenalizationSpec:
     """Joint prior on (theta_0, theta_1, ..., theta_L): fixed-effects block
-    N(mu0, Sigma0) and independent N(0, I_m kron Theta_l) penalties."""
+    N(mu0, Sigma0) and independent N(0, I_m kron Theta_l) penalties.
+
+    ``layout`` is the coefficient node's TwoLevelLayout, if any: the
+    coefficient vectors are then packed on it.  ``positions`` holds, once per
+    spec, where S0^{-1} (a d0 x d0 array) and each block's Omega_l (an
+    (m, d, d) array) sit in the coefficient natural vector stored that way;
+    the update writes the message there and reads the covariance there."""
 
     mu0: np.ndarray
     Sigma0: np.ndarray
     blocks: tuple
+    layout: TwoLevelLayout | None = None
+    positions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mu0", np.atleast_1d(np.asarray(self.mu0, dtype=float)))
         object.__setattr__(self, "Sigma0", np.atleast_2d(np.asarray(self.Sigma0, dtype=float)))
         object.__setattr__(self, "blocks", tuple(self.blocks))
+        p, fixed = self.total_dim, np.arange(self.d0)
+        positions = [natural_position(fixed[:, None], fixed[None, :], p, self.layout)]
+        for _, cols in _block_columns(self):
+            positions.append(natural_position(cols[:, :, None], cols[:, None, :], p, self.layout))
+        object.__setattr__(self, "positions", tuple(positions))
 
     @property
     def d0(self):
@@ -231,74 +244,82 @@ class GaussianPenalizationSpec:
     def stochastic_blocks(self):
         return [b for b in self.blocks if b.fixed_Theta is None]
 
+    def for_layout(self, layout):
+        """This penalization for a coefficient node on ``layout``."""
+        return self if layout is self.layout else dataclasses.replace(self, layout=layout)
+
     def ports(self):
         return [(expfam.MULTIVARIATE_NORMAL, self.total_dim)] + [
             (b.kind, b.d) for b in self.stochastic_blocks()
         ]
 
     def update(self, n2f, f2n, nodes, context):
+        spec = self.for_layout(nodes[0].layout)
         msg_coef, msgs_theta = gaussian_penalization_messages(
-            self, n2f[0], n2f[1:], f2n[0], f2n[1:], context=context, layout=nodes[0].layout
+            spec, n2f[0], n2f[1:], f2n[0], f2n[1:], context=context
         )
-        return self, [msg_coef, *msgs_theta]
+        return spec, [msg_coef, *msgs_theta]
 
     def logp(self, q_etas, moments):
         return gaussian_penalization_logp(self, q_etas[0], q_etas[1:], moments=moments[0])
 
 
-class _StoredQuadratic(NamedTuple):
-    """A^T A as a coefficient node on ``layout`` stores its precision (the
-    p x p array, or its packed pattern entries) and the natural vector
-    (A^T y, -1/2 A^T A) stored the same way."""
-
-    layout: object
-    AtA: np.ndarray
-    natural: np.ndarray
-
-
 @dataclass(frozen=True)
 class GaussianLikelihoodSpec:
-    """y | theta1, theta2 ~ N(A theta1, theta2 I); theta2 may be a known constant."""
+    """y | theta1, theta2 ~ N(A theta1, theta2 I); theta2 may be a known constant.
 
-    y: np.ndarray
-    A: np.ndarray
+    The fragment is its sufficient statistics: n, A^T y, y^T y and A^T A,
+    the last stored as the theta1 node stores its precision, a d x d array
+    or, on ``layout``, its packed pattern entries.  :meth:`from_design`
+    forms them from a dense A; ``build_group_curves`` accumulates the packed
+    ones group by group.  ``natural`` is (A^T y, -1/2 A^T A) stored the same
+    way, the theta1 message at unit noise precision."""
+
+    n: int
+    Aty: np.ndarray
+    yty: float
+    AtA: np.ndarray
+    layout: TwoLevelLayout | None = None
     sigma_sq_fixed: float | None = None
+    natural: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        Aty = np.atleast_1d(np.asarray(self.Aty, dtype=float))
+        AtA = np.asarray(self.AtA, dtype=float)
+        lay = self.layout
+        shape = (Aty.size, Aty.size) if lay is None else (lay.packed_size - lay.p,)
+        if self.n < 1 or AtA.shape != shape or (lay is not None and Aty.size != lay.p):
+            raise ValueError(
+                f"likelihood statistics do not fit: n={self.n}, A^T y of length {Aty.size}, "
+                f"A^T A of shape {AtA.shape}"
+            )
+        object.__setattr__(self, "Aty", Aty)
+        object.__setattr__(self, "AtA", AtA)
+        object.__setattr__(self, "yty", float(self.yty))
+        quad = vec(AtA) if self.layout is None else AtA
+        object.__setattr__(self, "natural", np.concatenate([Aty, -0.5 * quad]))
+
+    @classmethod
+    def from_design(cls, y, A, sigma_sq_fixed=None):
+        """The likelihood of y on the dense design A."""
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        A = np.atleast_2d(np.asarray(A, dtype=float))
         if A.shape[0] != y.size or y.size < 1:
             raise ValueError("A rows must match y length (and n >= 1)")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "AtA", A.T @ A)
-        object.__setattr__(self, "Aty", A.T @ y)
-        object.__setattr__(self, "yty", float(y @ y))
-        object.__setattr__(self, "stored", None)
-
-    def on(self, layout):
-        """This likelihood with ``stored`` set for a coefficient node on
-        ``layout``.  ``update`` returns it and the engine keeps it, so A^T A
-        is packed once per graph."""
-        if self.stored is not None and self.stored.layout is layout:
-            return self
-        if layout is None:
-            AtA, quad = self.AtA, vec(self.AtA)
-        else:
-            AtA = quad = layout.pack_matrix(self.AtA)
-        bound = copy.copy(self)
-        object.__setattr__(
-            bound, "stored", _StoredQuadratic(layout, AtA, np.concatenate([self.Aty, -0.5 * quad]))
-        )
-        return bound
-
-    @property
-    def n(self):
-        return self.y.size
+        return cls(y.size, A.T @ y, float(y @ y), A.T @ A, sigma_sq_fixed=sigma_sq_fixed)
 
     @property
     def d(self):
-        return self.A.shape[1]
+        return self.Aty.size
+
+    def for_layout(self, layout):
+        """This likelihood for a theta1 node on ``layout``: itself, or with a
+        packed A^T A unpacked for a node without a layout."""
+        if layout is self.layout:
+            return self
+        if layout is None:
+            return dataclasses.replace(self, AtA=self.layout.unpack_matrix(self.AtA), layout=None)
+        raise ValueError("A^T A is stored on another layout than the coefficient node's")
 
     def ports(self):
         if self.sigma_sq_fixed is None:
@@ -306,10 +327,10 @@ class GaussianLikelihoodSpec:
         return [(expfam.MULTIVARIATE_NORMAL, self.d)]
 
     def update(self, n2f, f2n, nodes, context):
-        spec = self.on(nodes[0].layout)
+        spec = self.for_layout(nodes[0].layout)
         n2f_var, f2n_var = (n2f[1], f2n[1]) if len(n2f) > 1 else (None, None)
         msg1, msg2 = gaussian_likelihood_messages(
-            spec, n2f[0], n2f_var, f2n[0], f2n_var, context=context, layout=nodes[0].layout
+            spec, n2f[0], n2f_var, f2n[0], f2n_var, context=context
         )
         return spec, [msg1] if msg2 is None else [msg1, msg2]
 
@@ -383,11 +404,11 @@ def _block_columns(spec):
         off += b.size
 
 
-def _second_moments(moments, cols):
+def _second_moments(moments, cols, pos):
     """E{theta_k theta_k^T} = Sigma_kk + mu_k mu_k^T for each row k of cols,
-    as an (m, d, d) array."""
+    as an (m, d, d) array; pos holds the positions of the Sigma_kk entries."""
     mu = moments.mu[cols]
-    return moments.entries(cols[:, :, None], cols[:, None, :]) + mu[:, :, None] * mu[:, None, :]
+    return moments.covariance_at(pos) + mu[:, :, None] * mu[:, None, :]
 
 
 def gaussian_penalization_messages(
@@ -397,37 +418,33 @@ def gaussian_penalization_messages(
     eta_factor_to_coef,
     etas_factor_to_theta,
     context="gaussian penalization",
-    layout=None,
 ):
     """Updated (factor->coefficients, [factor->Theta_l ...]) messages.
 
     etas_theta_to_factor / etas_factor_to_theta list only the stochastic
     blocks, in block order; fixed-Theta blocks contribute their known
-    precision to the coefficient message and receive nothing.  ``layout``
-    (the coefficient node's TwoLevelLayout, if any) means the coefficient
-    vectors are packed on it; S0^{-1} and each Omega_l are written at their
-    positions in the message, dense or packed alike.
+    precision to the coefficient message and receive nothing.  The
+    coefficient vectors are stored as on ``spec.layout`` (dense when None);
+    S0^{-1} and each Omega_l are written at ``spec.positions``.
     """
     p = spec.total_dim
-    d0 = spec.d0
     S0inv = spd_inverse(spec.Sigma0, context=f"{context} Sigma0")
     omegas = _penalty_precisions(spec, etas_theta_to_factor, etas_factor_to_theta, context)
 
-    msg_coef = np.zeros(natural_size(p, layout))
-    msg_coef[:d0] = S0inv @ spec.mu0
-    fixed = np.arange(d0)
-    msg_coef[natural_position(fixed[:, None], fixed[None, :], p, layout)] = -0.5 * S0inv
-    for (b, cols), Om in zip(_block_columns(spec), omegas):
-        msg_coef[natural_position(cols[:, :, None], cols[:, None, :], p, layout)] = -0.5 * Om
+    msg_coef = np.zeros(natural_size(p, spec.layout))
+    msg_coef[: spec.d0] = S0inv @ spec.mu0
+    msg_coef[spec.positions[0]] = -0.5 * S0inv
+    for pos, Om in zip(spec.positions[1:], omegas):
+        msg_coef[pos] = -0.5 * Om
 
     c_coef = np.asarray(eta_coef_to_factor) + msg_coef
-    moments = mvn_moments(c_coef, p, f"{context} combined coefficients", layout)
+    moments = mvn_moments(c_coef, p, f"{context} combined coefficients", spec.layout)
 
     msgs_theta = []
-    for b, cols in _block_columns(spec):
+    for (b, cols), pos in zip(_block_columns(spec), spec.positions[1:]):
         if b.fixed_Theta is not None:
             continue
-        S = _second_moments(moments, cols).sum(axis=0)
+        S = _second_moments(moments, cols, pos).sum(axis=0)
         msgs_theta.append(_variance_message(-0.5 * b.m, S, b.kind))
     return msg_coef, msgs_theta
 
@@ -439,23 +456,20 @@ def gaussian_likelihood_messages(
     eta_factor_to_theta1,
     eta_factor_to_theta2,
     context="gaussian likelihood",
-    layout=None,
 ):
     """Updated (factor->theta1, factor->theta2) messages; theta2 parts are None
-    when sigma_sq_fixed pins the noise variance.  ``layout`` is theta1's
-    TwoLevelLayout, if any: theta1's vectors are then packed on it, and
-    A^T A must be zero off its pattern."""
-    stored = spec.on(layout).stored
+    when sigma_sq_fixed pins the noise variance.  theta1's vectors are stored
+    as its A^T A is: packed on ``spec.layout``, or dense when that is None."""
     if spec.sigma_sq_fixed is not None:
-        return stored.natural * (1.0 / spec.sigma_sq_fixed), None
+        return spec.natural * (1.0 / spec.sigma_sq_fixed), None
     c2 = np.asarray(eta_theta2_to_factor) + np.asarray(eta_factor_to_theta2)
     w = _inverse_moment(c2, 1, SCALAR_D1, context + " [variance]")[0, 0]  # E{1/theta2}
-    msg1 = stored.natural * w
+    msg1 = spec.natural * w
     c1 = np.asarray(eta_theta1_to_factor) + msg1
     msg2 = np.array(
         [
             -0.5 * spec.n,
-            g_vmp(c1, stored.AtA, spec.Aty, spec.yty, context + " [coefficients]", layout),
+            g_vmp(c1, spec.AtA, spec.Aty, spec.yty, context + " [coefficients]", spec.layout),
         ]
     )
     return msg1, msg2
@@ -517,19 +531,19 @@ def gaussian_penalization_logp(
     """E_q{log penalization factor}; ``moments`` are q(coefficients)'s moments
     when the caller has them already."""
     if moments is None:
-        moments = mvn_moments(q_eta_coef, spec.total_dim, "penalization logp")
+        moments = mvn_moments(q_eta_coef, spec.total_dim, "penalization logp", spec.layout)
+    spec = spec.for_layout(moments.layout)
     d0 = spec.d0
     S0inv = spd_inverse(spec.Sigma0, context="penalization logp Sigma0")
     dm = moments.mu[:d0] - spec.mu0
-    fixed = np.arange(d0)
-    Sigma00 = moments.entries(fixed[:, None], fixed[None, :])
+    Sigma00 = moments.covariance_at(spec.positions[0])
     total = (
         -0.5 * d0 * _LOG_2PI
         - 0.5 * spd_logdet(spec.Sigma0, context="penalization logp Sigma0")
         - 0.5 * (float(dm @ S0inv @ dm) + float(np.sum(S0inv * Sigma00)))
     )
     k = 0
-    for b, cols in _block_columns(spec):
+    for (b, cols), pos in zip(_block_columns(spec), spec.positions[1:]):
         if b.fixed_Theta is not None:
             Th = np.atleast_2d(np.asarray(b.fixed_Theta, dtype=float))
             Elogdet = spd_logdet(Th, context="penalization logp fixed")
@@ -539,7 +553,7 @@ def gaussian_penalization_logp(
             Einv = np.atleast_2d(Einv)
             k += 1
         total += -0.5 * b.m * b.d * _LOG_2PI - 0.5 * b.m * Elogdet
-        total += -0.5 * float(np.sum(_second_moments(moments, cols) * Einv))
+        total += -0.5 * float(np.sum(_second_moments(moments, cols, pos) * Einv))
     return float(total)
 
 
@@ -547,9 +561,9 @@ def gaussian_likelihood_logp(spec: GaussianLikelihoodSpec, q_eta_coef, q_eta_var
     """E_q{log likelihood factor}; ``moments`` are q(theta1)'s moments when
     the caller has them already (two-level moments read A^T A packed)."""
     if moments is None:
-        moments = mvn_moments(q_eta_coef, spec.d, "likelihood logp")
-    AtA = spec.on(moments.layout).stored.AtA
-    gv = moments.expected_quadratic(AtA, spec.Aty, spec.yty)
+        moments = mvn_moments(q_eta_coef, spec.d, "likelihood logp", spec.layout)
+    spec = spec.for_layout(moments.layout)
+    gv = moments.expected_quadratic(spec.AtA, spec.Aty, spec.yty)
     n = spec.n
     if spec.sigma_sq_fixed is not None:
         s2 = spec.sigma_sq_fixed

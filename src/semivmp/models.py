@@ -320,7 +320,7 @@ def build_linear_regression(
         Xs, mu_s, Sigma_s = X, mu_beta, Sigma_beta
 
     nodes = [StochasticNode("coef", expfam.MULTIVARIATE_NORMAL, d)]
-    lik_spec = GaussianLikelihoodSpec(y, Xs, sigma_sq_fixed=fixed_sigma_sq)
+    lik_spec = GaussianLikelihoodSpec.from_design(y, Xs, sigma_sq_fixed=fixed_sigma_sq)
     fragments = [FragmentBinding("prior_coef", GaussianPriorSpec(mu_s, Sigma_s), ("coef",))]
     if fixed_sigma_sq is None:
         fragments.append(FragmentBinding("likelihood", lik_spec, ("coef", "sigsq_eps")))
@@ -383,7 +383,7 @@ def build_penalized_spline(
     A_hyper = meta["hyper"].A
     if fixed_sigma_u_sq is None:
         _variance_chain(nodes, fragments, "u", "sigsq_u", "a_u", A_hyper)
-    lik = GaussianLikelihoodSpec(meta["y"], meta["C"])
+    lik = GaussianLikelihoodSpec.from_design(meta["y"], meta["C"])
     fragments.append(FragmentBinding("likelihood", lik, ("coef", "sigsq_eps")))
     _variance_chain(nodes, fragments, "eps", "sigsq_eps", "a_eps", A_hyper)
     return ModelSpec(nodes, fragments, "identity", "coef", curves, meta)
@@ -414,6 +414,35 @@ def build_glm_spline(
     fragments.append(FragmentBinding("likelihood", state, ("coef",)))
     _variance_chain(nodes, fragments, "u", "sigsq_u", "a_u", meta["hyper"].A)
     return ModelSpec(nodes, fragments, link, "coef", curves, meta)
+
+
+def _two_level_statistics(y, X_G, local, gidx, sizes, layout):
+    """(C^T y, packed C^T C) of the design C whose global columns are X_G and
+    whose row r holds local[r] in the columns of its group gidx[r] (zero in
+    every other group's), accumulated group by group without forming C.
+
+    With C_i = local[rows of group i]: C^T C is X_G^T X_G on the global
+    block, C_i^T X_G[rows of i] on group i's rows against the global columns
+    and C_i^T C_i on its own block, and zero between two groups.  The rows
+    are sorted by group once; then one (q x n_i) by (n_i x (q + g + 1))
+    product per group gives its blocks and C_i^T y_i, O(n (q + g) q) in all.
+    """
+    m, q = layout.groups.shape
+    g = layout.g
+    R = np.column_stack([local, X_G, y])[np.argsort(gidx, kind="stable")]
+    out = np.empty((m, q, R.shape[1]))
+    start = 0
+    for i, end in enumerate(np.cumsum(sizes)):
+        rows = R[start:end]
+        np.matmul(rows[:, :q].T, rows, out=out[i])
+        start = end
+    ii = out[:, :, :q]
+    iG = out[:, :, q : q + g]
+    Aty = np.empty(layout.p)
+    Aty[layout.glob] = X_G.T @ y
+    Aty[layout.groups] = out[:, :, -1]
+    packed = [X_G.T @ X_G, iG, iG, 0.5 * (ii + ii.swapaxes(1, 2))]  # GG, iG, Gi, ii
+    return Aty, np.concatenate([b.ravel() for b in packed])
 
 
 def build_group_curves(
@@ -450,45 +479,37 @@ def build_group_curves(
 
     _, gidx = np.unique(gid, return_inverse=True)
     m = int(gidx.max()) + 1
-    for g in range(m):
-        if np.unique(lab[gidx == g]).size != 1:
-            raise ValueError(f"group {g} has mixed labels")
+    sizes = np.bincount(gidx, minlength=m)
+    ones = np.bincount(gidx, weights=lab, minlength=m)  # label-1 rows of each group
+    mixed = np.flatnonzero((ones > 0) & (ones < sizes))
+    if mixed.size:
+        raise ValueError(f"group {mixed[0]} has mixed labels")
     if np.unique(lab).size == 1:
         warnings.warn("all group labels equal; contrast columns are identically zero")
 
     xs, x_mean, x_sd = _standardize_x(x)
     n = y.size
     ind_b = lab  # 1 for the contrast population
-    X = np.column_stack([np.ones(n), xs, ind_b, ind_b * xs])
-
     Z_gbl, basis_gbl = spline_design(xs, K_gbl, spline_kind)
-    Zw = (1.0 - ind_b)[:, None] * Z_gbl
-    Zb = ind_b[:, None] * Z_gbl
+    X_G = np.column_stack(  # the global columns: population lines and curves
+        [np.ones(n), xs, ind_b, ind_b * xs, (1.0 - ind_b)[:, None] * Z_gbl, ind_b[:, None] * Z_gbl]
+    )
 
-    cols = [X, Zw, Zb]
     blocks = [PenalizedBlock(K_gbl, 1, SCALAR_D1), PenalizedBlock(K_gbl, 1, SCALAR_D1)]
     chains = [(tag, f"sigsq_{tag}", f"a_{tag}", 1.0) for tag in ("gbl_w", "gbl_b")]
-    n_glob = 4 + 2 * K_gbl
+    n_glob = X_G.shape[1]
+    local = []  # each row's entries in its own group's columns
     group_cols = []  # per block of group columns: an (m, columns per group) array
 
     if include_subject_lines:
-        ZU = np.zeros((n, 2 * m))
-        for g in range(m):
-            rows = gidx == g
-            ZU[rows, 2 * g] = 1.0
-            ZU[rows, 2 * g + 1] = xs[rows]
-        cols.append(ZU)
+        local += [np.ones(n), xs]
         blocks.append(PenalizedBlock(m, 2, TOTALLY_CONNECTED))
         chains.append(("subject", "Sigma_subject", "A_subject", hyper.nu))
         group_cols.append(n_glob + np.arange(2 * m).reshape(m, 2))
 
     if K_grp > 0:
         Z_grp_base, basis_grp = spline_design(xs, K_grp, spline_kind)
-        Zg = np.zeros((n, m * K_grp))
-        for g in range(m):
-            rows = gidx == g
-            Zg[rows, g * K_grp : (g + 1) * K_grp] = Z_grp_base[rows]
-        cols.append(Zg)
+        local.append(Z_grp_base)
         blocks.append(PenalizedBlock(m * K_grp, 1, SCALAR_D1))
         chains.append(("grp", "sigsq_grp", "a_grp", 1.0))
         start = n_glob + (2 * m if include_subject_lines else 0)
@@ -496,19 +517,17 @@ def build_group_curves(
     else:
         basis_grp = None
 
-    C = np.column_stack(cols)
-    p = C.shape[1]
-    pen = GaussianPenalizationSpec(np.zeros(4), hyper.sigma_beta_sq * np.eye(4), tuple(blocks))
-    lik = GaussianLikelihoodSpec(y, C)
-    layout = None
     if group_cols:
         layout = TwoLevelLayout(np.arange(n_glob), np.hstack(group_cols))
-        bad = layout.off_pattern_group(lik.AtA)
-        if bad is not None:
-            raise ValueError(
-                f"design couples group {bad} with another group: "
-                "C^T C is nonzero off the two-level pattern"
-            )
+        Aty, AtA = _two_level_statistics(y, X_G, np.column_stack(local), gidx, sizes, layout)
+        lik = GaussianLikelihoodSpec(n, Aty, float(y @ y), AtA, layout)
+    else:
+        layout = None
+        lik = GaussianLikelihoodSpec.from_design(y, X_G)
+    p = lik.d
+    pen = GaussianPenalizationSpec(
+        np.zeros(4), hyper.sigma_beta_sq * np.eye(4), tuple(blocks), layout
+    )
 
     nodes = [StochasticNode("coef", expfam.MULTIVARIATE_NORMAL, p, layout)]
     fragments = []
@@ -522,7 +541,7 @@ def build_group_curves(
     meta = {
         "y": y, "x": x, "x_mean": x_mean, "x_sd": x_sd, "hyper": hyper,
         "basis_gbl": basis_gbl, "basis_grp": basis_grp,
-        "C": C, "m_groups": m, "K_gbl": K_gbl, "K_grp": K_grp,
+        "m_groups": m, "K_gbl": K_gbl, "K_grp": K_grp,
         "include_subject_lines": include_subject_lines,
     }
 

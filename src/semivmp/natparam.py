@@ -130,9 +130,11 @@ class DenseMoments(_Moments):
     def __init__(self, mu, Sigma, logdet):
         self.mu, self.Sigma, self.logdet = mu, Sigma, logdet
 
-    def entries(self, rows, cols):
-        """Sigma[rows, cols] for broadcastable integer index arrays."""
-        return self.Sigma[rows, cols]
+    def covariance_at(self, pos):
+        """Sigma at the matrix-part positions ``pos`` of the natural vector
+        (see :func:`natural_position`).  Sigma is exactly symmetric, so its
+        C-order entries are its column-stacked ones."""
+        return self.Sigma.ravel()[np.asarray(pos) - self.mu.size]
 
     def mean_quadratic(self, Q):
         """mu^T Q mu."""
@@ -244,50 +246,40 @@ class TwoLevelLayout:
         p = self.p
         return np.concatenate([eta[:p], self.pack_matrix(eta[p:].reshape((p, p), order="F"))])
 
+    def _scatter(self, M, Q):
+        """Write the packed pattern entries Q into the p x p array (or view) M."""
+        for (r, c), blk in zip(self._index_pairs(), self.split(Q)):
+            M[r, c] = blk
+
+    def unpack_matrix(self, Q):
+        """The p x p array of packed pattern entries Q; zero off the pattern."""
+        M = np.zeros((self.p, self.p))
+        self._scatter(M, Q)
+        return M
+
     def unpack(self, eta):
         """Dense natural vector of a packed one; zero off the pattern."""
         p = self.p
         dense = np.zeros(p + p * p)
         dense[:p] = eta[:p]
-        M = dense[p:].reshape((p, p), order="F")  # a view: column-stacked
-        for (r, c), blk in zip(self._index_pairs(), self.split(eta[p:])):
-            M[r, c] = blk
+        self._scatter(dense[p:].reshape((p, p), order="F"), eta[p:])  # a column-stacked view
         return dense
-
-    def _locate(self, rows, cols):
-        """(block, offset) of the pattern entries (rows, cols): block 0-3 is
-        GG, iG, Gi, ii and offset the C-order position inside it."""
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        gr, gc = self.owner[rows], self.owner[cols]
-        if np.any((gr != gc) & (gr >= 0) & (gc >= 0)):
-            raise DimensionError("entries between two groups are not on the pattern")
-        block = 3 - (gr < 0) - 2 * (gc < 0)
-        sr, sc = self._stacked[rows], self._stacked[cols]
-        offset = np.where(
-            block == 3,
-            sr * self.q + self.pos[cols],
-            np.where(block == 2, sc * self.g + sr, sr * self.g + sc),
-        )
-        return block, offset
 
     def position(self, rows, cols):
         """Positions in the packed natural vector of the matrix-part entries
         (rows, cols), which must lie on the pattern."""
-        block, offset = self._locate(rows, cols)
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        gr, gc = self.owner[rows], self.owner[cols]
+        if np.any((gr != gc) & (gr >= 0) & (gc >= 0)):
+            raise DimensionError("entries between two groups are not on the pattern")
+        block = 3 - (gr < 0) - 2 * (gc < 0)  # 0-3: GG, iG, Gi, ii
+        sr, sc = self._stacked[rows], self._stacked[cols]
+        offset = np.where(  # the C-order position inside the block
+            block == 3,
+            sr * self.q + self.pos[cols],
+            np.where(block == 2, sc * self.g + sr, sr * self.g + sc),
+        )
         return self._starts[block] + offset
-
-    def off_pattern_group(self, M):
-        """First group whose rows of the p x p array M hold a nonzero entry
-        off the pattern, or None (global rows are all on the pattern)."""
-        if np.count_nonzero(M) == np.count_nonzero(self.pack_matrix(M)):
-            return None
-        for i, cols in enumerate(self.groups):
-            rows = M[cols]  # a copy: clear the on-pattern part, look for anything left
-            rows[:, self.glob] = 0.0
-            rows[:, cols] = 0.0
-            if rows.any():
-                return i
-        return None
 
 
 def natural_size(d, layout=None):
@@ -314,11 +306,13 @@ class TwoLevelMoments(_Moments):
         self.Sigma_GG, self.Sigma_iG, self.Sigma_ii = Sigma_GG, Sigma_iG, Sigma_ii
         self.schur_factor = schur_factor
 
-    def entries(self, rows, cols):
-        """Sigma[rows, cols] for index pairs on the pattern (both global, one
-        global, or both in the same group)."""
-        block, offset = self.layout._locate(rows, cols)
-        out = np.empty(block.shape)
+    def covariance_at(self, pos):
+        """Sigma at the positions ``pos`` of pattern entries in the packed
+        natural vector (see :func:`natural_position`)."""
+        starts = self.layout._starts
+        block = np.searchsorted(starts, pos, side="right") - 1
+        offset = pos - starts[block]
+        out = np.empty(np.shape(pos))
         # a Gi entry is the iG entry of the transposed pair
         for b, S in enumerate((self.Sigma_GG, self.Sigma_iG, self.Sigma_iG, self.Sigma_ii)):
             sel = block == b
@@ -346,15 +340,20 @@ class TwoLevelMoments(_Moments):
         )
 
     def covariance(self):
-        """The dense p x p covariance.  Between two groups i != j it is
-        Sigma_iG Sigma_GG^{-1} Sigma_Gj, one product of O(p^2 g)."""
+        """The dense p x p covariance, written into one p x p array.  Between
+        two groups i != j it is Sigma_iG Sigma_GG^{-1} Sigma_Gj = X_i X_j^T
+        with X_i = Sigma_iG L, so the group rows of one p x g array Y carry
+        the X_i and Y Y^T puts every such block in place (O(p^2 g)); the
+        global rows and columns and the group blocks are then overwritten."""
         lay = self.layout
         G, I = lay.glob, lay.groups
         U = self.Sigma_iG.reshape(-1, lay.g)
-        X = U @ self.schur_factor
-        inverse = np.argsort(np.concatenate([I.ravel(), G]))
-        blocked = np.block([[X @ X.T, U], [U.T, self.Sigma_GG]])  # group columns first
-        Sigma = blocked.take(inverse, axis=0).take(inverse, axis=1)
+        Y = np.zeros((lay.p, lay.g))
+        Y[I.ravel()] = U @ self.schur_factor
+        Sigma = Y @ Y.T
+        Sigma[I.reshape(-1, 1), G] = U
+        Sigma[G[:, None], I.ravel()] = U.T
+        Sigma[G[:, None], G] = self.Sigma_GG
         Sigma[I[:, :, None], I[:, None, :]] = self.Sigma_ii
         return Sigma
 

@@ -33,7 +33,7 @@ from semivmp.fragments_gaussian import (
     iterated_igw_messages,
     variance_expectations,
 )
-from semivmp.natparam import g_vmp, mvn_moments_from_natural, vec
+from semivmp.natparam import TwoLevelLayout, g_vmp, mvn_moments_from_natural, vec
 
 from conftest import random_spd
 
@@ -270,7 +270,7 @@ def test_penalization_improper_connected_block_names_the_port(rng):
 def make_likelihood(rng, n=6, d=2):
     A = rng.normal(size=(n, d))
     y = rng.normal(size=n)
-    return GaussianLikelihoodSpec(y, A)
+    return GaussianLikelihoodSpec.from_design(y, A)
 
 
 def test_likelihood_messages_hand_check(rng):
@@ -288,10 +288,24 @@ def test_likelihood_messages_hand_check(rng):
     assert msg2[1] == pytest.approx(g_vmp(comb1, spec.AtA, spec.Aty, spec.yty), rel=1e-12)
 
 
+def test_likelihood_statistics_validation(rng):
+    with pytest.raises(ValueError, match="A rows must match"):
+        GaussianLikelihoodSpec.from_design(np.ones(3), np.ones((4, 2)))
+    spec = make_likelihood(rng)
+    with pytest.raises(ValueError, match="statistics do not fit"):
+        GaussianLikelihoodSpec(spec.n, spec.Aty, spec.yty, spec.AtA[:, :1])
+    layout = TwoLevelLayout([0], [[1]])
+    with pytest.raises(ValueError, match="statistics do not fit"):
+        GaussianLikelihoodSpec(spec.n, spec.Aty, spec.yty, spec.AtA, layout)  # not packed
+    assert spec.for_layout(None) is spec
+    with pytest.raises(ValueError, match="another layout"):
+        spec.for_layout(layout)
+
+
 def test_likelihood_fixed_variance_mode(rng):
     A = rng.normal(size=(5, 2))
     y = rng.normal(size=5)
-    spec = GaussianLikelihoodSpec(y, A, sigma_sq_fixed=2.5)
+    spec = GaussianLikelihoodSpec.from_design(y, A, sigma_sq_fixed=2.5)
     msg1, msg2 = gaussian_likelihood_messages(spec, None, None, None, None)
     assert msg2 is None
     np.testing.assert_allclose(
@@ -401,12 +415,13 @@ def test_penalization_logp_monte_carlo(rng):
 
 
 def test_likelihood_logp_monte_carlo(rng):
-    spec = make_likelihood(rng, n=5, d=2)
+    A, y = rng.normal(size=(5, 2)), rng.normal(size=5)
+    spec = GaussianLikelihoodSpec.from_design(y, A)
     q_coef = mvn_eta(rng.normal(size=2), 0.4 * random_spd(rng, 2))
     q_var = invchisq_eta(10.0, 6.0)
     coefs = q_mvn_draws(rng, q_coef, 2, 200_000)
     v = q_invchisq_draws(rng, q_var, 200_000)
-    resid = spec.y[None, :] - coefs @ spec.A.T
+    resid = y[None, :] - coefs @ A.T
     vals = np.sum(stats.norm.logpdf(resid, scale=np.sqrt(v)[:, None]), axis=1)
     se = vals.std() / np.sqrt(vals.size)
     got = gaussian_likelihood_logp(spec, q_coef, q_var)
@@ -416,7 +431,7 @@ def test_likelihood_logp_monte_carlo(rng):
 def test_likelihood_logp_fixed_variance_closed_form(rng):
     A = rng.normal(size=(4, 2))
     y = rng.normal(size=4)
-    spec = GaussianLikelihoodSpec(y, A, sigma_sq_fixed=1.7)
+    spec = GaussianLikelihoodSpec.from_design(y, A, sigma_sq_fixed=1.7)
     mu, Sigma = rng.normal(size=2), 0.2 * random_spd(rng, 2)
     q_eta = mvn_eta(mu, Sigma)
     # E log N(y; A theta, s2 I) has a closed form under q = N(mu, Sigma)

@@ -33,6 +33,7 @@ from semivmp.fragments_gaussian import (
 from semivmp.fragments_glm import LogisticFragmentState, PoissonFragmentState, ProbitFragmentState
 
 from conftest import make_regression_data
+from test_natparam import assert_rel
 
 
 def spline_data(seed, n, noise=0.25):
@@ -242,6 +243,16 @@ def test_group_curves_label_validation():
         build_group_curves(y, x, gid, np.zeros_like(lab))
 
 
+def test_group_curves_names_the_first_mixed_group():
+    y, x, gid, lab = group_data()
+    lab2 = lab.copy()
+    for g in (5, 3):  # one observation of each of groups 3 and 5 flips its label
+        row = np.flatnonzero(gid == g)[7]
+        lab2[row] = 1.0 - lab2[row]
+    with pytest.raises(ValueError, match="^group 3 has mixed labels$"):
+        build_group_curves(y, x, gid, lab2)
+
+
 def test_group_curves_single_population_degenerates_to_spline():
     """With one population, no subject lines and no per-group splines, the
     shared-coefficient marginals must match the plain penalized spline."""
@@ -282,6 +293,51 @@ def test_group_curves_fit_runs_with_full_structure():
     assert np.all(evals > 0)
 
 
+def dense_group_design(model, group_id, group_label):
+    """The n x p design of a group-curve model, formed column block by column
+    block from its meta: an independent reference for the statistics that
+    build_group_curves accumulates group by group."""
+    meta = model.meta
+    xs = (meta["x"] - meta["x_mean"]) / meta["x_sd"]
+    lab = np.asarray(group_label, dtype=float)
+    _, gidx = np.unique(group_id, return_inverse=True)
+    n = xs.size
+    member = (gidx[:, None] == np.arange(meta["m_groups"])[None, :]).astype(float)  # n x m
+    z = meta["basis_gbl"].evaluate(xs)
+    cols = [np.ones(n), xs, lab, lab * xs, (1.0 - lab)[:, None] * z, lab[:, None] * z]
+    if meta["include_subject_lines"]:  # group i's intercept and slope: columns 2i, 2i + 1
+        cols.append(np.stack([member, member * xs[:, None]], axis=2).reshape(n, -1))
+    if meta["K_grp"]:  # group i's spline: columns i K_grp ... (i + 1) K_grp - 1
+        zg = meta["basis_grp"].evaluate(xs)
+        cols.append((member[:, :, None] * zg[:, None, :]).reshape(n, -1))
+    return np.column_stack(cols)
+
+
+def assert_statistics_match(model, y, group_id, group_label, tol=1e-12):
+    """The likelihood's A^T y, y^T y and A^T A (packed on the layout) are
+    those of the dense design, whose C^T C is exactly zero off the pattern."""
+    (coef,) = [n for n in model.nodes if n.name == model.coef_node]
+    (lik,) = [f.fragment for f in model.fragments if f.name == "likelihood"]
+    layout = coef.layout
+    C = dense_group_design(model, group_id, group_label)
+    p = C.shape[1]
+    CtC = C.T @ C
+    assert lik.layout is layout and lik.d == p == coef.d
+    assert_rel(lik.Aty, C.T @ y, tol)
+    assert lik.yty == pytest.approx(float(y @ y), rel=tol) and lik.n == y.size
+    if layout is None:
+        assert_rel(lik.AtA, CtC, tol)
+        return
+    cols = np.concatenate([layout.glob, layout.groups.ravel()])
+    assert np.array_equal(np.sort(cols), np.arange(p))  # every column exactly once
+    on = np.zeros((p, p), dtype=bool)
+    on[layout.glob, :] = on[:, layout.glob] = True
+    for g in layout.groups:
+        on[np.ix_(g, g)] = True
+    assert np.all(CtC[~on] == 0.0)
+    assert_rel(lik.AtA, layout.pack_matrix(CtC), tol)
+
+
 @pytest.mark.parametrize("kind", [TRUNCATED_LINEAR, OSULLIVAN_LIKE])
 @pytest.mark.parametrize("K_grp", [0, 3])
 @pytest.mark.parametrize("subject_lines", [True, False])
@@ -290,20 +346,12 @@ def test_group_curves_two_level_layout(subject_lines, K_grp, kind):
     m = build_group_curves(y, x, gid, lab, K_gbl=6, K_grp=K_grp, spline_kind=kind,
                            include_subject_lines=subject_lines)
     (coef,) = [n for n in m.nodes if n.name == m.coef_node]
-    layout = coef.layout
     if not subject_lines and K_grp == 0:
-        assert layout is None  # no group columns: the dense path
-        return
-    C = m.meta["C"]
-    p = C.shape[1]
-    cols = np.concatenate([layout.glob, layout.groups.ravel()])
-    assert np.array_equal(np.sort(cols), np.arange(p))  # every column exactly once
-    assert layout.groups.shape == (6, 2 * subject_lines + K_grp)
-    on = np.zeros((p, p), dtype=bool)
-    on[layout.glob, :] = on[:, layout.glob] = True
-    for g in layout.groups:
-        on[np.ix_(g, g)] = True
-    assert np.all((C.T @ C)[~on] == 0.0)
+        assert coef.layout is None  # no group columns: the dense path
+    else:
+        assert coef.layout.groups.shape == (6, 2 * subject_lines + K_grp)
+    assert "C" not in m.meta
+    assert_statistics_match(m, y, gid, lab)
 
 
 # --- wiring: node order and fragment order (the default schedule) ------------
@@ -463,20 +511,6 @@ def test_variance_chains_follow_the_prior():
     for tag in ("gbl_w", "gbl_b", "grp", "eps"):
         assert params[f"link_{tag}"] == (1.0, 1, SCALAR_D1, SCALAR_D1)
         np.testing.assert_allclose(params[f"prior_a_{tag}"][1], [[A**-2]], rtol=1e-15)
-
-
-def test_group_curves_rejects_design_off_the_pattern(monkeypatch):
-    real = models.TwoLevelLayout
-
-    def swapped(glob, groups):  # file one column of group 0 under group 1
-        groups = groups.copy()
-        groups[0, 0], groups[1, 0] = groups[1, 0], groups[0, 0]
-        return real(glob, groups)
-
-    monkeypatch.setattr(models, "TwoLevelLayout", swapped)
-    y, x, gid, lab = group_data()
-    with pytest.raises(ValueError, match="couples group 0"):
-        build_group_curves(y, x, gid, lab, K_gbl=6, K_grp=3)
 
 
 # --- input validation and stored priors ---------------------------------------

@@ -11,6 +11,7 @@ from semivmp.natparam import (
     g_vmp,
     mvn_moments,
     mvn_moments_from_natural,
+    natural_position,
     row_quadratic,
     spd_chol,
     spd_inverse,
@@ -195,7 +196,10 @@ def test_two_level_moments_match_dense(m, q, g, seed):
         assert_rel(two.Sigma_iG[i], dense.Sigma[np.ix_(cols, G)])
         assert_rel(two.Sigma_ii[i], dense.Sigma[np.ix_(cols, cols)])
     rows, cols = np.nonzero(on)
-    assert_rel(two.entries(rows, cols), dense.Sigma[rows, cols])
+    got = two.covariance_at(natural_position(rows, cols, p, layout))
+    assert_rel(got, dense.Sigma[rows, cols])
+    got = dense.covariance_at(natural_position(rows, cols, p))
+    assert np.array_equal(got, dense.Sigma[rows, cols])
     assert_rel(two.covariance(), dense.Sigma)
     Q = random_spd(rng, p) * on
     r = rng.normal(size=p)
@@ -221,20 +225,9 @@ def test_two_level_layout_validation(rng):
     with pytest.raises(DimensionError):
         TwoLevelLayout([], [[0, 1]])
     layout, eta, _ = arrowhead_natural(rng, 3, 2, 2)
-    two = mvn_moments(layout.pack(eta), layout.p, layout=layout)
-    with pytest.raises(DimensionError, match="between two groups"):
-        two.entries(layout.groups[0, 0], layout.groups[1, 0])
     with pytest.raises(DimensionError, match="between two groups"):
         layout.position(layout.groups[0, 0], layout.groups[1, 0])
     with pytest.raises(DimensionError, match="layout covers"):
         mvn_moments(layout.pack(eta), layout.p + 1, layout=layout)
     with pytest.raises(DimensionError, match="packed natural vector"):
         mvn_moments(eta, layout.p, layout=layout)  # dense, not packed
-
-
-def test_off_pattern_group_finds_coupled_groups(rng):
-    layout, eta, on = arrowhead_natural(rng, 4, 2, 3)
-    Q = on.astype(float)
-    assert layout.off_pattern_group(Q) is None
-    Q[layout.groups[1, 0], layout.groups[3, 1]] = 1e-300
-    assert layout.off_pattern_group(Q) == 1

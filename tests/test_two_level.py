@@ -33,6 +33,7 @@ from semivmp.models import build_group_curves
 from semivmp.natparam import TwoLevelLayout, mvn_moments, vec
 
 from conftest import random_spd
+from test_models import assert_statistics_match
 from test_natparam import arrowhead_precision, assert_rel
 
 GENERATOR = Path(__file__).resolve().parent.parent / "scripts" / "make_synthetic_data.py"
@@ -126,6 +127,65 @@ def test_layout_sweep_forms_no_dense_matrix(tmp_path):
     assert peak < 8 * p * p, f"peak {peak / 1e6:.1f} MB"
 
 
+def test_group_statistics_match_the_dense_design(tmp_path):
+    """At m=200 (p=1424) the statistics accumulated group by group are those
+    of the dense 5000 x 1424 design."""
+    y, x, subject, arm = data = readme_group_data(tmp_path, 200)
+    assert_statistics_match(build_group_curves(*data), y, subject, arm)
+
+
+def blocked_covariance(mom):
+    """The dense covariance assembled with the group columns first and then
+    permuted: the reference the one-buffer assembly must reproduce bit for bit."""
+    lay = mom.layout
+    G, I = lay.glob, lay.groups
+    U = mom.Sigma_iG.reshape(-1, lay.g)
+    X = U @ mom.schur_factor
+    inverse = np.argsort(np.concatenate([I.ravel(), G]))
+    blocked = np.block([[X @ X.T, U], [U.T, mom.Sigma_GG]])
+    Sigma = blocked.take(inverse, axis=0).take(inverse, axis=1)
+    Sigma[I[:, :, None], I[:, None, :]] = mom.Sigma_ii
+    return Sigma
+
+
+def test_q_density_sigma_takes_one_dense_buffer(tmp_path):
+    """q_density of the coef node at m=200 holds the unpacked eta and the
+    dense Sigma, and allocates little beside them at its peak."""
+    model = build_group_curves(*readme_group_data(tmp_path, 200))
+    p = model.nodes[0].d
+    graph = build_factor_graph(model)
+    run_vmp(graph, max_iter=2, tol=1e-300, track_elbo=False)
+    tracemalloc.start()
+    try:
+        qd = q_density(graph, model.coef_node)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * p * p, f"peak {peak / (8 * p * p):.2f} p x p arrays"
+    layout = model.nodes[0].layout
+    mom = mvn_moments(layout.pack(qd.eta_q), p, layout=layout)
+    assert np.array_equal(qd.common["Sigma"], blocked_covariance(mom))
+
+
+def test_build_and_sweep_at_m1000_stay_below_one_dense_array(tmp_path):
+    """At m=1000 (p=7024, a p x p array is 395 MB) neither the build nor one
+    sweep with the ELBO holds anything close to a dense p x p array."""
+    data = readme_group_data(tmp_path, 1000)
+    tracemalloc.start()
+    try:
+        model = build_group_curves(*data)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        report = run_vmp(build_factor_graph(model), max_iter=1, tol=1e-300, track_elbo=True)
+        sweep_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    p = model.nodes[0].d
+    assert p == 7024 and report.iterations == 1 and len(report.elbo_trace) == 1
+    for what, peak in (("build", build_peak), ("sweep", sweep_peak)):
+        assert peak < 8 * p * p, f"{what} peak {peak / 1e6:.1f} MB"
+
+
 def packed_setting(rng, m, q, g):
     """A penalization and a likelihood on contiguous two-level columns (g
     global, then m groups of q), with a dense coefficient vector on the pattern."""
@@ -139,9 +199,14 @@ def packed_setting(rng, m, q, g):
     for i, cols in enumerate(layout.groups):
         A[3 * i : 3 * i + 3, layout.glob] = rng.normal(size=(3, g))
         A[3 * i : 3 * i + 3, cols] = rng.normal(size=(3, q))
-    lik = GaussianLikelihoodSpec(rng.normal(size=3 * m), A)
+    lik = GaussianLikelihoodSpec.from_design(rng.normal(size=3 * m), A)
     eta = np.concatenate([rng.normal(size=layout.p), -0.5 * vec(arrowhead_precision(rng, layout))])
     return pen, lik, layout, eta
+
+
+def packed_likelihood(lik, layout):
+    """The same likelihood with A^T A packed on ``layout``."""
+    return dataclasses.replace(lik, AtA=layout.pack_matrix(lik.AtA), layout=layout)
 
 
 def variance_eta(kind, d):
@@ -162,7 +227,7 @@ def test_packed_messages_match_dense(m, q, g, seed):
     thetas = [variance_eta(b.kind, b.d) / 2 for b in pen.blocks]
     dense_coef, dense_th = gaussian_penalization_messages(pen, eta / 2, thetas, eta / 2, thetas)
     msg_coef, msgs_th = gaussian_penalization_messages(
-        pen, packed / 2, thetas, packed / 2, thetas, layout=layout
+        pen.for_layout(layout), packed / 2, thetas, packed / 2, thetas
     )
     assert np.array_equal(layout.pack(dense_coef), msg_coef)
     for got, want in zip(msgs_th, dense_th):
@@ -170,12 +235,14 @@ def test_packed_messages_match_dense(m, q, g, seed):
 
     var = variance_eta(SCALAR_D1, 1) / 2
     dense_1, dense_2 = gaussian_likelihood_messages(lik, eta / 2, var, eta / 2, var)
-    msg_1, msg_2 = gaussian_likelihood_messages(lik, packed / 2, var, packed / 2, var, layout=layout)
+    packed_lik = packed_likelihood(lik, layout)
+    assert np.array_equal(packed_lik.for_layout(None).AtA, lik.AtA)  # A is on the pattern
+    msg_1, msg_2 = gaussian_likelihood_messages(packed_lik, packed / 2, var, packed / 2, var)
     assert np.array_equal(layout.pack(dense_1), msg_1)
     assert_rel(msg_2, dense_2)
     fixed = dataclasses.replace(lik, sigma_sq_fixed=0.5)
     want, _ = gaussian_likelihood_messages(fixed, eta, None, eta, None)
-    got, _ = gaussian_likelihood_messages(fixed, packed, None, packed, None, layout=layout)
+    got, _ = gaussian_likelihood_messages(packed_likelihood(fixed, layout), packed, None, packed, None)
     assert np.array_equal(layout.pack(want), got)
 
     dense = mvn_moments(eta, layout.p)
