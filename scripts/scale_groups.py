@@ -5,12 +5,14 @@
 
 For each m the script generates the README's grouped dataset with m groups
 of ``--per-group`` rows (``scripts/make_synthetic_data.py``, run in-process
-into a temporary directory) and reports three phases of a fit:
+into a temporary directory) and reports four phases of a fit:
 
 - build: ``build_group_curves`` plus ``build_factor_graph`` (the benchmark's
   set-up);
 - sweep: one ``run_vmp`` sweep with the ELBO;
-- q_density: the q-density of the ``coef`` node, with its dense Sigma.
+- q_density: the q-density of the ``coef`` node;
+- band: the three population curves (``group_0``, ``group_1``, ``contrast``)
+  with their 95% bands on a 201-point grid, through ``fitted_curve``.
 
 Each time is the minimum over ``--repeats`` runs (the sweeps continue on one
 graph).  Each peak is the ``tracemalloc`` peak of one more run of the phase,
@@ -43,7 +45,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from semivmp.engine import build_factor_graph, q_density, run_vmp  # noqa: E402
-from semivmp.models import build_group_curves  # noqa: E402
+from semivmp.models import build_group_curves, fitted_curve  # noqa: E402
 
 
 def grouped_data(outdir, groups, per_group, seed):
@@ -82,8 +84,11 @@ def peak_bytes(fn):
 
 
 def measure(data, repeats):
+    grid = np.linspace(np.min(data[1]), np.max(data[1]), 201)
+
     def build():
-        return build_factor_graph(build_group_curves(*data))
+        model = build_group_curves(*data)
+        return model, build_factor_graph(model)
 
     def sweep():
         return run_vmp(graph, max_iter=1, tol=1e-300, track_elbo=True)
@@ -91,12 +96,16 @@ def measure(data, repeats):
     def coef_q():
         return q_density(graph, "coef")
 
-    build_s, graph = timed(build, repeats)
+    def band():
+        return [fitted_curve(q_coef, design, grid) for design in model.curves.values()]
+
+    build_s, (model, graph) = timed(build, repeats)
     sweep_s, _ = timed(sweep, repeats)
-    q_s, _ = timed(coef_q, repeats)
+    q_s, q_coef = timed(coef_q, repeats)
+    band_s, _ = timed(band, repeats)
     p = graph.nodes["coef"].d
-    peaks = [peak_bytes(fn) for fn in (build, sweep, coef_q)]
-    return p, (build_s, sweep_s, q_s), peaks
+    peaks = [peak_bytes(fn) for fn in (build, sweep, coef_q, band)]
+    return p, (build_s, sweep_s, q_s, band_s), peaks
 
 
 def main(argv=None):
@@ -109,22 +118,25 @@ def main(argv=None):
     if args.repeats < 1 or min(args.groups) < 1:
         ap.error("--repeats and every --groups value must be at least 1")
 
-    print(f"{'m':>6} {'p':>6} {'build s':>9} {'sweep ms':>9} {'q_density s':>12} "
-          f"{'build MB':>9} {'sweep MB':>9} {'q_density MB':>13} {'p x p MB':>9}", flush=True)
+    print(f"{'m':>6} {'p':>6} {'build s':>9} {'sweep ms':>9} {'q_density s':>12} {'band s':>8} "
+          f"{'build MB':>9} {'sweep MB':>9} {'q_density MB':>13} {'band MB':>8} {'p x p MB':>9}",
+          flush=True)
     first = None
     with tempfile.TemporaryDirectory() as tmp:
         for m in args.groups:
             data = grouped_data(Path(tmp) / f"m{m}", m, args.per_group, args.seed)
-            p, (build_s, sweep_s, q_s), peaks = measure(data, args.repeats)
-            first = first or (m, build_s, sweep_s, q_s)
+            p, (build_s, sweep_s, q_s, band_s), peaks = measure(data, args.repeats)
+            first = first or (m, build_s, sweep_s, q_s, band_s)
             mb = [x / 1e6 for x in peaks]
             print(f"{m:>6} {p:>6} {build_s:>9.4f} {1e3 * sweep_s:>9.2f} {q_s:>12.4f} "
-                  f"{mb[0]:>9.1f} {mb[1]:>9.1f} {mb[2]:>13.1f} {8 * p * p / 1e6:>9.0f}", flush=True)
-            last = (m, build_s, sweep_s, q_s)
+                  f"{band_s:>8.4f} {mb[0]:>9.1f} {mb[1]:>9.1f} {mb[2]:>13.1f} {mb[3]:>8.1f} "
+                  f"{8 * p * p / 1e6:>9.0f}", flush=True)
+            last = (m, build_s, sweep_s, q_s, band_s)
     if len(args.groups) > 1:
         ratios = [b / a for a, b in zip(first[1:], last[1:])]
         print(f"m={last[0]} against m={first[0]} ({last[0] / first[0]:g}x the groups): build "
-              f"{ratios[0]:.2f}x, sweep {ratios[1]:.2f}x, q_density {ratios[2]:.2f}x")
+              f"{ratios[0]:.2f}x, sweep {ratios[1]:.2f}x, q_density {ratios[2]:.2f}x, "
+              f"band {ratios[3]:.2f}x")
     return 0
 
 

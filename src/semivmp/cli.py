@@ -143,19 +143,24 @@ def _build_model(req: FitRequest, header, rows):
     raise CliError(f"unknown model '{req.model}'")
 
 
-def cmd_fit(req: FitRequest) -> int:
-    header, rows = _load_csv(req.data)
-    model = _build_model(req, header, rows)
-    graph = build_factor_graph(model)
-    t0 = time.perf_counter()
-    report = run_vmp(graph, max_iter=req.iters, tol=req.tol)
-    elapsed = time.perf_counter() - t0
+def _dense_entry(qd, layout):
+    """A q-density as the JSON holds it: the dense natural vector and common
+    parameters, unpacked from the packed vector and the two-level blocks
+    when the node has a layout."""
+    eta, common = qd.eta_q, qd.common
+    if layout is not None:
+        eta = layout.unpack(eta)
+        common = {**common, "Sigma": qd.moments.covariance()}
+    return {"family": qd.family, "d": qd.d, "eta": eta, "common": common}
 
+
+def _posterior_output(model, graph):
+    """The q-density table, the curve grids and the original-scale
+    coefficients (when the model has a transform) of a fitted graph, as the
+    JSON holds them.  The q-densities themselves are dropped on return, so a
+    packed vector and its two-level moments do not outlive their dense copies."""
     qds = {node: q_density(graph, node) for node in graph.nodes}
-    qtable = {
-        node: {"family": qd.family, "d": qd.d, "eta": qd.eta_q, "common": qd.common}
-        for node, qd in qds.items()
-    }
+    qtable = {node: _dense_entry(qd, graph.nodes[node].layout) for node, qd in qds.items()}
     qc = qds[model.coef_node]
 
     curves = {}
@@ -175,6 +180,17 @@ def cmd_fit(req: FitRequest) -> int:
     if "coef_transform" in model.meta:
         mu, Sigma = models.original_coefficients(model, qc)
         extras["coefficients_original_scale"] = {"mu": mu, "Sigma": Sigma}
+    return qtable, curves, extras
+
+
+def cmd_fit(req: FitRequest) -> int:
+    header, rows = _load_csv(req.data)
+    model = _build_model(req, header, rows)
+    graph = build_factor_graph(model)
+    t0 = time.perf_counter()
+    report = run_vmp(graph, max_iter=req.iters, tol=req.tol)
+    elapsed = time.perf_counter() - t0
+    qtable, curves, extras = _posterior_output(model, graph)
 
     doc = {
         "meta": {

@@ -113,6 +113,7 @@ class QDensity:
     d: int
     eta_q: np.ndarray
     common: dict
+    moments: object = None  # DenseMoments or TwoLevelMoments of a normal node
 
 
 @dataclass
@@ -259,24 +260,32 @@ def _q_moments(node, eta):
 
 
 def q_density(graph: FactorGraph, node_name: str) -> QDensity:
-    """The q-density of a node, its natural vector and its common parameters
-    in dense form (a packed vector is unpacked, and the dense Sigma is built
-    from the two-level factors)."""
+    """The q-density of a node: its natural vector as the graph stores it,
+    its common parameters and, for a normal node, the moments of its one
+    factorization.
+
+    On a node with a layout ``eta_q`` stays packed (``node.layout`` reads
+    it) and ``common`` holds only ``mu``: the covariance is left in the
+    two-level blocks of ``moments``, which give curve bands
+    (``row_variance``) and, on request, the dense Sigma (``covariance()``).
+    Every other normal node has ``common["Sigma"]``.
+    """
     node = graph.nodes[node_name]
     eta = _eta_q(graph, node_name)
     if not np.all(np.isfinite(eta)):
         raise ImproperQDensityError(node_name, eta)
+    mom = None
     if node.family == expfam.MULTIVARIATE_NORMAL:
         mom = _q_moments(node, eta)
-        common = {"mu": mom.mu, "Sigma": mom.covariance()}
-        if node.layout is not None:
-            eta = node.layout.unpack(eta)
+        common = {"mu": mom.mu}
+        if node.layout is None:
+            common["Sigma"] = mom.Sigma
     else:
         nat = NatParam(node.family, eta, node.d)
         if not expfam.is_proper(nat):
             raise ImproperQDensityError(node_name, eta)
         common = expfam.natural_to_common(nat)
-    return QDensity(node_name, node.family, node.d, eta, common)
+    return QDensity(node_name, node.family, node.d, eta, common, mom)
 
 
 def elbo(graph: FactorGraph) -> float:

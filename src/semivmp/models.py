@@ -35,7 +35,7 @@ from .fragments_glm import (
     PoissonFragmentState,
     ProbitFragmentState,
 )
-from .natparam import TwoLevelLayout, row_quadratic
+from .natparam import TwoLevelLayout
 
 TRUNCATED_LINEAR = "truncated_linear"
 OSULLIVAN_LIKE = "osullivan_like"
@@ -197,10 +197,8 @@ def fitted_curve(q_coef, design_builder, grid, link="identity") -> FittedCurve:
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     C = np.atleast_2d(design_builder(grid))
-    mu = np.asarray(q_coef.common["mu"])
-    Sigma = np.asarray(q_coef.common["Sigma"])
-    center = C @ mu
-    sd = np.sqrt(np.maximum(row_quadratic(C, Sigma), 0.0))
+    center = C @ np.asarray(q_coef.common["mu"])
+    sd = np.sqrt(np.maximum(q_coef.moments.row_variance(C), 0.0))
     g = inverse_link(link)
     return FittedCurve(grid, g(center), g(center - _Z975 * sd), g(center + _Z975 * sd))
 
@@ -252,7 +250,7 @@ def _require_finite(name, values):
 def original_coefficients(model: ModelSpec, q_coef):
     """Posterior mean/covariance of the coefficients on the caller's scale."""
     mu = np.asarray(q_coef.common["mu"])
-    Sigma = np.asarray(q_coef.common["Sigma"])
+    Sigma = q_coef.moments.covariance()
     M = model.meta.get("coef_transform")
     if M is None:
         return mu, Sigma
@@ -545,6 +543,13 @@ def build_group_curves(
         "include_subject_lines": include_subject_lines,
     }
 
+    def _on_global_columns(G):
+        """The p-column grid design with global columns G and zero group
+        columns, in one array (no separate zero block to stack)."""
+        D = np.zeros((G.shape[0], p))
+        D[:, : G.shape[1]] = G
+        return D
+
     def _pop_design(grid, contrast_population):
         gs = (np.asarray(grid, dtype=float) - x_mean) / x_sd
         z = basis_gbl.evaluate(gs)
@@ -554,16 +559,14 @@ def build_group_curves(
         )
         Zwg = (1.0 - contrast_population) * z
         Zbg = contrast_population * z
-        rest = np.zeros((ng, p - 4 - 2 * K_gbl))
-        return np.column_stack([Xg, Zwg, Zbg, rest])
+        return _on_global_columns(np.column_stack([Xg, Zwg, Zbg]))
 
     def contrast_design(grid):
         gs = (np.asarray(grid, dtype=float) - x_mean) / x_sd
         z = basis_gbl.evaluate(gs)
         ng = gs.size
         Xg = np.column_stack([np.zeros(ng), np.zeros(ng), np.ones(ng), gs])
-        rest = np.zeros((ng, p - 4 - 2 * K_gbl))
-        return np.column_stack([Xg, -z, z, rest])
+        return _on_global_columns(np.column_stack([Xg, -z, z]))
 
     curves = {
         "group_0": lambda grid: _pop_design(grid, 0.0),

@@ -148,6 +148,10 @@ class DenseMoments(_Moments):
         """The p x p covariance."""
         return self.Sigma
 
+    def row_variance(self, C):
+        """diag(C Sigma C^T): the variance of each row's linear form."""
+        return row_quadratic(C, self.Sigma)
+
 
 def _dense_moments(eta, d, context):
     eta = np.asarray(eta, dtype=float)
@@ -356,6 +360,38 @@ class TwoLevelMoments(_Moments):
         Sigma[G[:, None], G] = self.Sigma_GG
         Sigma[I[:, :, None], I[:, None, :]] = self.Sigma_ii
         return Sigma
+
+    def row_variance(self, C):
+        """diag(C Sigma C^T) from the blocks, without the dense Sigma.
+
+        With C_G the global columns of C, C_i the columns of group i and
+        X_i = Sigma_iG L (so Sigma_ij = X_i X_j^T between groups i != j),
+
+            var = rowsum((C_G Sigma_GG + 2 sum_i C_i Sigma_iG) o C_G)
+                  + sum_i rowsum((C_i (Sigma_ii - X_i X_i^T)) o C_i)
+                  + ||sum_i C_i X_i||^2_row,
+
+        exact for rows that touch any number of groups.  Only the t groups
+        with a nonzero column in C enter, so n rows cost O(n (g^2 + t q (g + q)))
+        and population curves (global columns only) cost what their g
+        columns do.
+        """
+        lay = self.layout
+        C = np.atleast_2d(np.asarray(C, dtype=float))
+        touched = np.flatnonzero(np.any(np.any(C, axis=0)[lay.groups], axis=1))
+        C_G = C[:, lay.glob]
+        C_t = C[:, lay.groups[touched]]  # (n, t, q)
+        U = self.Sigma_iG[touched]
+        X = U @ self.schur_factor
+        R = self.Sigma_ii[touched] - X @ X.swapaxes(1, 2)
+        C_flat = C_t.reshape(C.shape[0], -1)
+        lead = C_G @ self.Sigma_GG + 2.0 * (C_flat @ U.reshape(-1, lay.g))
+        CX = C_flat @ X.reshape(-1, lay.g)
+        return (
+            np.einsum("ij,ij->i", lead, C_G)
+            + np.einsum("nik,ikl,nil->n", C_t, R, C_t)
+            + np.einsum("ij,ij->i", CX, CX)
+        )
 
 
 def two_level_moments(eta, layout, context=""):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from semivmp import cli
+from semivmp.engine import build_factor_graph, q_density, run_vmp
 from semivmp.models import demo_mean_function
 
 
@@ -189,7 +190,8 @@ def test_groupcurves_requires_group_and_label(tmp_path, spline_csv, capsys):
     assert "--group" in capsys.readouterr().err
 
 
-def test_groupcurves_end_to_end(tmp_path):
+@pytest.fixture
+def groups_csv(tmp_path):
     r = np.random.default_rng(33)
     m, per = 6, 20
     gid = np.repeat([f"s{i}" for i in range(m)], per)
@@ -199,16 +201,47 @@ def test_groupcurves_end_to_end(tmp_path):
     p = tmp_path / "groups.csv"
     make_csv(p, ["y", "x", "subject", "arm"],
              [[f"{v:.8g}" for v in y], [f"{v:.8g}" for v in x], gid, lab])
+    return p
+
+
+GROUPS_ARGS = ["--model", "groupcurves", "--response", "y", "--predictor", "x",
+               "--group", "subject", "--label", "arm", "--knots", "5"]
+
+
+def test_groupcurves_end_to_end(tmp_path, groups_csv):
     out = tmp_path / "g.json"
     code = cli.main(
-        ["fit", "--model", "groupcurves", "--data", str(p), "--response", "y",
-         "--predictor", "x", "--group", "subject", "--label", "arm",
-         "--knots", "5", "--iters", "2000", "--out", str(out)]
+        ["fit", "--data", str(groups_csv), *GROUPS_ARGS, "--iters", "2000", "--out", str(out)]
     )
     assert code == 0
     doc = json.loads(out.read_text())
     assert "Sigma_subject" in doc["q_densities"]
     assert set(doc["curves"]) == {"group_0", "group_1", "contrast"}
+
+
+def test_groupcurves_json_holds_the_dense_coef_density(tmp_path, groups_csv):
+    """The coef node is packed on a two-level layout, but the JSON holds its
+    dense natural vector and dense Sigma: exactly the unpacked eta and the
+    covariance assembled from the two-level blocks."""
+    out = tmp_path / "g.json"
+    assert cli.main(
+        ["fit", "--data", str(groups_csv), *GROUPS_ARGS, "--iters", "30", "--out", str(out)]
+    ) == 2
+    entry = json.loads(out.read_text())["q_densities"]["coef"]
+    req = cli.FitRequest(model="groupcurves", data=str(groups_csv), response="y", predictor="x",
+                         group="subject", label="arm", knots=5, iters=30)
+    model = cli._build_model(req, *cli._load_csv(req.data))
+    graph = build_factor_graph(model)
+    run_vmp(graph, max_iter=req.iters, tol=req.tol)
+    qd = q_density(graph, "coef")
+    layout, p = graph.nodes["coef"].layout, qd.d
+    assert layout is not None
+    assert set(entry) == {"family", "d", "eta", "common"}
+    assert set(entry["common"]) == {"mu", "Sigma"}
+    assert entry["family"] == qd.family and entry["d"] == p
+    assert np.array_equal(entry["eta"], layout.unpack(qd.eta_q)) and len(entry["eta"]) == p + p * p
+    assert np.array_equal(entry["common"]["mu"], qd.common["mu"])
+    assert np.array_equal(entry["common"]["Sigma"], qd.moments.covariance())
 
 
 def test_validate_all_pass(capsys):

@@ -270,9 +270,8 @@ def test_group_curves_single_population_degenerates_to_spline():
     idx_g = np.array([0, 1] + list(range(4, 4 + K)))
     idx_p = np.array([0, 1] + list(range(2, 2 + K)))
     assert np.max(np.abs(qg.common["mu"][idx_g] - qp.common["mu"][idx_p])) <= 1e-6
-    assert np.max(np.abs(
-        qg.common["Sigma"][np.ix_(idx_g, idx_g)] - qp.common["Sigma"][np.ix_(idx_p, idx_p)]
-    )) <= 1e-6
+    Sg, Sp = qg.moments.covariance(), qp.moments.covariance()
+    assert np.max(np.abs(Sg[np.ix_(idx_g, idx_g)] - Sp[np.ix_(idx_p, idx_p)])) <= 1e-6
     assert np.max(np.abs(
         q_density(gg, "sigsq_gbl_w").eta_q - q_density(gp, "sigsq_u").eta_q
     )) <= 1e-6

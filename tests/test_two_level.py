@@ -29,8 +29,8 @@ from semivmp.fragments_gaussian import (
     gaussian_likelihood_messages,
     gaussian_penalization_messages,
 )
-from semivmp.models import build_group_curves
-from semivmp.natparam import TwoLevelLayout, mvn_moments, vec
+from semivmp.models import _Z975, build_group_curves, fitted_curve
+from semivmp.natparam import TwoLevelLayout, mvn_moments, row_quadratic, vec
 
 from conftest import random_spd
 from test_models import assert_statistics_match
@@ -64,6 +64,12 @@ def rel_gap(a, b):
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
 
 
+def dense_eta(graph, qd):
+    """The natural vector of a q-density in dense form (unpacked on a layout)."""
+    layout = graph.nodes[qd.node].layout
+    return qd.eta_q if layout is None else layout.unpack(qd.eta_q)
+
+
 def fit_both(data, sweeps):
     model = build_group_curves(*data)
     assert model.nodes[0].layout is not None
@@ -85,7 +91,8 @@ def test_two_level_fit_matches_dense_fit(tmp_path, groups, sweeps):
     model, ((g2, rep2), (gd, repd)) = fit_both(readme_group_data(tmp_path, groups), sweeps)
     assert rep2.iterations == repd.iterations == sweeps
     for node in gd.nodes:
-        assert rel_gap(q_density(g2, node).eta_q, q_density(gd, node).eta_q) <= 1e-10, node
+        eta2 = dense_eta(g2, q_density(g2, node))
+        assert rel_gap(eta2, q_density(gd, node).eta_q) <= 1e-10, node
     assert rel_gap(rep2.elbo_trace, repd.elbo_trace) <= 1e-10
     mu2 = q_density(g2, model.coef_node).common["mu"]
     mud = q_density(gd, model.coef_node).common["mu"]
@@ -96,18 +103,20 @@ def test_two_level_fit_matches_dense_fit(tmp_path, groups, sweeps):
 
 
 def test_q_density_moments_match_the_dense_path(tmp_path):
-    """q_density of a layout node assembles the dense Sigma from the
-    two-level factors.  The precision here has condition number ~1e5, so
-    the dense mean itself is only good to a few 1e-12 (checked against an
-    iteratively refined solve), which bounds how close the two means can be."""
+    """q_density of a layout node keeps eta packed and the covariance in the
+    two-level blocks; the dense Sigma they assemble matches the dense
+    factorization of the unpacked eta.  The precision here has condition
+    number ~1e5, so the dense mean itself is only good to a few 1e-12
+    (checked against an iteratively refined solve), which bounds how close
+    the two means can be."""
     model = build_group_curves(*readme_group_data(tmp_path, 20))
     graph = build_factor_graph(model)
     run_vmp(graph, max_iter=30, tol=1e-300)
     qd = q_density(graph, model.coef_node)
-    p = qd.d
-    assert qd.eta_q.shape == (p + p * p,)  # unpacked
-    dense = mvn_moments(qd.eta_q, p)
-    assert_rel(qd.common["Sigma"], dense.Sigma, tol=1e-12)
+    p, layout = qd.d, graph.nodes[model.coef_node].layout
+    assert qd.eta_q.shape == (layout.packed_size,) and set(qd.common) == {"mu"}
+    dense = mvn_moments(layout.unpack(qd.eta_q), p)
+    assert_rel(qd.moments.covariance(), dense.Sigma, tol=1e-12)
     assert_rel(qd.common["mu"], dense.mu, tol=1e-11)
 
 
@@ -148,41 +157,115 @@ def blocked_covariance(mom):
     return Sigma
 
 
-def test_q_density_sigma_takes_one_dense_buffer(tmp_path):
-    """q_density of the coef node at m=200 holds the unpacked eta and the
-    dense Sigma, and allocates little beside them at its peak."""
+def curve_grid(model):
+    """The 201-point grid over the data's x range that ``semivmp fit`` uses."""
+    x = model.meta["x"]
+    return np.linspace(np.min(x), np.max(x), 201)
+
+
+def output_peak(graph, model):
+    """tracemalloc peak of the coef q-density and its three curve bands."""
+    grid = curve_grid(model)
+    tracemalloc.start()
+    try:
+        qd = q_density(graph, model.coef_node)
+        bands = [fitted_curve(qd, design, grid) for design in model.curves.values()]
+        return qd, bands, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_output_at_m200_stays_below_a_quarter_dense_array(tmp_path):
+    """At m=200 the q-density of the coef node and the 201-point bands of
+    its three curves together peak below a quarter of one p x p array; the
+    dense Sigma, assembled only on request, takes one p x p buffer and is
+    the old assembly bit for bit."""
     model = build_group_curves(*readme_group_data(tmp_path, 200))
     p = model.nodes[0].d
     graph = build_factor_graph(model)
     run_vmp(graph, max_iter=2, tol=1e-300, track_elbo=False)
+    qd, bands, peak = output_peak(graph, model)
+    assert len(bands) == 3 and all(np.all(np.isfinite(b.upper95)) for b in bands)
+    assert peak < 0.25 * 8 * p * p, f"peak {peak / (8 * p * p):.3f} p x p arrays"
     tracemalloc.start()
     try:
-        qd = q_density(graph, model.coef_node)
+        Sigma = qd.moments.covariance()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 8 * p * p, f"peak {peak / (8 * p * p):.2f} p x p arrays"
-    layout = model.nodes[0].layout
-    mom = mvn_moments(layout.pack(qd.eta_q), p, layout=layout)
-    assert np.array_equal(qd.common["Sigma"], blocked_covariance(mom))
+    assert peak < 1.5 * 8 * p * p, f"covariance peak {peak / (8 * p * p):.2f} p x p arrays"
+    assert np.array_equal(Sigma, blocked_covariance(qd.moments))
+
+
+def band_designs(rng, layout, n=40):
+    """Three kinds of curve design: rows on the global columns only (as the
+    population curves), rows inside one group (with the global columns), and
+    sparse random rows that span several groups."""
+    p, G = layout.p, layout.glob
+    glob_only = np.zeros((n, p))
+    glob_only[:, G] = rng.normal(size=(n, G.size))
+    one_group = glob_only.copy()
+    cols = layout.groups[layout.m // 2]
+    one_group[:, cols] = rng.normal(size=(n, cols.size))
+    several = np.zeros((n, p))
+    for row in several:
+        pick = rng.choice(p, size=min(p, 12), replace=False)
+        row[pick] = rng.normal(size=pick.size)
+    return {"global only": glob_only, "one group": one_group, "several groups": several}
+
+
+@pytest.mark.parametrize("groups, sweeps", [(20, 30), (200, 4)])
+def test_row_variance_matches_the_dense_band(tmp_path, groups, sweeps):
+    """Band variances from the two-level blocks equal diag(C Sigma C^T) of the
+    dense Sigma, for designs on any set of groups and for the model's curves."""
+    model = build_group_curves(*readme_group_data(tmp_path, groups))
+    graph = build_factor_graph(model)
+    run_vmp(graph, max_iter=sweeps, tol=1e-300, track_elbo=False)
+    qd = q_density(graph, model.coef_node)
+    Sigma = qd.moments.covariance()
+    rng = np.random.default_rng(groups)
+    for kind, C in band_designs(rng, qd.moments.layout).items():
+        want = row_quadratic(C, Sigma)
+        assert np.all(want > 0.0)
+        got = qd.moments.row_variance(C)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=kind)
+    grid = curve_grid(model)
+    for name, design in model.curves.items():
+        fc = fitted_curve(qd, design, grid)
+        C = design(grid)
+        sd = np.sqrt(row_quadratic(C, Sigma))
+        assert np.array_equal(fc.mean, C @ qd.common["mu"]), name
+        assert_rel(fc.lower95, fc.mean - _Z975 * sd, tol=1e-12)
+        assert_rel(fc.upper95, fc.mean + _Z975 * sd, tol=1e-12)
+
+
+def test_dense_row_variance_is_the_row_quadratic():
+    rng = np.random.default_rng(7)
+    mom = mvn_moments(np.concatenate([rng.normal(size=5), -0.5 * vec(random_spd(rng, 5))]), 5)
+    C = rng.normal(size=(11, 5))
+    assert np.array_equal(mom.row_variance(C), row_quadratic(C, mom.Sigma))
 
 
 def test_build_and_sweep_at_m1000_stay_below_one_dense_array(tmp_path):
-    """At m=1000 (p=7024, a p x p array is 395 MB) neither the build nor one
-    sweep with the ELBO holds anything close to a dense p x p array."""
+    """At m=1000 (p=7024, a p x p array is 395 MB) neither the build, nor one
+    sweep with the ELBO, nor the output (the coef q-density and its three
+    201-point curve bands) holds anything close to a dense p x p array."""
     data = readme_group_data(tmp_path, 1000)
     tracemalloc.start()
     try:
         model = build_group_curves(*data)
         build_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        report = run_vmp(build_factor_graph(model), max_iter=1, tol=1e-300, track_elbo=True)
+        graph = build_factor_graph(model)
+        report = run_vmp(graph, max_iter=1, tol=1e-300, track_elbo=True)
         sweep_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    _, bands, output_peak_ = output_peak(graph, model)
     p = model.nodes[0].d
     assert p == 7024 and report.iterations == 1 and len(report.elbo_trace) == 1
-    for what, peak in (("build", build_peak), ("sweep", sweep_peak)):
+    assert len(bands) == 3
+    for what, peak in (("build", build_peak), ("sweep", sweep_peak), ("output", output_peak_)):
         assert peak < 8 * p * p, f"{what} peak {peak / 1e6:.1f} MB"
 
 
@@ -250,6 +333,8 @@ def test_packed_messages_match_dense(m, q, g, seed):
     assert_rel(two.mu, dense.mu)
     assert_rel(two.logdet, dense.logdet)
     assert_rel(two.covariance(), dense.Sigma)
+    C = rng.normal(size=(4, layout.p))
+    assert_rel(two.row_variance(C), row_quadratic(C, dense.Sigma))
     AtA = lik.AtA
     assert_rel(
         two.expected_quadratic(layout.pack_matrix(AtA), lik.Aty, lik.yty),
