@@ -12,12 +12,22 @@ A fragment is any object with three methods, all in port order:
 
 - ``ports()``: the (family, d) each port needs;
 - ``update(n2f, f2n, nodes, context)``: the fragment to keep (itself, or a
-  replaced state) and its new factor-to-node messages;
+  replaced state), its new factor-to-node messages, and a dict that maps a
+  normal port to the pair (vector, moments) of a combined density the update
+  factored, the port's node-to-factor message plus its new message (empty
+  when it factored none);
 - ``logp(q_etas, moments)``: its term E_q{log fragment} of the ELBO, given
   the q-density vectors and, for normal ports, their moments.
 
 A fragment may also set ``start_precision``, the precision of the normal
 messages it starts from.  The engine knows no fragment kind.
+
+Each normal q-density is factored once per sweep where it can be.  At
+damping 1 the engine keeps the pairs an update hands back, one per node, and
+drops a node's pair before the next update that writes to that node.  The
+ELBO and ``q_density`` read the kept moments when the node's summed vector
+is bitwise equal to the kept vector, and factor it afresh otherwise; the
+results are the same to the bit either way.
 """
 
 from __future__ import annotations
@@ -130,6 +140,7 @@ class FactorGraph:
         self.factors = {}
         self.fac_to_node = {}
         self.node_factors = {}
+        self.kept_moments = {}  # node -> (factored vector, its moments), see update_factor
 
 
 def _vague_init(node, precision):
@@ -214,13 +225,20 @@ def update_node_to_factor(graph: FactorGraph, node: str, factor: str) -> np.ndar
 def update_factor(graph: FactorGraph, factor_name: str, damping: float = 1.0):
     """Run one factor update (messages refreshed first), with optional damping
     eta_new = rho * proposed + (1 - rho) * old.  Returns the new outbound
-    payloads, in neighbor order."""
+    payloads, in neighbor order.
+
+    The moments kept for the factor's nodes are dropped first, as the update
+    writes to every one of them; at damping 1 the moments the update hands
+    back are kept in their place (a damped message is not the one factored).
+    """
     factor = graph.factors[factor_name]
     nb = factor.neighbors
+    for nname in nb:
+        graph.kept_moments.pop(nname, None)
     n2f = [update_node_to_factor(graph, nname, factor_name) for nname in nb]
     f2n = [graph.fac_to_node[(factor_name, nname)] for nname in nb]
     try:
-        factor.fragment, payloads = factor.fragment.update(
+        factor.fragment, payloads, formed = factor.fragment.update(
             n2f, f2n, [graph.nodes[nname] for nname in nb], factor_name
         )
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as err:
@@ -239,6 +257,9 @@ def update_factor(graph: FactorGraph, factor_name: str, damping: float = 1.0):
         new = payload if damping == 1.0 else damping * payload + (1.0 - damping) * old
         graph.fac_to_node[(factor_name, nname)] = new
         out.append(new)
+    if damping == 1.0:
+        for port, kept in formed.items():
+            graph.kept_moments[nb[port]] = kept
     return out
 
 
@@ -250,9 +271,12 @@ def _eta_q(graph, node_name):
     return total
 
 
-def _q_moments(node, eta):
-    """Moments of a normal q-density from one factorization (two-level on a
+def _q_moments(node, eta, kept=None):
+    """Moments of a normal q-density: ``kept`` (a node's kept pair) when its
+    vector is bitwise ``eta``, else from one factorization (two-level on a
     layout); a precision that does not factor makes the q-density improper."""
+    if kept is not None and np.array_equal(kept[0], eta):
+        return kept[1]
     try:
         return mvn_moments(eta, node.d, f"q-density {node.name}", node.layout)
     except SpdFactorizationError:
@@ -268,7 +292,8 @@ def q_density(graph: FactorGraph, node_name: str) -> QDensity:
     it) and ``common`` holds only ``mu``: the covariance is left in the
     two-level blocks of ``moments``, which give curve bands
     (``row_variance``) and, on request, the dense Sigma (``covariance()``).
-    Every other normal node has ``common["Sigma"]``.
+    Every other normal node has ``common["Sigma"]``.  Moments the graph kept
+    for the node are handed over, not shared: the graph forgets them.
     """
     node = graph.nodes[node_name]
     eta = _eta_q(graph, node_name)
@@ -276,7 +301,7 @@ def q_density(graph: FactorGraph, node_name: str) -> QDensity:
         raise ImproperQDensityError(node_name, eta)
     mom = None
     if node.family == expfam.MULTIVARIATE_NORMAL:
-        mom = _q_moments(node, eta)
+        mom = _q_moments(node, eta, graph.kept_moments.pop(node_name, None))
         common = {"mu": mom.mu}
         if node.layout is None:
             common["Sigma"] = mom.Sigma
@@ -288,26 +313,28 @@ def q_density(graph: FactorGraph, node_name: str) -> QDensity:
     return QDensity(node_name, node.family, node.d, eta, common, mom)
 
 
-def elbo(graph: FactorGraph) -> float:
+def elbo(graph: FactorGraph, q_etas=None) -> float:
     """Entropy of each q-density plus each factor's E_q{log fragment}.
 
-    Each multivariate normal q-density is factored once (two-level when its
-    node has a layout); that one factorization gives its properness, its
-    entropy and the moments the fragments' terms read.
+    ``q_etas`` maps each node to its summed vector when the caller has them
+    already.  Each multivariate normal q-density is factored at most once
+    (two-level when its node has a layout), and not at all when the graph
+    kept its moments; those moments give its properness, its entropy and the
+    moments the fragments' terms read.
     """
     total = 0.0
-    etas, moments = {}, {}
+    etas = q_etas if q_etas is not None else {n: _eta_q(graph, n) for n in graph.nodes}
+    moments = {}
     for nname, node in graph.nodes.items():
-        eta = _eta_q(graph, nname)
+        eta = etas[nname]
         if node.family == expfam.MULTIVARIATE_NORMAL:
-            moments[nname] = _q_moments(node, eta)
+            moments[nname] = _q_moments(node, eta, graph.kept_moments.get(nname))
             total += expfam.mvn_entropy(node.d, moments[nname].logdet)
         else:
             nat = NatParam(node.family, eta, node.d)
             if not expfam.is_proper(nat):
                 raise ImproperQDensityError(nname, eta)
             total += expfam.entropy(nat)
-        etas[nname] = eta
     for factor in graph.factors.values():
         nb = factor.neighbors
         total += factor.fragment.logp([etas[n] for n in nb], [moments.get(n) for n in nb])
@@ -325,8 +352,9 @@ def run_vmp(
     """Sweep the factors until the q-density natural parameters settle.
 
     Convergence is the infinity norm of the relative change of all q-density
-    vectors concatenated, with per-coordinate denominator max(1, |old|); the
-    ELBO is recorded once per sweep when tracking is on.
+    vectors, with per-coordinate denominator max(1, |old|), taken node by
+    node; the ELBO is recorded once per sweep when tracking is on, from the
+    same vectors.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -345,19 +373,30 @@ def run_vmp(
             missing = sorted(set(graph.factors) - set(schedule))
             raise GraphStructureError(f"schedule misses factors: {missing}")
 
-    prev = np.concatenate([_eta_q(graph, n) for n in graph.nodes])
+    prev = {n: _eta_q(graph, n) for n in graph.nodes}
     report = ConvergenceReport(iterations=0, converged=False, max_relative_delta=np.inf)
     for _ in range(max_iter):
         for fname in schedule:
             update_factor(graph, fname, damping=damping)
         report.iterations += 1
-        cur = np.concatenate([_eta_q(graph, n) for n in graph.nodes])
-        delta = float(np.max(np.abs(cur - prev) / np.maximum(1.0, np.abs(prev))))
+        cur = {n: _eta_q(graph, n) for n in graph.nodes}
+        delta = float(np.max([_max_relative_change(cur[n], prev[n]) for n in graph.nodes]))
         report.max_relative_delta = delta
         prev = cur
         if track_elbo:
-            report.elbo_trace.append(elbo(graph))
+            report.elbo_trace.append(elbo(graph, cur))
         if delta < tol:
             report.converged = True
             break
     return report
+
+
+def _max_relative_change(new, old):
+    """max |new - old| / max(1, |old|), computed in place in ``old`` (which
+    the caller no longer needs) with one temporary."""
+    scale = np.abs(old)
+    np.maximum(scale, 1.0, out=scale)
+    np.subtract(new, old, out=old)
+    np.abs(old, out=old)
+    np.divide(old, scale, out=old)
+    return old.max()

@@ -24,6 +24,7 @@ from scipy.special import psi as _scipy_psi, expi as _scipy_expi, gammaln, expit
 
 from .natparam import (
     SpdFactorizationError,
+    chol_solve,
     spd_chol,
     spd_inverse,
     spd_logdet,
@@ -190,11 +191,15 @@ def is_proper(x: NatParam) -> bool:
     raise UnknownFamilyError(x.family)
 
 
+def _improper(x: NatParam):
+    return ImproperParameterError(
+        f"improper {x.family}(d={x.d}) natural parameter {np.array2string(x.eta, precision=4)}"
+    )
+
+
 def _require_proper(x: NatParam):
     if not is_proper(x):
-        raise ImproperParameterError(
-            f"improper {x.family}(d={x.d}) natural parameter {np.array2string(x.eta, precision=4)}"
-        )
+        raise _improper(x)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +297,8 @@ def natural_to_common(x: NatParam) -> dict:
 
 
 def expected_sufficient_statistic(x: NatParam) -> np.ndarray:
+    if x.family == INVERSE_WISHART:
+        return _inverse_wishart_statistic(x)
     _require_proper(x)
     e, d = x.eta, x.d
     if x.family == BERNOULLI:
@@ -314,19 +321,30 @@ def expected_sufficient_statistic(x: NatParam) -> np.ndarray:
     if x.family == MULTIVARIATE_NORMAL:
         mu, Sigma = mvn_moments_from_natural(e, d, context="E[T] mvn")
         return np.concatenate([mu, vec(Sigma + np.outer(mu, mu))])
-    if x.family == INVERSE_WISHART:
-        M = x.matrix_block()
-        js = np.arange(1, d + 1)
-        e_logdet = spd_logdet(-M, context="E[T] iw") - float(
-            np.sum(_scipy_psi(-e[0] - 0.5 * (d + js)))
-        )
-        Minv = -spd_inverse(-M, context="E[T] iw")
-        return np.concatenate([[e_logdet], (e[0] + 0.5 * (d + 1.0)) * vec(Minv)])
     if x.family == INVERSE_G_WISHART_DIAG:
         m = np.diag(x.matrix_block())
         e_logdet = float(np.sum(np.log(-m))) - d * float(_scipy_psi(-e[0] - 1.0))
         return np.concatenate([[e_logdet], vec(np.diag((e[0] + 1.0) / m))])
     raise UnknownFamilyError(x.family)
+
+
+def _inverse_wishart_statistic(x: NatParam) -> np.ndarray:
+    """E{T} of an inverse-Wishart member from one Cholesky factorization of
+    -M (M the matrix block): the same factor decides properness, as
+    :func:`is_proper` does, and gives log det(-M) and (-M)^{-1}."""
+    e, d = x.eta, x.d
+    if not e[0] < -d:
+        raise _improper(x)
+    try:
+        c = spd_chol(-x.matrix_block(), context="E[T] iw")
+    except SpdFactorizationError:
+        raise _improper(x) from None
+    js = np.arange(1, d + 1)
+    e_logdet = 2.0 * float(np.sum(np.log(np.diag(c[0])))) - float(
+        np.sum(_scipy_psi(-e[0] - 0.5 * (d + js)))
+    )
+    Minv = -symmetrize(chol_solve(c, np.eye(d)))
+    return np.concatenate([[e_logdet], (e[0] + 0.5 * (d + 1.0)) * vec(Minv)])
 
 
 def log_partition(x: NatParam) -> float:

@@ -5,9 +5,18 @@ the iterated inverse-G-Wishart link (variance/covariance hierarchies), Gaussian
 penalization of random-effect blocks, and the Gaussian likelihood.  Each update
 function is pure: it maps the current inbound/outbound message vectors to fresh
 outbound messages.  "Combined" vectors (inbound + outbound on the same edge)
-are always formed at call time, never cached, and port updates inside one
-factor are sequential — each later port sees the earlier ports' new messages,
-which is what makes a full sweep an exact coordinate-ascent pass.
+are formed at call time from the messages passed in, and port updates inside
+one factor are sequential — each later port sees the earlier ports' new
+messages, which is what makes a full sweep an exact coordinate-ascent pass.
+
+The penalization and the likelihood (with its noise variance unknown) factor
+the combined coefficient vector, their node-to-factor message plus their new
+message.  That is the coefficient q-density right after the update, so
+through an optional ``formed`` dict they hand the vector and its moments to
+the caller: the specs' ``update`` returns them, and the engine reads them in
+the ELBO and ``q_density`` instead of factoring again.  Constant matrices,
+the prior's Sigma and the penalization's Sigma0, are factored once, when a
+spec is made.
 
 The companion ``*_logp`` functions give each factor's contribution
 E_q{log factor} to the evidence lower bound.  Each spec is also the fragment
@@ -27,7 +36,6 @@ from . import expfam
 from .expfam import NatParam
 from .natparam import (
     TwoLevelLayout,
-    g_vmp,
     mvn_moments,
     natural_position,
     natural_size,
@@ -114,14 +122,21 @@ def _log_iw_norm(d, kappa):
 
 @dataclass(frozen=True)
 class GaussianPriorSpec:
+    """Constant prior N(mu, Sigma); Sigma^{-1} and log det Sigma are factored
+    once, when the spec is made."""
+
     mu: np.ndarray
     Sigma: np.ndarray
+    Sinv: np.ndarray = field(init=False, repr=False, compare=False)
+    logdet_Sigma: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mu", np.atleast_1d(np.asarray(self.mu, dtype=float)))
         object.__setattr__(self, "Sigma", np.atleast_2d(np.asarray(self.Sigma, dtype=float)))
         if self.Sigma.shape != (self.mu.size, self.mu.size):
             raise ValueError("Sigma must be square and match mu")
+        object.__setattr__(self, "Sinv", spd_inverse(self.Sigma, context="gaussian prior Sigma"))
+        object.__setattr__(self, "logdet_Sigma", spd_logdet(self.Sigma, context="gaussian prior Sigma"))
 
     @property
     def d(self):
@@ -131,7 +146,7 @@ class GaussianPriorSpec:
         return [(expfam.MULTIVARIATE_NORMAL, self.d)]
 
     def update(self, n2f, f2n, nodes, context):
-        return self, [gaussian_prior_message(self)]
+        return self, [gaussian_prior_message(self)], {}
 
     def logp(self, q_etas, moments):
         return gaussian_prior_logp(self, q_etas[0], moments=moments[0])
@@ -159,7 +174,7 @@ class InverseWishartPriorSpec:
         return [(self.graph_kind, self.d)]
 
     def update(self, n2f, f2n, nodes, context):
-        return self, [inverse_wishart_prior_message(self)]
+        return self, [inverse_wishart_prior_message(self)], {}
 
     def logp(self, q_etas, moments):
         return inverse_wishart_prior_logp(self, q_etas[0])
@@ -188,7 +203,7 @@ class IteratedIGWSpec:
 
     def update(self, n2f, f2n, nodes, context):
         msg1, msg2 = iterated_igw_messages(self, n2f[0], n2f[1], f2n[0], f2n[1], context=context)
-        return self, [msg1, msg2]
+        return self, [msg1, msg2], {}
 
     def logp(self, q_etas, moments):
         return iterated_igw_logp(self, q_etas[0], q_etas[1])
@@ -215,18 +230,24 @@ class GaussianPenalizationSpec:
     coefficient vectors are then packed on it.  ``positions`` holds, once per
     spec, where S0^{-1} (a d0 x d0 array) and each block's Omega_l (an
     (m, d, d) array) sit in the coefficient natural vector stored that way;
-    the update writes the message there and reads the covariance there."""
+    the update writes the message there and reads the covariance there.
+    ``S0inv`` and ``logdet_Sigma0`` are factored once per spec too."""
 
     mu0: np.ndarray
     Sigma0: np.ndarray
     blocks: tuple
     layout: TwoLevelLayout | None = None
     positions: tuple = field(init=False, repr=False, compare=False)
+    S0inv: np.ndarray = field(init=False, repr=False, compare=False)
+    logdet_Sigma0: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mu0", np.atleast_1d(np.asarray(self.mu0, dtype=float)))
         object.__setattr__(self, "Sigma0", np.atleast_2d(np.asarray(self.Sigma0, dtype=float)))
         object.__setattr__(self, "blocks", tuple(self.blocks))
+        context = "gaussian penalization Sigma0"
+        object.__setattr__(self, "S0inv", spd_inverse(self.Sigma0, context=context))
+        object.__setattr__(self, "logdet_Sigma0", spd_logdet(self.Sigma0, context=context))
         p, fixed = self.total_dim, np.arange(self.d0)
         positions = [natural_position(fixed[:, None], fixed[None, :], p, self.layout)]
         for _, cols in _block_columns(self):
@@ -254,11 +275,11 @@ class GaussianPenalizationSpec:
         ]
 
     def update(self, n2f, f2n, nodes, context):
-        spec = self.for_layout(nodes[0].layout)
+        spec, formed = self.for_layout(nodes[0].layout), {}
         msg_coef, msgs_theta = gaussian_penalization_messages(
-            spec, n2f[0], n2f[1:], f2n[0], f2n[1:], context=context
+            spec, n2f[0], n2f[1:], f2n[0], f2n[1:], context=context, formed=formed
         )
-        return spec, [msg_coef, *msgs_theta]
+        return spec, [msg_coef, *msgs_theta], formed
 
     def logp(self, q_etas, moments):
         return gaussian_penalization_logp(self, q_etas[0], q_etas[1:], moments=moments[0])
@@ -327,12 +348,12 @@ class GaussianLikelihoodSpec:
         return [(expfam.MULTIVARIATE_NORMAL, self.d)]
 
     def update(self, n2f, f2n, nodes, context):
-        spec = self.for_layout(nodes[0].layout)
+        spec, formed = self.for_layout(nodes[0].layout), {}
         n2f_var, f2n_var = (n2f[1], f2n[1]) if len(n2f) > 1 else (None, None)
         msg1, msg2 = gaussian_likelihood_messages(
-            spec, n2f[0], n2f_var, f2n[0], f2n_var, context=context
+            spec, n2f[0], n2f_var, f2n[0], f2n_var, context=context, formed=formed
         )
-        return spec, [msg1] if msg2 is None else [msg1, msg2]
+        return spec, [msg1] if msg2 is None else [msg1, msg2], formed
 
     def logp(self, q_etas, moments):
         q_var = q_etas[1] if len(q_etas) > 1 else None
@@ -344,7 +365,7 @@ class GaussianLikelihoodSpec:
 
 
 def gaussian_prior_message(spec: GaussianPriorSpec):
-    Sinv = spd_inverse(spec.Sigma, context="gaussian prior Sigma")
+    Sinv = spec.Sinv
     return np.concatenate([Sinv @ spec.mu, -0.5 * vec(Sinv)])
 
 
@@ -418,6 +439,7 @@ def gaussian_penalization_messages(
     eta_factor_to_coef,
     etas_factor_to_theta,
     context="gaussian penalization",
+    formed=None,
 ):
     """Updated (factor->coefficients, [factor->Theta_l ...]) messages.
 
@@ -425,10 +447,12 @@ def gaussian_penalization_messages(
     blocks, in block order; fixed-Theta blocks contribute their known
     precision to the coefficient message and receive nothing.  The
     coefficient vectors are stored as on ``spec.layout`` (dense when None);
-    S0^{-1} and each Omega_l are written at ``spec.positions``.
+    S0^{-1} and each Omega_l are written at ``spec.positions``.  A dict
+    ``formed`` receives, under port 0, the combined coefficient vector and
+    the moments this update factored it into.
     """
     p = spec.total_dim
-    S0inv = spd_inverse(spec.Sigma0, context=f"{context} Sigma0")
+    S0inv = spec.S0inv
     omegas = _penalty_precisions(spec, etas_theta_to_factor, etas_factor_to_theta, context)
 
     msg_coef = np.zeros(natural_size(p, spec.layout))
@@ -439,6 +463,8 @@ def gaussian_penalization_messages(
 
     c_coef = np.asarray(eta_coef_to_factor) + msg_coef
     moments = mvn_moments(c_coef, p, f"{context} combined coefficients", spec.layout)
+    if formed is not None:
+        formed[0] = (c_coef, moments)
 
     msgs_theta = []
     for (b, cols), pos in zip(_block_columns(spec), spec.positions[1:]):
@@ -456,22 +482,23 @@ def gaussian_likelihood_messages(
     eta_factor_to_theta1,
     eta_factor_to_theta2,
     context="gaussian likelihood",
+    formed=None,
 ):
     """Updated (factor->theta1, factor->theta2) messages; theta2 parts are None
     when sigma_sq_fixed pins the noise variance.  theta1's vectors are stored
-    as its A^T A is: packed on ``spec.layout``, or dense when that is None."""
+    as its A^T A is: packed on ``spec.layout``, or dense when that is None.
+    With theta2 unknown, a dict ``formed`` receives, under port 0, the
+    combined theta1 vector and the moments this update factored it into."""
     if spec.sigma_sq_fixed is not None:
         return spec.natural * (1.0 / spec.sigma_sq_fixed), None
     c2 = np.asarray(eta_theta2_to_factor) + np.asarray(eta_factor_to_theta2)
     w = _inverse_moment(c2, 1, SCALAR_D1, context + " [variance]")[0, 0]  # E{1/theta2}
     msg1 = spec.natural * w
     c1 = np.asarray(eta_theta1_to_factor) + msg1
-    msg2 = np.array(
-        [
-            -0.5 * spec.n,
-            g_vmp(c1, spec.AtA, spec.Aty, spec.yty, context + " [coefficients]", spec.layout),
-        ]
-    )
+    moments = mvn_moments(c1, spec.d, context + " [coefficients]", spec.layout)
+    if formed is not None:
+        formed[0] = (c1, moments)
+    msg2 = np.array([-0.5 * spec.n, moments.expected_quadratic(spec.AtA, spec.Aty, spec.yty)])
     return msg1, msg2
 
 
@@ -485,10 +512,10 @@ def gaussian_prior_logp(spec: GaussianPriorSpec, q_eta, moments=None):
     d = spec.d
     if moments is None:
         moments = mvn_moments(q_eta, d, "prior logp")
-    Sinv = spd_inverse(spec.Sigma, context="prior logp")
+    Sinv = spec.Sinv
     log_norm = (
         -0.5 * d * _LOG_2PI
-        - 0.5 * spd_logdet(spec.Sigma, context="prior logp")
+        - 0.5 * spec.logdet_Sigma
         - 0.5 * float(spec.mu @ Sinv @ spec.mu)
     )
     return moments.expected_quadratic(Sinv, Sinv @ spec.mu, 0.0) + log_norm
@@ -534,12 +561,12 @@ def gaussian_penalization_logp(
         moments = mvn_moments(q_eta_coef, spec.total_dim, "penalization logp", spec.layout)
     spec = spec.for_layout(moments.layout)
     d0 = spec.d0
-    S0inv = spd_inverse(spec.Sigma0, context="penalization logp Sigma0")
+    S0inv = spec.S0inv
     dm = moments.mu[:d0] - spec.mu0
     Sigma00 = moments.covariance_at(spec.positions[0])
     total = (
         -0.5 * d0 * _LOG_2PI
-        - 0.5 * spd_logdet(spec.Sigma0, context="penalization logp Sigma0")
+        - 0.5 * spec.logdet_Sigma0
         - 0.5 * (float(dm @ S0inv @ dm) + float(np.sum(S0inv * Sigma00)))
     )
     k = 0

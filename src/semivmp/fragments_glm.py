@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln, log_ndtr
 
 from .expfam import MULTIVARIATE_NORMAL
-from .natparam import mvn_moments_from_natural, row_quadratic, vec, vec_inverse
+from .natparam import mvn_moments_from_natural, row_quadratic, vec
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -92,7 +92,7 @@ class LogisticFragmentState(_GlmFragment):
 
     def update(self, n2f, f2n, nodes, context):
         state, msg = jaakkola_jordan_update(self, f2n[0], n2f[0])
-        return state, [msg]
+        return state, [msg], {}
 
     def logp(self, q_etas, moments):
         return jaakkola_jordan_elbo(self, q_etas[0], moments=moments[0])
@@ -113,7 +113,7 @@ class ProbitFragmentState(_GlmFragment):
 
     def update(self, n2f, f2n, nodes, context):
         state, msg = albert_chib_update(self, f2n[0], n2f[0])
-        return state, [msg]
+        return state, [msg], {}
 
     def logp(self, q_etas, moments):
         return albert_chib_elbo(self, q_etas[0], moments=moments[0])
@@ -134,7 +134,7 @@ class PoissonFragmentState(_GlmFragment):
 
     def update(self, n2f, f2n, nodes, context):
         state, msg = knowles_minka_wand_update(self, f2n[0], n2f[0])
-        return state, [msg]
+        return state, [msg], {}
 
     def logp(self, q_etas, moments):
         return knowles_minka_wand_elbo(self, q_etas[0], moments=moments[0])
@@ -264,19 +264,3 @@ def knowles_minka_wand_elbo(state: PoissonFragmentState, q_eta, moments=None):
     _check_linear_predictor(float(np.max(lin)))
     return float(state.y @ (A @ mu) - np.sum(np.exp(lin)) - np.sum(gammaln(state.y + 1.0)))
 
-
-def kmw_local_objective(state: PoissonFragmentState, mu, Sigma, eta_other):
-    """Local objective whose mu-gradient vanishes at the Poisson fixed point.
-
-    eta_other is the sum of all non-Poisson messages into the coefficient
-    node.  Sigma is held fixed; terms constant in mu are dropped.
-    """
-    mu = np.asarray(mu, dtype=float)
-    A = state.A
-    lin = A @ mu + 0.5 * row_quadratic(A, Sigma)
-    eta_other = np.asarray(eta_other)
-    d = mu.size
-    M = vec_inverse(eta_other[d:], d)
-    return float(
-        state.y @ (A @ mu) - np.sum(np.exp(lin)) + eta_other[:d] @ mu + mu @ M @ mu
-    )

@@ -418,29 +418,52 @@ def _two_level_statistics(y, X_G, local, gidx, sizes, layout):
     """(C^T y, packed C^T C) of the design C whose global columns are X_G and
     whose row r holds local[r] in the columns of its group gidx[r] (zero in
     every other group's), accumulated group by group without forming C.
+    ``local`` is given as a list of columns (1-d) and column blocks (2-d).
 
     With C_i = local[rows of group i]: C^T C is X_G^T X_G on the global
     block, C_i^T X_G[rows of i] on group i's rows against the global columns
     and C_i^T C_i on its own block, and zero between two groups.  The rows
     are sorted by group once; then one (q x n_i) by (n_i x (q + g + 1))
     product per group gives its blocks and C_i^T y_i, O(n (q + g) q) in all.
+    The blocks are written straight into the packed vector.
     """
-    m, q = layout.groups.shape
-    g = layout.g
-    R = np.column_stack([local, X_G, y])[np.argsort(gidx, kind="stable")]
-    out = np.empty((m, q, R.shape[1]))
+    q, g = layout.q, layout.g
+    out = _group_products(_rows_by_group([*local, X_G, y], gidx), sizes, q)
+    Aty = np.empty(layout.p)
+    Aty[layout.glob] = X_G.T @ y
+    Aty[layout.groups] = out[:, :, -1]
+    AtA = np.empty(layout.packed_size - layout.p)
+    GG, iG, Gi, ii = layout.split(AtA)
+    GG[...] = X_G.T @ X_G
+    iG[...] = out[:, :, q : q + g]
+    Gi[...] = iG
+    np.add(out[:, :, :q], out[:, :, :q].swapaxes(1, 2), out=ii)
+    ii *= 0.5
+    return Aty, AtA
+
+
+def _rows_by_group(columns, gidx, block=1024):
+    """``columns`` (1-d columns, 2-d blocks) side by side, rows sorted by
+    group (stably), gathered ``block`` rows at a time so that no unsorted
+    copy is made."""
+    order = np.argsort(gidx, kind="stable")
+    R = np.empty((order.size, sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)))
+    for start in range(0, order.size, block):
+        rows = order[start : start + block]
+        R[start : start + block] = np.column_stack([c[rows] for c in columns])
+    return R
+
+
+def _group_products(R, sizes, q):
+    """(m, q, columns) array of R_i[:, :q]^T R_i over each group's rows R_i
+    of the group-sorted R."""
+    out = np.empty((sizes.size, q, R.shape[1]))
     start = 0
     for i, end in enumerate(np.cumsum(sizes)):
         rows = R[start:end]
         np.matmul(rows[:, :q].T, rows, out=out[i])
         start = end
-    ii = out[:, :, :q]
-    iG = out[:, :, q : q + g]
-    Aty = np.empty(layout.p)
-    Aty[layout.glob] = X_G.T @ y
-    Aty[layout.groups] = out[:, :, -1]
-    packed = [X_G.T @ X_G, iG, iG, 0.5 * (ii + ii.swapaxes(1, 2))]  # GG, iG, Gi, ii
-    return Aty, np.concatenate([b.ravel() for b in packed])
+    return out
 
 
 def build_group_curves(
@@ -492,6 +515,7 @@ def build_group_curves(
     X_G = np.column_stack(  # the global columns: population lines and curves
         [np.ones(n), xs, ind_b, ind_b * xs, (1.0 - ind_b)[:, None] * Z_gbl, ind_b[:, None] * Z_gbl]
     )
+    del Z_gbl  # only X_G reads it: free it before the group statistics, the build's peak
 
     blocks = [PenalizedBlock(K_gbl, 1, SCALAR_D1), PenalizedBlock(K_gbl, 1, SCALAR_D1)]
     chains = [(tag, f"sigsq_{tag}", f"a_{tag}", 1.0) for tag in ("gbl_w", "gbl_b")]
@@ -517,7 +541,7 @@ def build_group_curves(
 
     if group_cols:
         layout = TwoLevelLayout(np.arange(n_glob), np.hstack(group_cols))
-        Aty, AtA = _two_level_statistics(y, X_G, np.column_stack(local), gidx, sizes, layout)
+        Aty, AtA = _two_level_statistics(y, X_G, local, gidx, sizes, layout)
         lik = GaussianLikelihoodSpec(n, Aty, float(y @ y), AtA, layout)
     else:
         layout = None

@@ -19,7 +19,7 @@ Menictas & Wand, JMLR 2020), so no p x p array is formed while sweeping.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class SpdFactorizationError(ValueError):
@@ -73,17 +73,24 @@ def row_quadratic(A, S):
 
 
 def spd_chol(M, context=""):
-    """Cholesky factor of a (symmetrized) SPD matrix, with structured failure."""
+    """Cholesky factor of a (symmetrized) SPD matrix, with structured failure.
+
+    Returns (c, True) as scipy's ``cho_factor(M, lower=True)`` does: c holds
+    the lower factor, its upper triangle is left as in M.  LAPACK ``dpotrf``
+    is called directly, the routine ``cho_factor`` wraps, so the factor is
+    the same to the bit without the wrapper's per-call cost; the finiteness
+    check is done here.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
     M = symmetrize(M)
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise SpdFactorizationError(context, "non-finite entries")
-    try:
-        return cho_factor(M, lower=True)
-    except np.linalg.LinAlgError as e:
-        raise SpdFactorizationError(context, _eigen_range(M)) from e
+    c, info = dpotrf(M, lower=1, clean=0)
+    if info != 0:
+        raise SpdFactorizationError(context, _eigen_range(M))
+    return c, True
 
 
 def _eigen_range(M):
@@ -91,15 +98,27 @@ def _eigen_range(M):
     return f"eigenvalue range [{evals.min():.3e}, {evals.max():.3e}]"
 
 
+def chol_solve(factor, B):
+    """Solve M X = B given ``factor = spd_chol(M)``, through LAPACK ``dpotrs``
+    (the routine scipy's ``cho_solve`` wraps); a non-finite B is rejected as
+    ``cho_solve`` rejects it."""
+    B = np.asarray(B, dtype=float)
+    if not np.isfinite(B).all():
+        raise ValueError("array must not contain infs or NaNs")
+    X, info = dpotrs(factor[0], B, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return X
+
+
 def spd_solve(M, B, context=""):
     """Solve M X = B for SPD M (symmetrized before factorization)."""
-    c = spd_chol(M, context=context)
-    return cho_solve(c, np.asarray(B, dtype=float))
+    return chol_solve(spd_chol(M, context=context), B)
 
 
 def spd_inverse(M, context=""):
     c = spd_chol(M, context=context)
-    return symmetrize(cho_solve(c, np.eye(M.shape[0])))
+    return symmetrize(chol_solve(c, np.eye(M.shape[0])))
 
 
 def spd_logdet(M, context=""):
@@ -159,8 +178,8 @@ def _dense_moments(eta, d, context):
         raise DimensionError(f"expected natural vector of length {d + d * d}, got {eta.size}")
     P = -2.0 * symmetrize(vec_inverse(eta[d:], d))  # precision matrix
     c = spd_chol(P, context=context)
-    Sigma = symmetrize(cho_solve(c, np.eye(d)))
-    mu = cho_solve(c, eta[:d])
+    Sigma = symmetrize(chol_solve(c, np.eye(d)))
+    mu = chol_solve(c, eta[:d])
     return DenseMoments(mu, Sigma, 2.0 * float(np.sum(np.log(np.diag(c[0])))))
 
 
@@ -435,8 +454,8 @@ def two_level_moments(eta, layout, context=""):
     w = (Li @ h[layout.groups][:, :, None])[:, :, 0]  # L_i^{-1} h_i
     Wf = W.reshape(-1, g)
     c = spd_chol(A - Wf.T @ Wf, context=f"{context} global Schur complement")
-    Sigma_GG = symmetrize(cho_solve(c, np.eye(g)))
-    mu_G = cho_solve(c, h[layout.glob] - Wf.T @ w.ravel())
+    Sigma_GG = symmetrize(chol_solve(c, np.eye(g)))
+    mu_G = chol_solve(c, h[layout.glob] - Wf.T @ w.ravel())
     V = LiT @ W  # D_i^{-1} B_i
     mu_I = (LiT @ (w - W @ mu_G)[:, :, None])[:, :, 0]
     Sigma_iG = -(V @ Sigma_GG)

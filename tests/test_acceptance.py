@@ -42,7 +42,6 @@ from semivmp.fragments_glm import (
     jaakkola_jordan_elbo,
     jaakkola_jordan_update,
     knowles_minka_wand_update,
-    kmw_local_objective,
     zeta_prime,
 )
 from semivmp.mfvb import (
@@ -60,7 +59,7 @@ from semivmp.models import (
     demo_mean_function,
     fitted_curve,
 )
-from semivmp.natparam import mvn_moments_from_natural, vec
+from semivmp.natparam import mvn_moments_from_natural, row_quadratic, vec, vec_inverse
 
 
 @pytest.fixture
@@ -264,6 +263,23 @@ def test_06_prior_chain_distributions(announce):
 
 
 # --- 7: structural properties of the three non-Gaussian likelihood updates --
+
+
+def kmw_local_objective(state: PoissonFragmentState, mu, Sigma, eta_other):
+    """Local objective whose mu-gradient vanishes at the Poisson fixed point.
+
+    eta_other is the sum of all non-Poisson messages into the coefficient
+    node.  Sigma is held fixed; terms constant in mu are dropped.
+    """
+    mu = np.asarray(mu, dtype=float)
+    A = state.A
+    lin = A @ mu + 0.5 * row_quadratic(A, Sigma)
+    eta_other = np.asarray(eta_other)
+    d = mu.size
+    M = vec_inverse(eta_other[d:], d)
+    return float(
+        state.y @ (A @ mu) - np.sum(np.exp(lin)) + eta_other[:d] @ mu + mu @ M @ mu
+    )
 
 
 def test_07_glm_fragment_properties(announce):

@@ -1,3 +1,4 @@
+import copy
 import types
 from collections import Counter
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from semivmp import cli, fragments_gaussian, fragments_glm, models
+from semivmp import cli, expfam, fragments_gaussian, fragments_glm, models
 from semivmp.engine import (
+    ConvergenceReport,
     FragmentBinding,
     GraphStructureError,
     ImproperQDensityError,
@@ -19,14 +21,26 @@ from semivmp.engine import (
     update_factor,
     update_node_to_factor,
 )
-from semivmp.expfam import INVERSE_CHI_SQUARED, MULTIVARIATE_NORMAL
-from semivmp.fragments_gaussian import GaussianLikelihoodSpec, GaussianPriorSpec
+from semivmp.expfam import INVERSE_CHI_SQUARED, INVERSE_WISHART, MULTIVARIATE_NORMAL, NatParam
+from semivmp.fragments_gaussian import (
+    GaussianLikelihoodSpec,
+    GaussianPenalizationSpec,
+    GaussianPriorSpec,
+)
 from semivmp.fragments_glm import (
     LinearPredictorOverflowError,
     LogisticFragmentState,
     PoissonFragmentState,
 )
-from semivmp.natparam import TwoLevelLayout, mvn_moments_from_natural, vec
+from semivmp.natparam import (
+    SpdFactorizationError,
+    TwoLevelLayout,
+    chol_solve,
+    mvn_moments_from_natural,
+    spd_chol,
+    spd_solve,
+    vec,
+)
 
 from conftest import make_regression_data
 
@@ -505,3 +519,189 @@ def test_q_density_of_a_normal_node():
         q_density(g, "coef")
     with pytest.raises(ImproperQDensityError, match="'coef'"):
         elbo(g)
+
+
+# --- each q-density factored once per sweep ---------------------------------
+#
+# The engine keeps the moments an update hands back and reads them in the
+# ELBO and q_density while the node's summed vector is bitwise the one that
+# was factored.  The reference loop below factors every q-density afresh for
+# each read (a kept-moments store that keeps nothing) and takes the
+# convergence measure over all q vectors concatenated.  Results must agree to
+# the bit.
+
+
+class Forgetful(dict):
+    """A kept-moments store that keeps nothing, so every read factors afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def summed_eta(graph, node):
+    """The q-density vector of a node: its factors' messages summed in order."""
+    flist = graph.node_factors[node]
+    total = graph.fac_to_node[(flist[0], node)].copy()
+    for fname in flist[1:]:
+        total += graph.fac_to_node[(fname, node)]
+    return total
+
+
+def reference_fit(model, sweeps, tol):
+    graph = build_factor_graph(model)
+    graph.kept_moments = Forgetful()
+    prev = np.concatenate([summed_eta(graph, n) for n in graph.nodes])
+    report = ConvergenceReport(iterations=0, converged=False, max_relative_delta=np.inf)
+    for _ in range(sweeps):
+        for fname in graph.factors:
+            update_factor(graph, fname)
+        report.iterations += 1
+        cur = np.concatenate([summed_eta(graph, n) for n in graph.nodes])
+        report.max_relative_delta = float(np.max(np.abs(cur - prev) / np.maximum(1.0, np.abs(prev))))
+        prev = cur
+        report.elbo_trace.append(elbo(graph))
+        if report.max_relative_delta < tol:
+            report.converged = True
+            break
+    return graph, report
+
+
+def fresh_view(graph):
+    """The same graph state read without its kept moments."""
+    view = copy.copy(graph)
+    view.kept_moments = Forgetful()
+    return view
+
+
+def moment_arrays(moments):
+    if moments is None:
+        return []
+    names = ("mu", "logdet", "Sigma", "Sigma_GG", "Sigma_iG", "Sigma_ii", "schur_factor")
+    return [np.asarray(getattr(moments, k)) for k in names if hasattr(moments, k)]
+
+
+def assert_same_q_density(got, want):
+    assert got.node == want.node and np.array_equal(got.eta_q, want.eta_q)
+    assert got.common.keys() == want.common.keys()
+    for key, value in want.common.items():
+        assert np.array_equal(got.common[key], value), (got.node, key)
+    got_m, want_m = moment_arrays(got.moments), moment_arrays(want.moments)
+    assert len(got_m) == len(want_m)
+    assert all(np.array_equal(a, b) for a, b in zip(got_m, want_m)), got.node
+
+
+def assert_fit_matches_reference(model, sweeps=60, kept=True):
+    """run_vmp with kept moments against the fresh-factorization reference,
+    bit for bit: every message, the report (ELBO trace included) and every
+    q_density.  ``kept`` says whether the fit should have moments to reuse."""
+    graph = build_factor_graph(model)
+    report = run_vmp(graph, max_iter=sweeps, tol=1e-300)
+    ref_graph, ref_report = reference_fit(model, sweeps, 1e-300)
+    assert report == ref_report
+    assert graph.fac_to_node.keys() == ref_graph.fac_to_node.keys()
+    for key, msg in ref_graph.fac_to_node.items():
+        assert np.array_equal(graph.fac_to_node[key], msg), key
+    assert bool(graph.kept_moments) == kept
+    for node in graph.nodes:
+        assert_same_q_density(q_density(graph, node), q_density(ref_graph, node))
+    assert not graph.kept_moments  # q_density handed them over
+
+
+def spline_data(seed=21, n=120):
+    r = np.random.default_rng(seed)
+    x = r.uniform(size=n)
+    return x, models.demo_mean_function(x), r
+
+
+@pytest.mark.parametrize("fixed_sigma_sq", [None, 0.5])
+def test_linear_regression_matches_fresh_factorizations(fixed_sigma_sq):
+    y, X = make_regression_data(18, n=40)
+    model = models.build_linear_regression(y, X, fixed_sigma_sq=fixed_sigma_sq)
+    # a fixed noise variance leaves the likelihood nothing to factor
+    assert_fit_matches_reference(model, kept=fixed_sigma_sq is None)
+
+
+@pytest.mark.parametrize("spline_kind", [models.TRUNCATED_LINEAR, models.OSULLIVAN_LIKE])
+@pytest.mark.parametrize("fixed_sigma_u_sq", [None, 0.3])
+def test_penalized_spline_matches_fresh_factorizations(spline_kind, fixed_sigma_u_sq):
+    x, f, r = spline_data()
+    y = f + r.normal(scale=0.3, size=x.size)
+    model = models.build_penalized_spline(
+        y, x, K=8, spline_kind=spline_kind, fixed_sigma_u_sq=fixed_sigma_u_sq
+    )
+    assert_fit_matches_reference(model)
+
+
+@pytest.mark.parametrize("link", ["logit", "probit", "log"])
+def test_glm_spline_matches_fresh_factorizations(link):
+    x, f, r = spline_data(22)
+    y = r.poisson(np.exp(f)) if link == "log" else r.binomial(1, f)
+    model = models.build_glm_spline(y.astype(float), x, K=6, link=link)
+    # the GLM update writes coef after the penalization and hands back nothing
+    assert_fit_matches_reference(model, kept=False)
+
+
+def penalized_spline_graph(sweeps, damping=1.0):
+    x, f, r = spline_data(23)
+    y = f + r.normal(scale=0.3, size=x.size)
+    g = build_factor_graph(models.build_penalized_spline(y, x, K=8))
+    run_vmp(g, max_iter=sweeps, tol=1e-300, damping=damping)
+    return g
+
+
+def test_kept_moments_follow_hand_run_updates():
+    g = penalized_spline_graph(20)
+    for fname in list(g.factors) + ["penalization", "link_u", "likelihood"]:
+        update_factor(g, fname)
+        assert elbo(g) == elbo(fresh_view(g)), fname
+    # a message written by hand, not by an update, is seen by the bitwise check
+    assert "coef" in g.kept_moments
+    g.fac_to_node[("likelihood", "coef")] = 1.5 * g.fac_to_node[("likelihood", "coef")]
+    assert elbo(g) == elbo(fresh_view(g))
+    assert_same_q_density(q_density(g, "coef"), q_density(fresh_view(g), "coef"))
+
+
+def test_damped_fit_keeps_no_moments():
+    g = penalized_spline_graph(20, damping=0.5)
+    assert not g.kept_moments
+    assert elbo(g) == elbo(fresh_view(g))
+    for node in g.nodes:
+        assert_same_q_density(q_density(g, node), q_density(fresh_view(g), node))
+
+
+def test_improper_inverse_wishart_expectation_still_raises():
+    # the expectation decides properness from the factor it reads log det and
+    # the inverse from; both ways of being improper must still raise
+    proper = np.concatenate([[-3.0], -0.5 * vec(np.array([[2.0, 0.3], [0.3, 1.0]]))])
+    assert expfam.is_proper(NatParam(INVERSE_WISHART, proper, 2))
+    shape_too_small = proper.copy()
+    shape_too_small[0] = -1.5
+    indefinite = np.concatenate([[-3.0], -0.5 * vec(np.array([[1.0, 2.0], [2.0, 1.0]]))])
+    for eta in (shape_too_small, indefinite):
+        nat = NatParam(INVERSE_WISHART, eta, 2)
+        assert not expfam.is_proper(nat)
+        with pytest.raises(expfam.ImproperParameterError, match="improper inverse_wishart"):
+            expfam.expected_sufficient_statistic(nat)
+
+
+def test_non_spd_matrix_still_names_its_context():
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(SpdFactorizationError, match=r"\(unit block\): eigenvalue range") as exc:
+        spd_chol(indefinite, context="unit block")
+    assert exc.value.context == "unit block"
+    with pytest.raises(SpdFactorizationError, match="gaussian penalization Sigma0"):
+        GaussianPenalizationSpec(np.zeros(2), indefinite, ())
+    with pytest.raises(SpdFactorizationError, match="gaussian prior Sigma"):
+        GaussianPriorSpec(np.zeros(2), indefinite)
+    with pytest.raises(SpdFactorizationError, match="non-finite entries"):
+        spd_chol(np.array([[1.0, np.nan], [np.nan, 1.0]]), context="nan block")
+
+
+def test_non_finite_right_hand_side_is_rejected():
+    M = np.array([[2.0, 0.3], [0.3, 1.0]])
+    np.testing.assert_allclose(spd_solve(M, [1.0, 2.0]), np.linalg.solve(M, [1.0, 2.0]), rtol=1e-14)
+    for bad in ([1.0, np.nan], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spd_solve(M, bad)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            chol_solve(spd_chol(M), np.array(bad))

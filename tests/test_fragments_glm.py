@@ -17,7 +17,6 @@ from semivmp.fragments_glm import (
     albert_chib_update,
     jaakkola_jordan_elbo,
     jaakkola_jordan_update,
-    kmw_local_objective,
     knowles_minka_wand_elbo,
     knowles_minka_wand_update,
     tangent_offset,
@@ -28,6 +27,7 @@ from semivmp.models import build_glm_spline, demo_mean_function
 from semivmp.natparam import mvn_moments, vec
 
 from conftest import random_spd
+from test_acceptance import kmw_local_objective
 
 
 def mvn_eta(mu, Sigma):

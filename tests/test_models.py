@@ -353,6 +353,17 @@ def test_group_curves_two_level_layout(subject_lines, K_grp, kind):
     assert_statistics_match(m, y, gid, lab)
 
 
+@pytest.mark.parametrize("block", [1, 7, 1024])
+def test_rows_by_group_match_one_sorted_copy(block):
+    """Gathering the group-sorted rows a block at a time gives, bit for bit,
+    one stacked copy of every row sorted by group."""
+    r = np.random.default_rng(5)
+    gidx = r.integers(0, 6, size=50)
+    columns = [np.ones(50), r.normal(size=50), r.normal(size=(50, 3))]
+    want = np.column_stack(columns)[np.argsort(gidx, kind="stable")]
+    assert np.array_equal(models._rows_by_group(columns, gidx, block), want)
+
+
 # --- wiring: node order and fragment order (the default schedule) ------------
 
 

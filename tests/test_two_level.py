@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semivmp import natparam
 from semivmp.engine import build_factor_graph, q_density, run_vmp
 from semivmp.fragments_gaussian import (
     SCALAR_D1,
@@ -33,6 +34,7 @@ from semivmp.models import _Z975, build_group_curves, fitted_curve
 from semivmp.natparam import TwoLevelLayout, mvn_moments, row_quadratic, vec
 
 from conftest import random_spd
+from test_engine import assert_fit_matches_reference
 from test_models import assert_statistics_match
 from test_natparam import arrowhead_precision, assert_rel
 
@@ -340,3 +342,40 @@ def test_packed_messages_match_dense(m, q, g, seed):
         two.expected_quadratic(layout.pack_matrix(AtA), lik.Aty, lik.yty),
         dense.expected_quadratic(AtA, lik.Aty, lik.yty),
     )
+
+
+@pytest.mark.parametrize("subject_lines", [True, False])
+@pytest.mark.parametrize("K_grp", [0, 3])
+def test_group_curves_match_fresh_factorizations(tmp_path, subject_lines, K_grp):
+    """Kept moments change no bit of a group-curve fit, on the two-level path
+    and (no group columns at all) on the dense one."""
+    model = build_group_curves(
+        *readme_group_data(tmp_path, 12, per_group=10), K_gbl=6, K_grp=K_grp,
+        include_subject_lines=subject_lines,
+    )
+    assert (model.nodes[0].layout is None) == (not subject_lines and K_grp == 0)
+    assert_fit_matches_reference(model)
+
+
+def test_group_curve_sweep_factors_coef_twice(tmp_path, monkeypatch):
+    """A sweep with the ELBO factors q(coef) in the penalization and in the
+    likelihood only; the ELBO and the q_density after the fit reuse the
+    likelihood's factorization."""
+    model = build_group_curves(*readme_group_data(tmp_path, 20))
+    graph = build_factor_graph(model)
+    calls = []
+    real = natparam.two_level_moments
+
+    def counted(*args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs.get("context"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(natparam, "two_level_moments", counted)
+    report = run_vmp(graph, max_iter=3, tol=1e-300, track_elbo=True)
+    assert report.iterations == 3 and len(report.elbo_trace) == 3
+    assert calls == 3 * [
+        "penalization combined coefficients", "likelihood [coefficients]"
+    ]
+    for node in graph.nodes:
+        q_density(graph, node)
+    assert len(calls) == 6
