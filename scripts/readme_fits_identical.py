@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Check that two checkouts write byte-identical JSON for the README fits.
+
+    python3 scripts/readme_fits_identical.py --parent ../old --change .
+
+The README's input data come from the parent's
+``scripts/make_synthetic_data.py --seed 1``, written once to a temporary
+directory, so both sides read the same files under the same paths.  In
+each checkout the three ``semivmp fit`` commands of the README (penspline,
+probit glmspline and groupcurves) then run in a subprocess with
+``PYTHONPATH=<checkout>/src``.  The script prints one line per fit and
+compares the two JSON documents byte for byte, and each side's exit code
+(groupcurves stops at its sweep limit, exit 2).
+
+The exit code is 1 when any JSON or exit code differs or a fit failed,
+else 0.  The script writes nothing outside its temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FITS = {
+    "penspline": ["--model", "penspline", "--data", "gaussian_spline.csv", "--response", "y",
+                  "--predictor", "x", "--knots", "15"],
+    "probit": ["--model", "glmspline", "--data", "binary_spline.csv", "--response", "y",
+               "--predictor", "x", "--link", "probit", "--iters", "400"],
+    "groupcurves": ["--model", "groupcurves", "--data", "grouped_curves.csv", "--response", "y",
+                    "--predictor", "x", "--group", "subject", "--label", "arm"],
+}
+
+
+def run(checkout, command):
+    env = {**os.environ, "PYTHONPATH": str(Path(checkout).resolve() / "src")}
+    return subprocess.run([sys.executable, *command], env=env, capture_output=True, text=True)
+
+
+def fit(checkout, name, data, out):
+    """One README fit in ``checkout``; returns (exit code, JSON bytes or None)."""
+    args = list(FITS[name])
+    i = args.index("--data") + 1
+    args[i] = str(data / args[i])
+    proc = run(checkout, ["-m", "semivmp.cli", "fit", *args, "--out", str(out)])
+    if proc.returncode not in (0, 2):
+        print(f"  {checkout}: exit {proc.returncode}: {proc.stderr.strip()[-400:]}")
+        return proc.returncode, None
+    return proc.returncode, out.read_bytes()
+
+
+def main():
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", required=True, help="checkout of the change")
+    args = ap.parse_args()
+
+    same = True
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = tmp / "data"
+        generator = Path(args.parent) / "scripts" / "make_synthetic_data.py"
+        proc = run(args.parent, [str(generator), "--outdir", str(data), "--seed", "1"])
+        if proc.returncode != 0:
+            print(f"data generation failed: {proc.stderr.strip()[-400:]}")
+            return 1
+        for name in FITS:
+            code_p, doc_p = fit(args.parent, name, data, tmp / f"parent_{name}.json")
+            code_c, doc_c = fit(args.change, name, data, tmp / f"change_{name}.json")
+            ok = doc_p is not None and doc_p == doc_c and code_p == code_c
+            verdict = "identical" if ok else "DIFFERENT"
+            size = "-" if doc_p is None else len(doc_p)
+            print(f"{name:12s} {verdict}  ({size} bytes, exit {code_p} / {code_c})")
+            same = same and ok
+    print("all README JSONs identical" if same else "README JSONs differ")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -71,46 +71,34 @@ def _load_csv(path):
     return header, rows
 
 
-def _numeric_column(header, rows, name):
+def _raw_column(header, rows, name):
+    """The cells of column ``name``, one per data row."""
     if name not in header:
         raise CliError(f"column '{name}' not found (available: {', '.join(header)})")
     j = header.index(name)
-    out = np.empty(len(rows))
-    for i, (lineno, row) in enumerate(rows):
+    return [row[j] for _, row in rows]
+
+
+def _numeric_column(header, rows, name):
+    cells = _raw_column(header, rows, name)
+    out = np.empty(len(cells))
+    for i, cell in enumerate(cells):
         try:
-            out[i] = float(row[j])
+            out[i] = float(cell)
         except ValueError:
-            raise CliError(
-                f"line {lineno}: cannot parse '{row[j]}' in column '{name}' as a number"
-            )
+            raise CliError(f"line {rows[i][0]}: cannot parse '{cell}' in column '{name}' as a number")
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
-        lineno, row = rows[bad[0]]
-        raise CliError(f"line {lineno}: non-finite value '{row[j]}' in column '{name}'")
+        i = bad[0]
+        raise CliError(f"line {rows[i][0]}: non-finite value '{cells[i]}' in column '{name}'")
     return out
 
 
-def _raw_column(header, rows, name):
-    if name not in header:
-        raise CliError(f"column '{name}' not found (available: {', '.join(header)})")
-    j = header.index(name)
-    return np.array([row[j] for _, row in rows])
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _json_default(obj):
+    """numpy arrays and scalars as the lists and Python scalars JSON writes."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _build_model(req: FitRequest, header, rows):
@@ -224,7 +212,7 @@ def cmd_fit(req: FitRequest) -> int:
         "curves": curves,
         **extras,
     }
-    text = json.dumps(_jsonify(doc), indent=2, sort_keys=True)
+    text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
     with open(req.out, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     status = "converged" if report.converged else "hit sweep limit"
@@ -418,25 +406,10 @@ def make_parser():
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
-    if args.command == "validate":
+    args = vars(make_parser().parse_args(argv))
+    if args.pop("command") == "validate":
         return cmd_validate()
-    req = FitRequest(
-        model=args.model,
-        data=args.data,
-        response=args.response,
-        predictor=args.predictor,
-        group=args.group,
-        label=args.label,
-        knots=args.knots,
-        link=args.link,
-        iters=args.iters,
-        tol=args.tol,
-        sigma_beta_sq=args.sigma_beta_sq,
-        a_hyper=args.a_hyper,
-        seed=args.seed,
-        out=args.out,
-    )
+    req = FitRequest(**args)
     try:
         return cmd_fit(req)
     except CliError as err:

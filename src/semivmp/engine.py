@@ -17,7 +17,8 @@ A fragment is any object with three methods, all in port order:
   factored, the port's node-to-factor message plus its new message (empty
   when it factored none);
 - ``logp(q_etas, moments)``: its term E_q{log fragment} of the ELBO, given
-  the q-density vectors and, for normal ports, their moments.
+  the q-density vectors and, for each port, the moments of a normal
+  q-density or the expected sufficient statistic E{T} of any other.
 
 A fragment may also set ``start_precision``, the precision of the normal
 messages it starts from.  The engine knows no fragment kind.
@@ -27,7 +28,9 @@ damping 1 the engine keeps the pairs an update hands back, one per node, and
 drops a node's pair before the next update that writes to that node.  The
 ELBO and ``q_density`` read the kept moments when the node's summed vector
 is bitwise equal to the kept vector, and factor it afresh otherwise; the
-results are the same to the bit either way.
+results are the same to the bit either way.  Every other q-density's E{T}
+is formed once per ELBO, next to its entropy, so the fragments' terms read
+their neighbours' expectations and never form them again.
 """
 
 from __future__ import annotations
@@ -320,7 +323,8 @@ def elbo(graph: FactorGraph, q_etas=None) -> float:
     already.  Each multivariate normal q-density is factored at most once
     (two-level when its node has a layout), and not at all when the graph
     kept its moments; those moments give its properness, its entropy and the
-    moments the fragments' terms read.
+    moments the fragments' terms read.  Each other q-density gives its
+    entropy and the E{T} the fragments' terms read.
     """
     total = 0.0
     etas = q_etas if q_etas is not None else {n: _eta_q(graph, n) for n in graph.nodes}
@@ -335,9 +339,10 @@ def elbo(graph: FactorGraph, q_etas=None) -> float:
             if not expfam.is_proper(nat):
                 raise ImproperQDensityError(nname, eta)
             total += expfam.entropy(nat)
+            moments[nname] = expfam.expected_sufficient_statistic(nat)
     for factor in graph.factors.values():
         nb = factor.neighbors
-        total += factor.fragment.logp([etas[n] for n in nb], [moments.get(n) for n in nb])
+        total += factor.fragment.logp([etas[n] for n in nb], [moments[n] for n in nb])
     return float(total)
 
 

@@ -43,15 +43,6 @@ MULTIVARIATE_NORMAL = "multivariate_normal"
 INVERSE_WISHART = "inverse_wishart"
 INVERSE_G_WISHART_DIAG = "inverse_g_wishart_diag"
 
-SCALAR_FAMILIES = (
-    BERNOULLI,
-    UNIVARIATE_NORMAL,
-    INVERSE_CHI_SQUARED,
-    BETA,
-    INVERSE_GAUSSIAN,
-)
-MATRIX_FAMILIES = (MULTIVARIATE_NORMAL, INVERSE_WISHART, INVERSE_G_WISHART_DIAG)
-
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 

@@ -15,11 +15,13 @@ message.  That is the coefficient q-density right after the update, so
 through an optional ``formed`` dict they hand the vector and its moments to
 the caller: the specs' ``update`` returns them, and the engine reads them in
 the ELBO and ``q_density`` instead of factoring again.  Constant matrices,
-the prior's Sigma and the penalization's Sigma0, are factored once, when a
-spec is made.
+the prior's Sigma, the penalization's Sigma0 and each fixed-Theta block, are
+factored once, when a spec is made.
 
 The companion ``*_logp`` functions give each factor's contribution
-E_q{log factor} to the evidence lower bound.  Each spec is also the fragment
+E_q{log factor} to the evidence lower bound.  They take a variance port's
+q-density as its expected sufficient statistic E{T}, which the engine forms
+once per ELBO, and a normal port's as its moments.  Each spec is also the fragment
 the engine runs: its ``ports``, ``update`` and ``logp`` methods call these
 module functions by name at call time.
 """
@@ -64,16 +66,15 @@ class ImproperCombinedMessageError(ValueError):
 
 
 def variance_expectations(eta, d, kind):
-    """(E{log det Theta}, E{Theta^{-1}}) for a proper variance-type vector.
+    """(E{log det Theta}, E{Theta^{-1}}) for a proper variance-type vector,
+    the second a d x d matrix for every kind (d=1 included)."""
+    return _split_statistic(expfam.expected_sufficient_statistic(NatParam(kind, eta, d)), d)
 
-    The second element is a float in the scalar kind and a d x d matrix
-    otherwise.  Both are read off the expected sufficient statistic of the
-    matching family, since T(Theta) = (log det Theta, vec(Theta^{-1})).
-    """
-    nat = NatParam(kind, eta, d)
-    ET = expfam.expected_sufficient_statistic(nat)
-    if kind == SCALAR_D1:
-        return float(ET[0]), float(ET[1])
+
+def _split_statistic(ET, d):
+    """(E{log det Theta}, E{Theta^{-1}} as a d x d matrix) from the expected
+    sufficient statistic of a variance-type q-density, since
+    T(Theta) = (log det Theta, vec(Theta^{-1}))."""
     return float(ET[0]), vec_inverse(ET[1:], d)
 
 
@@ -177,7 +178,7 @@ class InverseWishartPriorSpec:
         return self, [inverse_wishart_prior_message(self)], {}
 
     def logp(self, q_etas, moments):
-        return inverse_wishart_prior_logp(self, q_etas[0])
+        return inverse_wishart_prior_logp(self, moments[0])
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ class IteratedIGWSpec:
         return self, [msg1, msg2], {}
 
     def logp(self, q_etas, moments):
-        return iterated_igw_logp(self, q_etas[0], q_etas[1])
+        return iterated_igw_logp(self, moments[0], moments[1])
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,10 @@ class GaussianPenalizationSpec:
     spec, where S0^{-1} (a d0 x d0 array) and each block's Omega_l (an
     (m, d, d) array) sit in the coefficient natural vector stored that way;
     the update writes the message there and reads the covariance there.
-    ``S0inv`` and ``logdet_Sigma0`` are factored once per spec too."""
+    ``S0inv`` and ``logdet_Sigma0`` are factored once per spec too, and so
+    is each fixed-Theta block: ``fixed_expectations`` holds, per block,
+    (log det Theta, Theta^{-1}) of its fixed Theta, or None for a
+    stochastic block."""
 
     mu0: np.ndarray
     Sigma0: np.ndarray
@@ -240,6 +244,7 @@ class GaussianPenalizationSpec:
     positions: tuple = field(init=False, repr=False, compare=False)
     S0inv: np.ndarray = field(init=False, repr=False, compare=False)
     logdet_Sigma0: float = field(init=False, repr=False, compare=False)
+    fixed_expectations: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mu0", np.atleast_1d(np.asarray(self.mu0, dtype=float)))
@@ -248,6 +253,15 @@ class GaussianPenalizationSpec:
         context = "gaussian penalization Sigma0"
         object.__setattr__(self, "S0inv", spd_inverse(self.Sigma0, context=context))
         object.__setattr__(self, "logdet_Sigma0", spd_logdet(self.Sigma0, context=context))
+        fixed_expectations = []
+        for i, b in enumerate(self.blocks):
+            if b.fixed_Theta is None:
+                fixed_expectations.append(None)
+                continue
+            Th = np.atleast_2d(np.asarray(b.fixed_Theta, dtype=float))
+            where = f"gaussian penalization fixed block {i}"
+            fixed_expectations.append((spd_logdet(Th, context=where), spd_inverse(Th, context=where)))
+        object.__setattr__(self, "fixed_expectations", tuple(fixed_expectations))
         p, fixed = self.total_dim, np.arange(self.d0)
         positions = [natural_position(fixed[:, None], fixed[None, :], p, self.layout)]
         for _, cols in _block_columns(self):
@@ -282,7 +296,7 @@ class GaussianPenalizationSpec:
         return spec, [msg_coef, *msgs_theta], formed
 
     def logp(self, q_etas, moments):
-        return gaussian_penalization_logp(self, q_etas[0], q_etas[1:], moments=moments[0])
+        return gaussian_penalization_logp(self, q_etas[0], moments[1:], moments=moments[0])
 
 
 @dataclass(frozen=True)
@@ -356,8 +370,8 @@ class GaussianLikelihoodSpec:
         return spec, [msg1] if msg2 is None else [msg1, msg2], formed
 
     def logp(self, q_etas, moments):
-        q_var = q_etas[1] if len(q_etas) > 1 else None
-        return gaussian_likelihood_logp(self, q_etas[0], q_var, moments=moments[0])
+        ET_var = moments[1] if len(moments) > 1 else None
+        return gaussian_likelihood_logp(self, q_etas[0], ET_var, moments=moments[0])
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +417,13 @@ def iterated_igw_messages(
 
 
 def _penalty_precisions(spec, etas_theta_to_factor, etas_factor_to_theta, context):
-    """One expected precision matrix Omega_l per block, honoring fixed blocks."""
+    """One expected precision matrix Omega_l per block; a fixed block's
+    Theta^{-1} was factored when the spec was made."""
     omegas = []
     k = 0
-    for b in spec.blocks:
-        if b.fixed_Theta is not None:
-            Th = np.atleast_2d(np.asarray(b.fixed_Theta, dtype=float))
-            omegas.append(spd_inverse(Th, context=f"{context} fixed block"))
+    for b, fixed in zip(spec.blocks, spec.fixed_expectations):
+        if fixed is not None:
+            omegas.append(fixed[1])
             continue
         c = np.asarray(etas_theta_to_factor[k]) + np.asarray(etas_factor_to_theta[k])
         omegas.append(_inverse_moment(c, b.d, b.kind, f"{context} block {k}"))
@@ -521,41 +535,37 @@ def gaussian_prior_logp(spec: GaussianPriorSpec, q_eta, moments=None):
     return moments.expected_quadratic(Sinv, Sinv @ spec.mu, 0.0) + log_norm
 
 
-def inverse_wishart_prior_logp(spec: InverseWishartPriorSpec, q_eta):
+def inverse_wishart_prior_logp(spec: InverseWishartPriorSpec, ET):
+    """E_q{log prior} from E{T} of q; E{log h} is taken under the prior,
+    as for these families it depends on the family and d only."""
     msg = inverse_wishart_prior_message(spec)
-    q = NatParam(spec.graph_kind, q_eta, spec.d)
     prior = NatParam(spec.graph_kind, msg, spec.d)
-    return (
-        float(msg @ expfam.expected_sufficient_statistic(q))
-        - expfam.log_partition(prior)
-        + expfam.expected_log_base(q)
-    )
+    return float(msg @ ET) - expfam.log_partition(prior) + expfam.expected_log_base(prior)
 
 
-def iterated_igw_logp(spec: IteratedIGWSpec, q_eta_theta1, q_eta_theta2):
+def iterated_igw_logp(spec: IteratedIGWSpec, ET_theta1, ET_theta2):
+    """E_q{log link factor} from E{T} of q(Theta1) and q(Theta2)."""
     kappa, d = spec.kappa, spec.d_Theta
-    Elogdet2, Einv2 = variance_expectations(q_eta_theta2, d, spec.theta2_kind)
-    ET1 = expfam.expected_sufficient_statistic(NatParam(spec.graph_kind, q_eta_theta1, d))
-    coeff = _variance_message(-0.5 * (kappa + (d + 1.0)), np.atleast_2d(Einv2), spec.graph_kind)
+    Elogdet2, Einv2 = _split_statistic(ET_theta2, d)
+    coeff = _variance_message(-0.5 * (kappa + (d + 1.0)), Einv2, spec.graph_kind)
     if spec.graph_kind == TOTALLY_CONNECTED:
         return (
-            float(coeff @ ET1)
+            float(coeff @ ET_theta1)
             - 0.5 * kappa * Elogdet2
             - _log_iw_norm(d, kappa)
             - 0.25 * d * (d - 1.0) * np.log(np.pi)
         )
     kt = kappa + (d - 1.0)  # per-diagonal shape
     return (
-        float(coeff @ ET1)
+        float(coeff @ ET_theta1)
         - 0.5 * kt * Elogdet2
         - d * (0.5 * kt * np.log(2.0) + float(gammaln(0.5 * kt)))
     )
 
 
-def gaussian_penalization_logp(
-    spec: GaussianPenalizationSpec, q_eta_coef, q_etas_theta, moments=None
-):
-    """E_q{log penalization factor}; ``moments`` are q(coefficients)'s moments
+def gaussian_penalization_logp(spec: GaussianPenalizationSpec, q_eta_coef, ETs_theta, moments=None):
+    """E_q{log penalization factor} from E{T} of each stochastic block's
+    q(Theta_l), in block order; ``moments`` are q(coefficients)'s moments
     when the caller has them already."""
     if moments is None:
         moments = mvn_moments(q_eta_coef, spec.total_dim, "penalization logp", spec.layout)
@@ -569,24 +579,19 @@ def gaussian_penalization_logp(
         - 0.5 * spec.logdet_Sigma0
         - 0.5 * (float(dm @ S0inv @ dm) + float(np.sum(S0inv * Sigma00)))
     )
-    k = 0
-    for (b, cols), pos in zip(_block_columns(spec), spec.positions[1:]):
-        if b.fixed_Theta is not None:
-            Th = np.atleast_2d(np.asarray(b.fixed_Theta, dtype=float))
-            Elogdet = spd_logdet(Th, context="penalization logp fixed")
-            Einv = spd_inverse(Th, context="penalization logp fixed")
-        else:
-            Elogdet, Einv = variance_expectations(q_etas_theta[k], b.d, b.kind)
-            Einv = np.atleast_2d(Einv)
-            k += 1
+    ETs = iter(ETs_theta)
+    blocks = zip(_block_columns(spec), spec.positions[1:], spec.fixed_expectations)
+    for (b, cols), pos, fixed in blocks:
+        Elogdet, Einv = fixed if fixed is not None else _split_statistic(next(ETs), b.d)
         total += -0.5 * b.m * b.d * _LOG_2PI - 0.5 * b.m * Elogdet
         total += -0.5 * float(np.sum(_second_moments(moments, cols, pos) * Einv))
     return float(total)
 
 
-def gaussian_likelihood_logp(spec: GaussianLikelihoodSpec, q_eta_coef, q_eta_var=None, moments=None):
-    """E_q{log likelihood factor}; ``moments`` are q(theta1)'s moments when
-    the caller has them already (two-level moments read A^T A packed)."""
+def gaussian_likelihood_logp(spec: GaussianLikelihoodSpec, q_eta_coef, ET_var=None, moments=None):
+    """E_q{log likelihood factor}, with E{T} of q(theta2) when the noise
+    variance is unknown; ``moments`` are q(theta1)'s moments when the caller
+    has them already (two-level moments read A^T A packed)."""
     if moments is None:
         moments = mvn_moments(q_eta_coef, spec.d, "likelihood logp", spec.layout)
     spec = spec.for_layout(moments.layout)
@@ -595,5 +600,4 @@ def gaussian_likelihood_logp(spec: GaussianLikelihoodSpec, q_eta_coef, q_eta_var
     if spec.sigma_sq_fixed is not None:
         s2 = spec.sigma_sq_fixed
         return gv / s2 - 0.5 * n * (np.log(s2) + _LOG_2PI)
-    Elog, Einv = variance_expectations(q_eta_var, 1, SCALAR_D1)
-    return Einv * gv - 0.5 * n * Elog - 0.5 * n * _LOG_2PI
+    return ET_var[1] * gv - 0.5 * n * float(ET_var[0]) - 0.5 * n * _LOG_2PI

@@ -140,18 +140,13 @@ class PoissonFragmentState(_GlmFragment):
         return knowles_minka_wand_elbo(self, q_etas[0], moments=moments[0])
 
 
-def _q_moments(state, q_eta, moments, context):
-    """(mu, Sigma) of q(theta): from ``moments`` (dense) when the caller has
-    them already, else from one factorization of q_eta."""
+def _moments(state, eta, context, moments=None):
+    """(mu, Sigma) of the coefficient density with natural vector ``eta``:
+    from ``moments`` (dense) when the caller has them already, else from one
+    factorization of eta."""
     if moments is None:
-        return mvn_moments_from_natural(q_eta, state.A.shape[1], context=context)
+        return mvn_moments_from_natural(eta, state.A.shape[1], context=context)
     return moments.mu, moments.Sigma
-
-
-def _combined_moments(state, eta_factor_to_theta, eta_theta_to_factor, context):
-    eta = np.asarray(eta_factor_to_theta) + np.asarray(eta_theta_to_factor)
-    d = state.A.shape[1]
-    return mvn_moments_from_natural(eta, d, context=context)
 
 
 def tangent_weight(xi):
@@ -176,7 +171,7 @@ def tangent_offset(xi):
 
 
 def jaakkola_jordan_update(state: LogisticFragmentState, eta_factor_to_theta, eta_theta_to_factor):
-    mu, Sigma = _combined_moments(state, eta_factor_to_theta, eta_theta_to_factor, "logistic fragment")
+    mu, Sigma = _moments(state, np.add(eta_factor_to_theta, eta_theta_to_factor), "logistic fragment")
     A = state.A
     _check_linear_predictor(float(np.max(np.abs(A @ mu))))
     Xi = Sigma + np.outer(mu, mu)  # second moment of the combined coefficient density
@@ -209,7 +204,7 @@ def zeta_prime(x):
 
 
 def albert_chib_update(state: ProbitFragmentState, eta_factor_to_theta, eta_theta_to_factor):
-    mu, _ = _combined_moments(state, eta_factor_to_theta, eta_theta_to_factor, "probit fragment")
+    mu, _ = _moments(state, np.add(eta_factor_to_theta, eta_theta_to_factor), "probit fragment")
     A = state.A
     nu = A @ mu
     _check_linear_predictor(float(np.max(np.abs(nu))))
@@ -220,7 +215,7 @@ def albert_chib_update(state: ProbitFragmentState, eta_factor_to_theta, eta_thet
 
 
 def knowles_minka_wand_update(state: PoissonFragmentState, eta_factor_to_theta, eta_theta_to_factor):
-    mu, Sigma = _combined_moments(state, eta_factor_to_theta, eta_theta_to_factor, "poisson fragment")
+    mu, Sigma = _moments(state, np.add(eta_factor_to_theta, eta_theta_to_factor), "poisson fragment")
     A = state.A
     lin = A @ mu + 0.5 * row_quadratic(A, Sigma)
     _check_linear_predictor(float(np.max(lin)))
@@ -238,7 +233,7 @@ def knowles_minka_wand_update(state: PoissonFragmentState, eta_factor_to_theta, 
 def jaakkola_jordan_elbo(state: LogisticFragmentState, q_eta, moments=None):
     """Tangent lower bound on the logistic log likelihood under q; ``moments``
     are q's dense moments when the caller has them already."""
-    mu, Sigma = _q_moments(state, q_eta, moments, "logistic elbo")
+    mu, Sigma = _moments(state, q_eta, "logistic elbo", moments)
     A = state.A
     second = row_quadratic(A, Sigma + np.outer(mu, mu))
     W = tangent_weight(state.xi)
@@ -250,7 +245,7 @@ def albert_chib_elbo(state: ProbitFragmentState, q_eta, moments=None):
     collapsed; truncated-normal entropies cancel the cross terms.  ``moments``
     are q's dense moments when the caller has them already.  The sum of the
     row forms a_i^T Sigma a_i is the trace tr(Sigma A^T A)."""
-    mu, Sigma = _q_moments(state, q_eta, moments, "probit elbo")
+    mu, Sigma = _moments(state, q_eta, "probit elbo", moments)
     sgn = 2.0 * state.y - 1.0
     return float(np.sum(log_ndtr(sgn * (state.A @ mu))) - 0.5 * np.sum(state.AtA * Sigma))
 
@@ -258,7 +253,7 @@ def albert_chib_elbo(state: ProbitFragmentState, q_eta, moments=None):
 def knowles_minka_wand_elbo(state: PoissonFragmentState, q_eta, moments=None):
     """E_q log p(y | theta) for the Poisson log-link model; ``moments`` are
     q's dense moments when the caller has them already."""
-    mu, Sigma = _q_moments(state, q_eta, moments, "poisson elbo")
+    mu, Sigma = _moments(state, q_eta, "poisson elbo", moments)
     A = state.A
     lin = A @ mu + 0.5 * row_quadratic(A, Sigma)
     _check_linear_predictor(float(np.max(lin)))

@@ -26,6 +26,7 @@ from semivmp.fragments_gaussian import (
     GaussianLikelihoodSpec,
     GaussianPenalizationSpec,
     GaussianPriorSpec,
+    PenalizedBlock,
 )
 from semivmp.fragments_glm import (
     LinearPredictorOverflowError,
@@ -632,6 +633,22 @@ def test_penalized_spline_matches_fresh_factorizations(spline_kind, fixed_sigma_
     assert_fit_matches_reference(model)
 
 
+def test_fixed_block_is_factored_once(monkeypatch):
+    # a fixed-Theta block's inverse and log det are formed with the spec;
+    # no sweep or ELBO term factors it again
+    x, f, r = spline_data()
+    y = f + r.normal(scale=0.3, size=x.size)
+    graph = build_factor_graph(models.build_penalized_spline(y, x, K=8, fixed_sigma_u_sq=0.3))
+
+    def refactored(*args, **kwargs):
+        raise AssertionError("a constant matrix was factored again")
+
+    monkeypatch.setattr(fragments_gaussian, "spd_inverse", refactored)
+    monkeypatch.setattr(fragments_gaussian, "spd_logdet", refactored)
+    report = run_vmp(graph, max_iter=5, tol=1e-300)
+    assert len(report.elbo_trace) == 5
+
+
 @pytest.mark.parametrize("link", ["logit", "probit", "log"])
 def test_glm_spline_matches_fresh_factorizations(link):
     x, f, r = spline_data(22)
@@ -691,6 +708,9 @@ def test_non_spd_matrix_still_names_its_context():
     assert exc.value.context == "unit block"
     with pytest.raises(SpdFactorizationError, match="gaussian penalization Sigma0"):
         GaussianPenalizationSpec(np.zeros(2), indefinite, ())
+    fixed = PenalizedBlock(1, 2, INVERSE_WISHART, fixed_Theta=indefinite)
+    with pytest.raises(SpdFactorizationError, match="gaussian penalization fixed block 0"):
+        GaussianPenalizationSpec(np.zeros(2), np.eye(2), (fixed,))
     with pytest.raises(SpdFactorizationError, match="gaussian prior Sigma"):
         GaussianPriorSpec(np.zeros(2), indefinite)
     with pytest.raises(SpdFactorizationError, match="non-finite entries"):

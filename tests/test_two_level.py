@@ -12,6 +12,7 @@ import dataclasses
 import runpy
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semivmp import natparam
-from semivmp.engine import build_factor_graph, q_density, run_vmp
+from semivmp import expfam, natparam
+from semivmp.engine import build_factor_graph, elbo, q_density, run_vmp
 from semivmp.fragments_gaussian import (
     SCALAR_D1,
     TOTALLY_CONNECTED,
@@ -30,7 +31,7 @@ from semivmp.fragments_gaussian import (
     gaussian_likelihood_messages,
     gaussian_penalization_messages,
 )
-from semivmp.models import _Z975, build_group_curves, fitted_curve
+from semivmp.models import _Z975, build_group_curves, build_penalized_spline, fitted_curve
 from semivmp.natparam import TwoLevelLayout, mvn_moments, row_quadratic, vec
 
 from conftest import random_spd
@@ -120,6 +121,30 @@ def test_q_density_moments_match_the_dense_path(tmp_path):
     dense = mvn_moments(layout.unpack(qd.eta_q), p)
     assert_rel(qd.moments.covariance(), dense.Sigma, tol=1e-12)
     assert_rel(qd.common["mu"], dense.mu, tol=1e-11)
+
+
+def test_elbo_forms_each_expectation_once(tmp_path, monkeypatch):
+    """One ELBO forms E{T} of each non-normal q-density once, in the engine,
+    on the README penspline and groupcurves graphs: the fragments' terms
+    read it and never form it again."""
+    groups = build_group_curves(*readme_group_data(tmp_path, 20))
+    x, y = np.loadtxt(tmp_path / "gaussian_spline.csv", delimiter=",", skiprows=1, unpack=True)
+    for model in (build_penalized_spline(y, x, K=15), groups):
+        graph = build_factor_graph(model)
+        run_vmp(graph, max_iter=3, tol=1e-300, track_elbo=False)
+        formed = Counter()
+        real = expfam.expected_sufficient_statistic
+
+        def counting(nat):
+            formed[nat.eta.tobytes()] += 1
+            return real(nat)
+
+        monkeypatch.setattr(expfam, "expected_sufficient_statistic", counting)
+        elbo(graph)
+        monkeypatch.undo()
+        etas = [q_density(graph, n).eta_q for n, node in graph.nodes.items()
+                if node.family != expfam.MULTIVARIATE_NORMAL]
+        assert formed == Counter(eta.tobytes() for eta in etas)
 
 
 def test_layout_sweep_forms_no_dense_matrix(tmp_path):
