@@ -336,9 +336,10 @@ def elbo(graph: FactorGraph, q_etas=None) -> float:
             total += expfam.mvn_entropy(node.d, moments[nname].logdet)
         else:
             nat = NatParam(node.family, eta, node.d)
-            if not expfam.is_proper(nat):
-                raise ImproperQDensityError(nname, eta)
-            total += expfam.entropy(nat)
+            try:
+                total += expfam.entropy(nat)
+            except expfam.ImproperParameterError:
+                raise ImproperQDensityError(nname, eta) from None
             moments[nname] = expfam.expected_sufficient_statistic(nat)
     for factor in graph.factors.values():
         nb = factor.neighbors

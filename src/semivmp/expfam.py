@@ -24,6 +24,7 @@ from scipy.special import psi as _scipy_psi, expi as _scipy_expi, gammaln, expit
 
 from .natparam import (
     SpdFactorizationError,
+    chol_logdet,
     chol_solve,
     spd_chol,
     spd_inverse,
@@ -170,16 +171,29 @@ def is_proper(x: NatParam) -> bool:
         except SpdFactorizationError:
             return False
     if x.family == INVERSE_WISHART:
-        if not e[0] < -d:
-            return False
-        try:
-            spd_chol(-x.matrix_block(), context=f"properness[{x.family}]")
-            return True
-        except SpdFactorizationError:
-            return False
+        return inverse_wishart_factor(e, d) is not None
     if x.family == INVERSE_G_WISHART_DIAG:
         return e[0] < -1.0 and bool(np.all(np.diag(x.matrix_block()) < 0.0))
     raise UnknownFamilyError(x.family)
+
+
+def inverse_wishart_factor(eta, d):
+    """The Cholesky factor of -M for an inverse-Wishart natural vector
+    (eta[0], vec M), or None when the vector is improper: eta[0] >= -d or
+    -M not positive definite.  One factor decides properness and gives
+    log det(-M) and (-M)^{-1}."""
+    if not eta[0] < -d:
+        return None
+    try:
+        return spd_chol(-symmetrize(vec_inverse(eta[1:], d)), context="inverse wishart")
+    except SpdFactorizationError:
+        return None
+
+
+def inverse_wishart_inverse_mean(eta, factor, d):
+    """E{Theta^{-1}} = (eta[0] + (d+1)/2) M^{-1} of a proper inverse-Wishart
+    vector, from ``factor = inverse_wishart_factor(eta, d)``."""
+    return (eta[0] + 0.5 * (d + 1.0)) * -symmetrize(chol_solve(factor, np.eye(d)))
 
 
 def _improper(x: NatParam):
@@ -321,21 +335,19 @@ def expected_sufficient_statistic(x: NatParam) -> np.ndarray:
 
 def _inverse_wishart_statistic(x: NatParam) -> np.ndarray:
     """E{T} of an inverse-Wishart member from one Cholesky factorization of
-    -M (M the matrix block): the same factor decides properness, as
-    :func:`is_proper` does, and gives log det(-M) and (-M)^{-1}."""
+    -M (M the matrix block)."""
     e, d = x.eta, x.d
-    if not e[0] < -d:
-        raise _improper(x)
-    try:
-        c = spd_chol(-x.matrix_block(), context="E[T] iw")
-    except SpdFactorizationError:
-        raise _improper(x) from None
+    c = _proper_inverse_wishart_factor(x)
     js = np.arange(1, d + 1)
-    e_logdet = 2.0 * float(np.sum(np.log(np.diag(c[0])))) - float(
-        np.sum(_scipy_psi(-e[0] - 0.5 * (d + js)))
-    )
-    Minv = -symmetrize(chol_solve(c, np.eye(d)))
-    return np.concatenate([[e_logdet], (e[0] + 0.5 * (d + 1.0)) * vec(Minv)])
+    e_logdet = chol_logdet(c) - float(np.sum(_scipy_psi(-e[0] - 0.5 * (d + js))))
+    return np.concatenate([[e_logdet], vec(inverse_wishart_inverse_mean(e, c, d))])
+
+
+def _proper_inverse_wishart_factor(x: NatParam):
+    c = inverse_wishart_factor(x.eta, x.d)
+    if c is None:
+        raise _improper(x)
+    return c
 
 
 def log_partition(x: NatParam) -> float:
@@ -371,6 +383,20 @@ def log_partition(x: NatParam) -> float:
 
 
 def entropy(x: NatParam) -> float:
+    """Differential entropy; raises ImproperParameterError for an improper
+    vector (an inverse-Wishart one is checked on the factor that gives its
+    log det)."""
+    if x.family == INVERSE_WISHART:
+        e, d = x.eta, x.d
+        logdet = chol_logdet(_proper_inverse_wishart_factor(x))
+        a = -e[0] - 0.5 * (d + np.arange(1, d + 1))
+        return float(
+            np.sum(gammaln(a) + e[0] * _scipy_psi(a))
+            + 0.5 * (d + 1.0) * logdet
+            - d * e[0]
+            - 0.5 * d * (d + 1.0)
+            + 0.25 * d * (d - 1.0) * np.log(np.pi)
+        )
     _require_proper(x)
     e, d = x.eta, x.d
     if x.family == BERNOULLI:
@@ -397,16 +423,6 @@ def entropy(x: NatParam) -> float:
         )
     if x.family == MULTIVARIATE_NORMAL:
         return mvn_entropy(d, spd_logdet(-2.0 * x.matrix_block(), context="entropy mvn"))
-    if x.family == INVERSE_WISHART:
-        M = x.matrix_block()
-        a = -e[0] - 0.5 * (d + np.arange(1, d + 1))
-        return float(
-            np.sum(gammaln(a) + e[0] * _scipy_psi(a))
-            + 0.5 * (d + 1.0) * spd_logdet(-M, context="entropy iw")
-            - d * e[0]
-            - 0.5 * d * (d + 1.0)
-            + 0.25 * d * (d - 1.0) * np.log(np.pi)
-        )
     if x.family == INVERSE_G_WISHART_DIAG:
         m = np.diag(x.matrix_block())
         a = -e[0] - 1.0

@@ -82,13 +82,14 @@ def _inverse_moment(c, d, kind, context):
     """E{Theta^{-1}} as a d x d matrix for a combined variance-type vector.
 
     The diagonal kinds (d=1 included) read (eta1 + 1)/eta_jj straight off the
-    vector; the full covariance goes through its expected sufficient statistic.
+    vector; the full covariance takes (eta1 + (d+1)/2) M^{-1} from one
+    factorization of -M.
     """
     if kind == TOTALLY_CONNECTED:
-        try:
-            return variance_expectations(c, d, kind)[1]
-        except expfam.ImproperParameterError as err:
-            raise ImproperCombinedMessageError(context, str(err)) from None
+        factor = expfam.inverse_wishart_factor(c, d)
+        if factor is None:
+            raise ImproperCombinedMessageError(context, f"eta={c}")
+        return expfam.inverse_wishart_inverse_mean(c, factor, d)
     diag = c[1 :: d + 1]
     if not (c[0] < -1.0 and all(x < 0.0 for x in diag.tolist())):  # NaN fails too
         raise ImproperCombinedMessageError(context, f"eta={c}")

@@ -6,19 +6,28 @@ probit fragment that integrates out truncated-normal auxiliaries in closed
 form, and a fixed-point Poisson fragment for the log link.  Each update is
 pure: it takes the current fragment state plus the two message vectors on the
 coefficient edge and returns the state to keep and a fresh outbound message.
-Only the logistic state changes: it carries the tangent points xi that its
-ELBO term reads.  Every row quadratic form a_i^T S a_i goes through
-``natparam.row_quadratic``, one matrix product over the n rows; the probit
-state holds its constant A^T A, so the probit ELBO term is a trace.
 Each state is also the fragment the engine runs: its ``ports``, ``update``
 and ``logp`` methods call these module functions by name at call time.
+
+The logistic and Poisson fragments need two O(n p^2) kernels of the design
+A: the row quadratic forms a_i^T S a_i and the weighted Gram A^T diag(w) A.
+``DenseRows`` runs them on A itself (``natparam.row_quadratic`` and one
+matrix product).  When A is an O'Sullivan spline design [1, x, Z] and the
+state carries its basis, the first update builds ``SplineRows`` instead,
+which runs both kernels on the cubic B-spline rows (six nonzeros each) in
+O(n) and keeps them only in the state it returns.  The logistic state also
+keeps A^T W A and the summed tangent offsets at the tilts it sets, so its
+ELBO term is a trace; the probit state holds its constant A^T A, so the
+probit ELBO term is a trace too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.interpolate import BSpline
 from scipy.special import gammaln, log_ndtr
 
 from .expfam import MULTIVARIATE_NORMAL
@@ -62,6 +71,79 @@ def _check_binary(y):
     return y
 
 
+class DenseRows:
+    """The two O(n p^2) kernels of a GLM fragment on a dense design A."""
+
+    def __init__(self, A):
+        self.A = A
+
+    def quadratic(self, S):
+        """The row forms a_i^T S a_i."""
+        return row_quadratic(self.A, S)
+
+    def gram(self, w):
+        """A^T diag(w) A."""
+        return self.A.T @ (w[:, None] * self.A)
+
+
+class SplineRows:
+    """The same kernels on an O'Sullivan design, through its B-spline rows.
+
+    Row i of A is [1, x_i, b_i] M, where b_i is the cubic B-spline row of
+    x_i and M = blockdiag(I_2, T) maps the B-splines to the basis columns.
+    b_i is nonzero only on the four B-splines of the knot interval j of
+    x_i, so d_i = [1, x_i, b_i] touches the six columns {0, 1, 2+j .. 5+j}.
+    The rows are grouped by interval and zero-padded to the largest one, an
+    (intervals, n_max, 6) array, and each kernel is one batched matrix
+    product over the intervals: a_i^T S a_i = d_i^T (M S M^T)_j d_i, and
+    A^T diag(w) A = M^T (sum_j of the 6 x 6 blocks D_j^T W_j D_j) M.
+    """
+
+    def __init__(self, x, basis):
+        knots = basis.full_knots
+        B = BSpline.design_matrix(x, knots, 3)  # four stored entries per row
+        n, J = x.size, knots.size - 7  # J knot intervals
+        interval = B.indices[::4]
+        counts = np.bincount(interval, minlength=J)
+        n_max = int(counts.max())
+        # each row's position in the padded array: its interval's block, then
+        # its place among that interval's rows (in row order)
+        order = np.argsort(interval, kind="stable")
+        slot = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.where = np.empty(n, dtype=np.intp)
+        self.where[order] = interval[order] * n_max + slot
+        padded = np.zeros((J * n_max, 6))
+        padded[self.where, 0] = 1.0
+        padded[self.where, 1] = x
+        padded[self.where, 2:] = B.data.reshape(n, 4)
+        self.band = padded.reshape(J, n_max, 6)
+        self.cols = np.column_stack(
+            [np.zeros(J, dtype=np.intp), np.ones(J, dtype=np.intp),
+             2 + np.arange(J)[:, None] + np.arange(4)]
+        )
+        P = J + 5  # columns of [1, x, B]
+        self.flat = (self.cols[:, :, None] * P + self.cols[:, None, :]).ravel()
+        p = basis.transform.shape[1] + 2
+        self.M = np.zeros((P, p))
+        self.M[[0, 1], [0, 1]] = 1.0
+        self.M[2:, 2:] = basis.transform
+
+    def quadratic(self, S):
+        St = self.M @ S @ self.M.T
+        Q = St[self.cols[:, :, None], self.cols[:, None, :]]
+        forms = np.einsum("jnk,jnk->jn", self.band @ Q, self.band)
+        return forms.ravel()[self.where]
+
+    def gram(self, w):
+        J, n_max, _ = self.band.shape
+        padded = np.zeros(J * n_max)
+        padded[self.where] = w
+        blocks = self.band.transpose(0, 2, 1) @ (self.band * padded.reshape(J, n_max, 1))
+        P = self.M.shape[0]
+        X = np.bincount(self.flat, weights=blocks.ravel(), minlength=P * P).reshape(P, P)
+        return self.M.T @ X @ self.M
+
+
 class _GlmFragment:
     """The one port every GLM fragment has: the coefficient node."""
 
@@ -74,11 +156,45 @@ class _GlmFragment:
         return [(MULTIVARIATE_NORMAL, self.A.shape[1])]
 
 
+def _rows(state):
+    """The row kernels of a logistic or Poisson state: the spline rows an
+    update kept, else spline rows built from its basis (A[:, 1] is the
+    standardized x), else the dense kernels on A."""
+    if state.rows is not None:
+        return state.rows
+    if state.basis is not None:
+        return SplineRows(state.A[:, 1], state.basis)
+    return DenseRows(state.A)
+
+
+def _evolve(state, rows, **changes):
+    """``state`` with ``changes``, and with ``rows`` when they are spline rows
+    built for this update; every other field is shared, not re-validated."""
+    if state.basis is not None and state.rows is None:
+        changes["rows"] = rows
+    if not changes:
+        return state
+    new = copy.copy(state)
+    for name, value in changes.items():
+        object.__setattr__(new, name, value)
+    return new
+
+
 @dataclass(frozen=True)
 class LogisticFragmentState(_GlmFragment):
+    """``basis`` is the O'Sullivan basis when A is [1, x, basis(x)]; the
+    fields after it are derived: ``rows`` (kept by the first update on a
+    basis), and b = A^T (y - 1/2) with A^T W A and the summed tangent
+    offsets at ``xi`` (kept by each update; formed when absent)."""
+
     y: np.ndarray
     A: np.ndarray
     xi: np.ndarray = None
+    basis: object = field(default=None, repr=False, compare=False)
+    rows: object = field(default=None, init=False, repr=False, compare=False)
+    Atb: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    AtWA: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    offset_sum: float = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y = _check_binary(self.y)
@@ -121,8 +237,14 @@ class ProbitFragmentState(_GlmFragment):
 
 @dataclass(frozen=True)
 class PoissonFragmentState(_GlmFragment):
+    """``basis`` and ``rows`` as for the logistic state; ``log_y_factorial``,
+    the sum of log y_i! in the ELBO term, is kept by the first update."""
+
     y: np.ndarray
     A: np.ndarray
+    basis: object = field(default=None, repr=False, compare=False)
+    rows: object = field(default=None, init=False, repr=False, compare=False)
+    log_y_factorial: float = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
@@ -164,21 +286,26 @@ def tangent_weight(xi):
     return out
 
 
-def tangent_offset(xi):
-    """Constant term of the quadratic logistic lower bound at tilt xi."""
+def tangent_offset(xi, W=None):
+    """Constant term of the quadratic logistic lower bound at tilt xi;
+    ``W`` is tangent_weight(xi) when the caller has it already."""
     xi = np.asarray(xi, dtype=float)
-    return 0.5 * xi - np.logaddexp(0.0, xi) + tangent_weight(xi) * xi**2
+    W = tangent_weight(xi) if W is None else W
+    return 0.5 * xi - np.logaddexp(0.0, xi) + W * xi**2
 
 
 def jaakkola_jordan_update(state: LogisticFragmentState, eta_factor_to_theta, eta_theta_to_factor):
     mu, Sigma = _moments(state, np.add(eta_factor_to_theta, eta_theta_to_factor), "logistic fragment")
-    A = state.A
-    _check_linear_predictor(float(np.max(np.abs(A @ mu))))
+    _check_linear_predictor(float(np.max(np.abs(state.A @ mu))))
+    rows = _rows(state)
+    Atb = state.A.T @ (state.y - 0.5) if state.Atb is None else state.Atb  # constant
     Xi = Sigma + np.outer(mu, mu)  # second moment of the combined coefficient density
-    xi = np.sqrt(np.maximum(row_quadratic(A, Xi), 0.0))
+    xi = np.sqrt(np.maximum(rows.quadratic(Xi), 0.0))
     W = tangent_weight(xi)
-    msg = np.concatenate([A.T @ (state.y - 0.5), -vec(A.T @ (W[:, None] * A))])
-    return replace(state, xi=xi), msg
+    AtWA = rows.gram(W)
+    msg = np.concatenate([Atb, -vec(AtWA)])
+    offset_sum = float(np.sum(tangent_offset(xi, W)))
+    return _evolve(state, rows, xi=xi, Atb=Atb, AtWA=AtWA, offset_sum=offset_sum), msg
 
 
 def zeta_prime(x):
@@ -216,14 +343,15 @@ def albert_chib_update(state: ProbitFragmentState, eta_factor_to_theta, eta_thet
 
 def knowles_minka_wand_update(state: PoissonFragmentState, eta_factor_to_theta, eta_theta_to_factor):
     mu, Sigma = _moments(state, np.add(eta_factor_to_theta, eta_theta_to_factor), "poisson fragment")
-    A = state.A
-    lin = A @ mu + 0.5 * row_quadratic(A, Sigma)
+    A, rows = state.A, _rows(state)
+    lin = A @ mu + 0.5 * rows.quadratic(Sigma)
     _check_linear_predictor(float(np.max(lin)))
     omega = np.exp(lin)
-    AtOA = A.T @ (omega[:, None] * A)
+    AtOA = rows.gram(omega)
     first = A.T @ (state.y - omega) + AtOA @ mu
     msg = np.concatenate([first, -0.5 * vec(AtOA)])
-    return state, msg
+    kept = {} if state.log_y_factorial is not None else {"log_y_factorial": _log_y_factorial(state)}
+    return _evolve(state, rows, **kept), msg
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +360,16 @@ def knowles_minka_wand_update(state: PoissonFragmentState, eta_factor_to_theta, 
 
 def jaakkola_jordan_elbo(state: LogisticFragmentState, q_eta, moments=None):
     """Tangent lower bound on the logistic log likelihood under q; ``moments``
-    are q's dense moments when the caller has them already."""
+    are q's dense moments when the caller has them already.  The sum of the
+    row terms (y_i - 1/2) a_i^T mu - w_i a_i^T (Sigma + mu mu^T) a_i is the
+    trace form b^T mu - tr(A^T W A (Sigma + mu mu^T)), with b = A^T (y - 1/2)."""
     mu, Sigma = _moments(state, q_eta, "logistic elbo", moments)
-    A = state.A
-    second = row_quadratic(A, Sigma + np.outer(mu, mu))
-    W = tangent_weight(state.xi)
-    return float((state.y - 0.5) @ (A @ mu) - W @ second + np.sum(tangent_offset(state.xi)))
+    Atb, AtWA, offset_sum = state.Atb, state.AtWA, state.offset_sum
+    if AtWA is None:  # no update has set xi: a state built with its tilts
+        Atb = state.A.T @ (state.y - 0.5)
+        AtWA = _rows(state).gram(tangent_weight(state.xi))
+        offset_sum = float(np.sum(tangent_offset(state.xi)))
+    return float(Atb @ mu - np.sum(AtWA * Sigma) - mu @ AtWA @ mu + offset_sum)
 
 
 def albert_chib_elbo(state: ProbitFragmentState, q_eta, moments=None):
@@ -254,8 +386,15 @@ def knowles_minka_wand_elbo(state: PoissonFragmentState, q_eta, moments=None):
     """E_q log p(y | theta) for the Poisson log-link model; ``moments`` are
     q's dense moments when the caller has them already."""
     mu, Sigma = _moments(state, q_eta, "poisson elbo", moments)
-    A = state.A
-    lin = A @ mu + 0.5 * row_quadratic(A, Sigma)
+    Amu = state.A @ mu
+    lin = Amu + 0.5 * _rows(state).quadratic(Sigma)
     _check_linear_predictor(float(np.max(lin)))
-    return float(state.y @ (A @ mu) - np.sum(np.exp(lin)) - np.sum(gammaln(state.y + 1.0)))
+    log_y_factorial = state.log_y_factorial
+    if log_y_factorial is None:
+        log_y_factorial = _log_y_factorial(state)
+    return float(state.y @ Amu - np.sum(np.exp(lin)) - log_y_factorial)
+
+
+def _log_y_factorial(state: PoissonFragmentState):
+    return float(np.sum(gammaln(state.y + 1.0)))
 

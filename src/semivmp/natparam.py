@@ -122,8 +122,12 @@ def spd_inverse(M, context=""):
 
 
 def spd_logdet(M, context=""):
-    c, _ = spd_chol(M, context=context)
-    return 2.0 * float(np.sum(np.log(np.diag(c))))
+    return chol_logdet(spd_chol(M, context=context))
+
+
+def chol_logdet(factor):
+    """log det M given ``factor = spd_chol(M)``."""
+    return 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +184,7 @@ def _dense_moments(eta, d, context):
     c = spd_chol(P, context=context)
     Sigma = symmetrize(chol_solve(c, np.eye(d)))
     mu = chol_solve(c, eta[:d])
-    return DenseMoments(mu, Sigma, 2.0 * float(np.sum(np.log(np.diag(c[0])))))
+    return DenseMoments(mu, Sigma, chol_logdet(c))
 
 
 def mvn_moments_from_natural(eta, d, context=""):
@@ -464,7 +468,7 @@ def two_level_moments(eta, layout, context=""):
     mu = np.empty(p)
     mu[layout.glob], mu[layout.groups] = mu_G, mu_I
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(L, axis1=1, axis2=2))))
-    logdet += 2.0 * float(np.sum(np.log(np.diag(c[0]))))
+    logdet += chol_logdet(c)
     return TwoLevelMoments(layout, mu, logdet, Sigma_GG, Sigma_iG, Sigma_ii, np.tril(c[0]))
 
 

@@ -687,8 +687,9 @@ def test_damped_fit_keeps_no_moments():
 
 
 def test_improper_inverse_wishart_expectation_still_raises():
-    # the expectation decides properness from the factor it reads log det and
-    # the inverse from; both ways of being improper must still raise
+    # the expectation and the entropy decide properness from the factor they
+    # read log det and the inverse from; both ways of being improper must
+    # still raise
     proper = np.concatenate([[-3.0], -0.5 * vec(np.array([[2.0, 0.3], [0.3, 1.0]]))])
     assert expfam.is_proper(NatParam(INVERSE_WISHART, proper, 2))
     shape_too_small = proper.copy()
@@ -699,6 +700,8 @@ def test_improper_inverse_wishart_expectation_still_raises():
         assert not expfam.is_proper(nat)
         with pytest.raises(expfam.ImproperParameterError, match="improper inverse_wishart"):
             expfam.expected_sufficient_statistic(nat)
+        with pytest.raises(expfam.ImproperParameterError, match="improper inverse_wishart"):
+            expfam.entropy(nat)
 
 
 def test_non_spd_matrix_still_names_its_context():

@@ -9,10 +9,12 @@ from semivmp import fragments_glm
 from semivmp.engine import build_factor_graph, elbo, q_density, run_vmp
 from semivmp.fragments_glm import (
     OVERFLOW_LIMIT,
+    DenseRows,
     LinearPredictorOverflowError,
     LogisticFragmentState,
     PoissonFragmentState,
     ProbitFragmentState,
+    SplineRows,
     albert_chib_elbo,
     albert_chib_update,
     jaakkola_jordan_elbo,
@@ -23,8 +25,8 @@ from semivmp.fragments_glm import (
     tangent_weight,
     zeta_prime,
 )
-from semivmp.models import build_glm_spline, demo_mean_function
-from semivmp.natparam import mvn_moments, vec
+from semivmp.models import TRUNCATED_LINEAR, build_glm_spline, demo_mean_function
+from semivmp.natparam import mvn_moments, row_quadratic, vec
 
 from conftest import random_spd
 from test_acceptance import kmw_local_objective
@@ -326,13 +328,30 @@ def reference_albert_chib_elbo(state, q_eta, moments=None):
                  - 0.5 * np.sum(einsum_row_quadratic(state.A, q.Sigma)))
 
 
-def criterion_08_fit(link):
-    """The criterion-08 data (n=500, K=25, data seed 0) fitted to tol 1e-12."""
+def criterion_08_model(link):
+    """The criterion-08 data (n=500, K=25, data seed 0) and its model."""
     r = np.random.default_rng(0)
     x = r.uniform(size=500)
     f = demo_mean_function(x)
     y = r.binomial(1, f) if link != "log" else r.poisson(10.0 * f)
-    graph = build_factor_graph(build_glm_spline(y, x, K=25, link=link))
+    return build_glm_spline(y, x, K=25, link=link)
+
+
+def on_dense_rows(model):
+    """The model with its likelihood state rebuilt from meta["C"] alone, so
+    every update and ELBO term runs the dense kernels."""
+    def dense(binding):
+        if binding.name != "likelihood":
+            return binding
+        state = binding.fragment
+        return dataclasses.replace(binding, fragment=type(state)(state.y, model.meta["C"]))
+
+    return dataclasses.replace(model, fragments=tuple(dense(b) for b in model.fragments))
+
+
+def fit_to_fixed_point(model):
+    """q-density vectors and ELBO of the model fitted to tol 1e-12."""
+    graph = build_factor_graph(model)
     report = run_vmp(graph, max_iter=2000, tol=1e-12, track_elbo=False)
     assert report.converged
     etas = {node: q_density(graph, node).eta_q for node in graph.nodes}
@@ -341,11 +360,113 @@ def criterion_08_fit(link):
 
 @pytest.mark.parametrize("link", ["logit", "probit", "log"])
 def test_fixed_point_matches_einsum_reference(monkeypatch, link):
-    etas, bound = criterion_08_fit(link)
-    monkeypatch.setattr(fragments_glm, "row_quadratic", einsum_row_quadratic)
+    # the builder's fit (B-spline rows for logit and log) against a fit on the
+    # dense design whose row forms are the three-index einsum and whose probit
+    # ELBO term is the row sum
+    etas, bound = fit_to_fixed_point(criterion_08_model(link))
+    reference_calls = []
+
+    def counted_einsum(A, S):
+        reference_calls.append(A.shape)
+        return einsum_row_quadratic(A, S)
+
+    monkeypatch.setattr(fragments_glm, "row_quadratic", counted_einsum)
     monkeypatch.setattr(fragments_glm, "albert_chib_elbo", reference_albert_chib_elbo)
-    ref_etas, ref_bound = criterion_08_fit(link)
+    ref_etas, ref_bound = fit_to_fixed_point(on_dense_rows(criterion_08_model(link)))
+    assert reference_calls or link == "probit"  # the reference ran the dense row forms
     for node, ref in ref_etas.items():
         gap = np.max(np.abs(etas[node] - ref) / np.maximum(1.0, np.abs(ref)))
         assert gap <= 1e-12, node
     assert bound == pytest.approx(ref_bound, rel=1e-12)
+
+
+# --- the B-spline row kernels against the dense ones --------------------------
+
+
+def spline_rows_case(x, K):
+    """(dense design, SplineRows) of the O'Sullivan design the GLM builder
+    forms on x with K spline columns."""
+    model = build_glm_spline(np.zeros(x.size), x, K=K, link="log")
+    C = model.meta["C"]
+    return C, SplineRows(C[:, 1], model.meta["basis"])
+
+
+def spline_cases(rng):
+    uniform = rng.uniform(size=200)
+    ends = np.concatenate([[0.0, 0.0, 1.0, 1.0, 1.0], rng.uniform(size=60)])
+    tied = rng.integers(0, 12, size=150) / 11.0
+    crowded = np.concatenate([np.linspace(0.0, 1.0, 40), np.full(120, 0.37)])
+    return [("one interval", uniform[:30], 2), ("both ends", ends, 6), ("tied", tied, 8),
+            ("uneven", crowded, 10), ("builder size", uniform, 25)]
+
+
+def test_spline_rows_match_the_dense_kernels(rng):
+    for name, x, K in spline_cases(rng):
+        C, rows = spline_rows_case(x, K)
+        n, p = C.shape
+        J, n_max, _ = rows.band.shape
+        assert J == K - 1, name
+        if name == "uneven":
+            assert n_max > 3 * n / J  # one interval holds most rows
+        for _ in range(3):
+            S = random_spd(rng, p)
+            w = rng.uniform(0.05, 3.0, size=n)
+            np.testing.assert_allclose(rows.quadratic(S), row_quadratic(C, S), rtol=1e-12,
+                                       err_msg=name)
+            dense = C.T @ (w[:, None] * C)
+            assert np.max(np.abs(rows.gram(w) - dense)) <= 1e-12 * np.max(np.abs(dense)), name
+            dense_rows = DenseRows(C)
+            np.testing.assert_array_equal(dense_rows.quadratic(S), row_quadratic(C, S))
+            np.testing.assert_array_equal(dense_rows.gram(w), dense)
+
+
+def row_sum_jaakkola_jordan_elbo(state, q_eta):
+    """The logistic ELBO term as the sum over rows of its tangent bound."""
+    q = mvn_moments(q_eta, state.A.shape[1])
+    second = einsum_row_quadratic(state.A, q.Sigma + np.outer(q.mu, q.mu))
+    return float((state.y - 0.5) @ (state.A @ q.mu) - tangent_weight(state.xi) @ second
+                 + np.sum(tangent_offset(state.xi)))
+
+
+def test_jj_elbo_trace_form_is_the_row_sum(rng):
+    n, d = 40, 4
+    y = rng.integers(0, 2, n).astype(float)
+    A = rng.normal(size=(n, d))
+    model = criterion_08_model("logit")
+    spline = next(b.fragment for b in model.fragments if b.name == "likelihood")
+    p = spline.A.shape[1]
+    for _ in range(5):
+        eta = mvn_eta(rng.normal(size=d), random_spd(rng, d, 0.3))
+        tilted, _ = jaakkola_jordan_update(LogisticFragmentState(y, A), *split(eta))
+        direct = LogisticFragmentState(y, A, xi=rng.uniform(0.0, 4.0, size=n))
+        eta_p = mvn_eta(rng.normal(scale=0.3, size=p), random_spd(rng, p, 0.01))
+        on_spline, _ = jaakkola_jordan_update(spline, *split(eta_p))
+        assert tilted.AtWA is not None and on_spline.AtWA is not None  # kept by the update
+        for state, q_eta in ((tilted, eta), (direct, eta), (on_spline, eta_p)):
+            assert jaakkola_jordan_elbo(state, q_eta) == pytest.approx(
+                row_sum_jaakkola_jordan_elbo(state, q_eta), rel=1e-12
+            )
+
+
+@pytest.mark.parametrize("link", ["logit", "log"])
+def test_spline_rows_live_only_in_the_graph(link):
+    model = criterion_08_model(link)
+    graph = build_factor_graph(model)
+    run_vmp(graph, max_iter=5)
+    own = next(b.fragment for b in model.fragments if b.name == "likelihood")
+    kept = graph.factors["likelihood"].fragment
+    assert own.basis is model.meta["basis"] and own.rows is None
+    assert isinstance(kept.rows, SplineRows)
+    assert kept.A is own.A is model.meta["C"]
+
+
+def test_other_designs_keep_the_dense_kernels():
+    r = np.random.default_rng(0)
+    x = r.uniform(size=200)
+    y = r.binomial(1, demo_mean_function(x)).astype(float)
+    for model in (build_glm_spline(y, x, K=10, link="probit"),
+                  build_glm_spline(y, x, K=10, link="logit", spline_kind=TRUNCATED_LINEAR)):
+        graph = build_factor_graph(model)
+        run_vmp(graph, max_iter=3)
+        state = graph.factors["likelihood"].fragment
+        assert getattr(state, "basis", None) is None and getattr(state, "rows", None) is None

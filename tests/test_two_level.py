@@ -21,7 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semivmp import expfam, natparam
-from semivmp.engine import build_factor_graph, elbo, q_density, run_vmp
+from semivmp.engine import ImproperQDensityError, build_factor_graph, elbo, q_density, run_vmp
 from semivmp.fragments_gaussian import (
     SCALAR_D1,
     TOTALLY_CONNECTED,
@@ -145,6 +145,31 @@ def test_elbo_forms_each_expectation_once(tmp_path, monkeypatch):
         etas = [q_density(graph, n).eta_q for n, node in graph.nodes.items()
                 if node.family != expfam.MULTIVARIATE_NORMAL]
         assert formed == Counter(eta.tobytes() for eta in etas)
+
+
+def test_elbo_factors_the_full_variance_twice(tmp_path, monkeypatch):
+    """One ELBO on the README groupcurves graph factors -M of the
+    inverse-Wishart q(Sigma_subject) twice: once for its properness and
+    log det in the entropy, once for its E{T}; the coef moments are kept.
+    An improper q(Sigma_subject) still raises, naming the node."""
+    graph = build_factor_graph(build_group_curves(*readme_group_data(tmp_path, 20)))
+    run_vmp(graph, max_iter=3, tol=1e-300, track_elbo=False)
+    shapes = []
+    real = natparam.spd_chol
+
+    def counting(M, context=""):
+        shapes.append(np.shape(M))
+        return real(M, context)
+
+    for module in (expfam, natparam):
+        monkeypatch.setattr(module, "spd_chol", counting)
+    elbo(graph)
+    assert shapes == [(2, 2), (2, 2)]
+    monkeypatch.undo()
+    factor = graph.node_factors["Sigma_subject"][0]
+    graph.fac_to_node[(factor, "Sigma_subject")] += np.concatenate([[0.0], vec(1e6 * np.eye(2))])
+    with pytest.raises(ImproperQDensityError, match="'Sigma_subject'"):
+        elbo(graph)
 
 
 def test_layout_sweep_forms_no_dense_matrix(tmp_path):
