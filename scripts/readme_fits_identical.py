@@ -10,7 +10,10 @@ each checkout the three ``semivmp fit`` commands of the README (penspline,
 probit glmspline and groupcurves) then run in a subprocess with
 ``PYTHONPATH=<checkout>/src``.  The script prints one line per fit and
 compares the two JSON documents byte for byte, and each side's exit code
-(groupcurves stops at its sweep limit, exit 2).
+(groupcurves stops at its sweep limit, exit 2).  When two documents differ,
+it also prints the largest relative difference |a - b| / max(|a|, |b|)
+among their numeric leaves, with that leaf's JSON path, or a path at
+which their structure or a non-numeric leaf differs.
 
 The exit code is 1 when any JSON or exit code differs or a fit failed,
 else 0.  The script writes nothing outside its temporary directory.
@@ -19,6 +22,7 @@ else 0.  The script writes nothing outside its temporary directory.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -52,6 +56,40 @@ def fit(checkout, name, data, out):
     return proc.returncode, out.read_bytes()
 
 
+def leaves(doc, path="$"):
+    """(JSON path, value) of every leaf of a parsed JSON document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from leaves(value, f"{path}.{key}")
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from leaves(value, f"{path}[{i}]")
+    else:
+        yield path, doc
+
+
+def largest_difference(doc_a, doc_b):
+    """A line naming the largest relative difference among the numeric
+    leaves of two JSON documents, or a path where their structure or a
+    non-numeric leaf differs."""
+    a, b = dict(leaves(json.loads(doc_a))), dict(leaves(json.loads(doc_b)))
+    if a.keys() != b.keys():
+        return f"structure differs at {sorted(a.keys() ^ b.keys())[0]}"
+    worst, where = 0.0, None
+    for path, u in a.items():
+        v = b[path]
+        if u == v or (u != u and v != v):  # equal, or both NaN
+            continue
+        if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in (u, v)):
+            return f"non-numeric leaf differs at {path}"
+        rel = abs(u - v) / max(abs(u), abs(v))
+        if where is None or rel > worst:
+            worst, where = rel, path
+    if where is None:
+        return "numeric leaves equal (the documents differ in formatting only)"
+    return f"largest relative difference {worst:.3g} at {where}"
+
+
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -76,6 +114,8 @@ def main():
             verdict = "identical" if ok else "DIFFERENT"
             size = "-" if doc_p is None else len(doc_p)
             print(f"{name:12s} {verdict}  ({size} bytes, exit {code_p} / {code_c})")
+            if doc_p is not None and doc_c is not None and doc_p != doc_c:
+                print(f"{'':12s} {largest_difference(doc_p, doc_c)}")
             same = same and ok
     print("all README JSONs identical" if same else "README JSONs differ")
     return 0 if same else 1

@@ -10,8 +10,8 @@ a temporary directory) and, for each link (logit, probit, log) of
 
 - build: ``build_glm_spline`` plus ``build_factor_graph`` (the benchmark's
   set-up);
-- first sweep: the first ``run_vmp`` sweep with the ELBO, which for logit
-  and log also builds the B-spline rows the later sweeps reuse;
+- first sweep: the first ``run_vmp`` sweep with the ELBO, which also
+  builds the B-spline rows the later sweeps reuse;
 - sweep: one more sweep with the ELBO, on the same graph.
 
 Each time is the minimum over ``--repeats`` runs (each first sweep on a

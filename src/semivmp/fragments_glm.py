@@ -9,16 +9,17 @@ coefficient edge and returns the state to keep and a fresh outbound message.
 Each state is also the fragment the engine runs: its ``ports``, ``update``
 and ``logp`` methods call these module functions by name at call time.
 
-The logistic and Poisson fragments need two O(n p^2) kernels of the design
-A: the row quadratic forms a_i^T S a_i and the weighted Gram A^T diag(w) A.
-``DenseRows`` runs them on A itself (``natparam.row_quadratic`` and one
-matrix product).  When A is an O'Sullivan spline design [1, x, Z] and the
+Every fragment reads the design A only through a row-kernel object: the
+products A v and A^T r, and for the logistic and Poisson fragments the two
+O(n p^2) kernels, the row quadratic forms a_i^T S a_i and the weighted Gram
+A^T diag(w) A.  ``DenseRows`` runs them on A itself (``natparam.row_quadratic``
+and matrix products).  When A is an O'Sullivan spline design [1, x, Z] and the
 state carries its basis, the first update builds ``SplineRows`` instead,
-which runs both kernels on the cubic B-spline rows (six nonzeros each) in
-O(n) and keeps them only in the state it returns.  The logistic state also
-keeps A^T W A and the summed tangent offsets at the tilts it sets, so its
-ELBO term is a trace; the probit state holds its constant A^T A, so the
-probit ELBO term is a trace too.
+which runs all four on the cubic B-spline rows (six nonzeros each) in O(n)
+and keeps them only in the state it returns.  The logistic state also keeps
+A^T W A and the summed tangent offsets at the tilts it sets, so its ELBO term
+is a trace; the probit state holds its constant A^T A, formed when the state
+is built, so the probit ELBO term is a trace too.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.special import gammaln, log_ndtr
+from scipy.special import erfcx, gammaln, log_ndtr
 
 from .expfam import MULTIVARIATE_NORMAL
 from .natparam import mvn_moments_from_natural, row_quadratic, vec
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
+_SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
+_SQRT_HALF = float(np.sqrt(0.5))
 
 OVERFLOW_LIMIT = 700.0
 
@@ -72,10 +73,18 @@ def _check_binary(y):
 
 
 class DenseRows:
-    """The two O(n p^2) kernels of a GLM fragment on a dense design A."""
+    """The row kernels of a GLM fragment on a dense design A."""
 
     def __init__(self, A):
         self.A = A
+
+    def matvec(self, v):
+        """A v."""
+        return self.A @ v
+
+    def rmatvec(self, r):
+        """A^T r."""
+        return self.A.T @ r
 
     def quadratic(self, S):
         """The row forms a_i^T S a_i."""
@@ -94,29 +103,34 @@ class SplineRows:
     b_i is nonzero only on the four B-splines of the knot interval j of
     x_i, so d_i = [1, x_i, b_i] touches the six columns {0, 1, 2+j .. 5+j}.
     The rows are grouped by interval and zero-padded to the largest one, an
-    (intervals, n_max, 6) array, and each kernel is one batched matrix
-    product over the intervals: a_i^T S a_i = d_i^T (M S M^T)_j d_i, and
-    A^T diag(w) A = M^T (sum_j of the 6 x 6 blocks D_j^T W_j D_j) M.
+    (intervals, 6, n_max) array D with the rows D_j of interval j in its
+    columns, and each kernel is one batched matrix product over the
+    intervals: a_i^T S a_i = d_i^T (M S M^T)_j d_i, A v = D_j^T (M v)_j,
+    A^T r = M^T (sum_j of D_j r_j placed in the six columns of j), and
+    A^T diag(w) A = M^T (sum_j of the 6 x 6 blocks D_j W_j D_j^T) M.
     """
 
     def __init__(self, x, basis):
         knots = basis.full_knots
-        B = BSpline.design_matrix(x, knots, 3)  # four stored entries per row
         n, J = x.size, knots.size - 7  # J knot intervals
-        interval = B.indices[::4]
+        # knots[j + 3] <= x_i < knots[j + 4], the last interval closed
+        interval = np.minimum(np.searchsorted(knots, x, side="right") - 4, J - 1)
         counts = np.bincount(interval, minlength=J)
         n_max = int(counts.max())
         # each row's position in the padded array: its interval's block, then
-        # its place among that interval's rows (in row order)
-        order = np.argsort(interval, kind="stable")
+        # its place among that interval's rows (in row order); a small
+        # unsigned key gets numpy's O(n) radix sort
+        order = np.argsort(interval.astype(np.min_scalar_type(J)), kind="stable")
         slot = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
         self.where = np.empty(n, dtype=np.intp)
         self.where[order] = interval[order] * n_max + slot
-        padded = np.zeros((J * n_max, 6))
-        padded[self.where, 0] = 1.0
-        padded[self.where, 1] = x
-        padded[self.where, 2:] = B.data.reshape(n, 4)
-        self.band = padded.reshape(J, n_max, 6)
+        self.shape = (J, n_max)
+        present = self._padded(1.0)
+        self.band = np.empty((J, 6, n_max))
+        self.band[:, 0] = present
+        self.band[:, 1] = self._padded(x)
+        _cubic_bsplines(self.band[:, 1], knots, [self.band[:, 2 + k] for k in range(4)])
+        self.band[:, 2:] *= present[:, None, :]  # zero on the padding
         self.cols = np.column_stack(
             [np.zeros(J, dtype=np.intp), np.ones(J, dtype=np.intp),
              2 + np.arange(J)[:, None] + np.arange(4)]
@@ -128,20 +142,62 @@ class SplineRows:
         self.M[[0, 1], [0, 1]] = 1.0
         self.M[2:, 2:] = basis.transform
 
+    def _padded(self, r):
+        """The length-n vector r (or a scalar) in the (intervals, n_max)
+        layout, zero on the padding."""
+        out = np.zeros(self.shape[0] * self.shape[1])
+        out[self.where] = r
+        return out.reshape(self.shape)
+
+    def _unpadded(self, padded):
+        """The length-n vector held in an (intervals, n_max) layout."""
+        return padded.ravel()[self.where]
+
+    def matvec(self, v):
+        return self._unpadded((self.M @ v)[self.cols][:, None, :] @ self.band)
+
+    def rmatvec(self, r):
+        blocks = self.band @ self._padded(r)[:, :, None]
+        P = self.M.shape[0]
+        return self.M.T @ np.bincount(self.cols.ravel(), weights=blocks.ravel(), minlength=P)
+
     def quadratic(self, S):
         St = self.M @ S @ self.M.T
-        Q = St[self.cols[:, :, None], self.cols[:, None, :]]
-        forms = np.einsum("jnk,jnk->jn", self.band @ Q, self.band)
-        return forms.ravel()[self.where]
+        forms = St[self.cols[:, :, None], self.cols[:, None, :]] @ self.band
+        forms *= self.band
+        return self._unpadded(forms.sum(axis=1))
 
     def gram(self, w):
-        J, n_max, _ = self.band.shape
-        padded = np.zeros(J * n_max)
-        padded[self.where] = w
-        blocks = self.band.transpose(0, 2, 1) @ (self.band * padded.reshape(J, n_max, 1))
+        blocks = (self.band * self._padded(w)[:, None, :]) @ self.band.transpose(0, 2, 1)
         P = self.M.shape[0]
         X = np.bincount(self.flat, weights=blocks.ravel(), minlength=P * P).reshape(P, P)
         return self.M.T @ X @ self.M
+
+
+def _cubic_bsplines(x, knots, out):
+    """Write into out[0..3] the four cubic B-splines nonzero on knot interval
+    j at each x[j, :] (out[k] and x are (intervals, rows) arrays), by the de
+    Boor recurrence that ``BSpline.design_matrix`` runs, operation for
+    operation.  The knots of interval j broadcast over its row, and each
+    degree is raised in place from the top down, with two scratch arrays."""
+    J = x.shape[0]
+
+    def knot(offset):  # knots[j + 3 + offset] for every interval j
+        return knots[3 + offset + np.arange(J), None]
+
+    w, carry = np.empty_like(x), np.empty_like(x)
+    out[0][...] = 1.0
+    for degree in range(1, 4):
+        for m in range(degree, 0, -1):  # out[m] from the old out[m - 1] and the carry of m + 1
+            right, left = knot(m), knot(m - degree)
+            np.divide(out[m - 1], right - left, out=w)
+            np.subtract(x, left, out=out[m])
+            out[m] *= w
+            if m < degree:
+                out[m] += carry
+            np.subtract(right, x, out=carry)
+            carry *= w
+        out[0][...] = carry
 
 
 class _GlmFragment:
@@ -157,9 +213,9 @@ class _GlmFragment:
 
 
 def _rows(state):
-    """The row kernels of a logistic or Poisson state: the spline rows an
-    update kept, else spline rows built from its basis (A[:, 1] is the
-    standardized x), else the dense kernels on A."""
+    """The row kernels of a state: the spline rows an update kept, else
+    spline rows built from its basis (A[:, 1] is the standardized x), else
+    the dense kernels on A."""
     if state.rows is not None:
         return state.rows
     if state.basis is not None:
@@ -216,8 +272,13 @@ class LogisticFragmentState(_GlmFragment):
 
 @dataclass(frozen=True)
 class ProbitFragmentState(_GlmFragment):
+    """``basis`` and ``rows`` as for the logistic state; A^T A, the constant
+    message precision, is formed when the state is built."""
+
     y: np.ndarray
     A: np.ndarray
+    basis: object = field(default=None, repr=False, compare=False)
+    rows: object = field(default=None, init=False, repr=False, compare=False)
     AtA: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -225,7 +286,7 @@ class ProbitFragmentState(_GlmFragment):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "AtA", A.T @ A)  # the constant message precision
+        object.__setattr__(self, "AtA", A.T @ A)
 
     def update(self, n2f, f2n, nodes, context):
         state, msg = albert_chib_update(self, f2n[0], n2f[0])
@@ -288,17 +349,21 @@ def tangent_weight(xi):
 
 def tangent_offset(xi, W=None):
     """Constant term of the quadratic logistic lower bound at tilt xi;
-    ``W`` is tangent_weight(xi) when the caller has it already."""
-    xi = np.asarray(xi, dtype=float)
+    ``W`` is tangent_weight(xi) when the caller has it already.
+
+    The offset xi/2 - log(1 + e^xi) + W xi^2 is even in xi, so it is
+    evaluated at |xi| as W xi^2 - |xi|/2 - log1p(e^-|xi|), which needs no
+    logaddexp and never overflows."""
+    xi = np.abs(np.asarray(xi, dtype=float))
     W = tangent_weight(xi) if W is None else W
-    return 0.5 * xi - np.logaddexp(0.0, xi) + W * xi**2
+    return W * xi**2 - 0.5 * xi - np.log1p(np.exp(-xi))
 
 
 def jaakkola_jordan_update(state: LogisticFragmentState, eta_factor_to_theta, eta_theta_to_factor):
     mu, Sigma = _moments(state, np.add(eta_factor_to_theta, eta_theta_to_factor), "logistic fragment")
-    _check_linear_predictor(float(np.max(np.abs(state.A @ mu))))
     rows = _rows(state)
-    Atb = state.A.T @ (state.y - 0.5) if state.Atb is None else state.Atb  # constant
+    _check_linear_predictor(float(np.max(np.abs(rows.matvec(mu)))))
+    Atb = rows.rmatvec(state.y - 0.5) if state.Atb is None else state.Atb  # constant
     Xi = Sigma + np.outer(mu, mu)  # second moment of the combined coefficient density
     xi = np.sqrt(np.maximum(rows.quadratic(Xi), 0.0))
     W = tangent_weight(xi)
@@ -309,46 +374,40 @@ def jaakkola_jordan_update(state: LogisticFragmentState, eta_factor_to_theta, et
 
 
 def zeta_prime(x):
-    """phi(x)/Phi(x), the N(0,1) density over its cdf, stable on [-40, 40].
+    """phi(x)/Phi(x), the N(0,1) density over its cdf, for every x.
 
-    Moderate arguments go through log space; deep left-tail arguments use the
-    classical continued fraction for the Mills ratio, giving
-    zeta_prime(x) ~ -x + 1/x for x << 0.
+    Phi(x) = erfc(-x/sqrt 2)/2 = exp(-x^2/2) erfcx(-x/sqrt 2)/2, so the
+    Gaussian factors cancel and phi(x)/Phi(x) = sqrt(2/pi) / erfcx(-x/sqrt 2),
+    one call that keeps full relative accuracy in the left tail, where it
+    tends to -x + 1/x.  Above x = 37.6 or so erfcx overflows to inf and the
+    ratio is 0, where the true value is already below the smallest normal
+    double.
     """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x_arr)
-    left = x_arr < -8.0
-    xm = x_arr[~left]
-    out[~left] = np.exp(-0.5 * xm**2 - 0.5 * _LOG_2PI - log_ndtr(xm))
-    t = -x_arr[left]
-    cf = np.zeros_like(t)
-    for k in range(60, 0, -1):
-        cf = k / (t + cf)
-    out[left] = t + cf
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out[0])
+    out = _SQRT_2_OVER_PI / erfcx(-_SQRT_HALF * np.asarray(x, dtype=float))
+    if np.ndim(out) == 0:
+        return float(out)
     return out
 
 
 def albert_chib_update(state: ProbitFragmentState, eta_factor_to_theta, eta_theta_to_factor):
     mu, _ = _moments(state, np.add(eta_factor_to_theta, eta_theta_to_factor), "probit fragment")
-    A = state.A
-    nu = A @ mu
+    rows = _rows(state)
+    nu = rows.matvec(mu)
     _check_linear_predictor(float(np.max(np.abs(nu))))
     sgn = 2.0 * state.y - 1.0
     shifted = nu + sgn * zeta_prime(sgn * nu)  # truncated-normal means, auxiliaries integrated out
-    msg = np.concatenate([A.T @ shifted, -0.5 * vec(state.AtA)])
-    return state, msg
+    msg = np.concatenate([rows.rmatvec(shifted), -0.5 * vec(state.AtA)])
+    return _evolve(state, rows), msg
 
 
 def knowles_minka_wand_update(state: PoissonFragmentState, eta_factor_to_theta, eta_theta_to_factor):
     mu, Sigma = _moments(state, np.add(eta_factor_to_theta, eta_theta_to_factor), "poisson fragment")
-    A, rows = state.A, _rows(state)
-    lin = A @ mu + 0.5 * rows.quadratic(Sigma)
+    rows = _rows(state)
+    lin = rows.matvec(mu) + 0.5 * rows.quadratic(Sigma)
     _check_linear_predictor(float(np.max(lin)))
     omega = np.exp(lin)
     AtOA = rows.gram(omega)
-    first = A.T @ (state.y - omega) + AtOA @ mu
+    first = rows.rmatvec(state.y - omega) + AtOA @ mu
     msg = np.concatenate([first, -0.5 * vec(AtOA)])
     kept = {} if state.log_y_factorial is not None else {"log_y_factorial": _log_y_factorial(state)}
     return _evolve(state, rows, **kept), msg
@@ -366,8 +425,9 @@ def jaakkola_jordan_elbo(state: LogisticFragmentState, q_eta, moments=None):
     mu, Sigma = _moments(state, q_eta, "logistic elbo", moments)
     Atb, AtWA, offset_sum = state.Atb, state.AtWA, state.offset_sum
     if AtWA is None:  # no update has set xi: a state built with its tilts
-        Atb = state.A.T @ (state.y - 0.5)
-        AtWA = _rows(state).gram(tangent_weight(state.xi))
+        rows = _rows(state)
+        Atb = rows.rmatvec(state.y - 0.5)
+        AtWA = rows.gram(tangent_weight(state.xi))
         offset_sum = float(np.sum(tangent_offset(state.xi)))
     return float(Atb @ mu - np.sum(AtWA * Sigma) - mu @ AtWA @ mu + offset_sum)
 
@@ -379,15 +439,16 @@ def albert_chib_elbo(state: ProbitFragmentState, q_eta, moments=None):
     row forms a_i^T Sigma a_i is the trace tr(Sigma A^T A)."""
     mu, Sigma = _moments(state, q_eta, "probit elbo", moments)
     sgn = 2.0 * state.y - 1.0
-    return float(np.sum(log_ndtr(sgn * (state.A @ mu))) - 0.5 * np.sum(state.AtA * Sigma))
+    return float(np.sum(log_ndtr(sgn * _rows(state).matvec(mu))) - 0.5 * np.sum(state.AtA * Sigma))
 
 
 def knowles_minka_wand_elbo(state: PoissonFragmentState, q_eta, moments=None):
     """E_q log p(y | theta) for the Poisson log-link model; ``moments`` are
     q's dense moments when the caller has them already."""
     mu, Sigma = _moments(state, q_eta, "poisson elbo", moments)
-    Amu = state.A @ mu
-    lin = Amu + 0.5 * _rows(state).quadratic(Sigma)
+    rows = _rows(state)
+    Amu = rows.matvec(mu)
+    lin = Amu + 0.5 * rows.quadratic(Sigma)
     _check_linear_predictor(float(np.max(lin)))
     log_y_factorial = state.log_y_factorial
     if log_y_factorial is None:

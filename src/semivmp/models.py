@@ -401,15 +401,13 @@ def build_glm_spline(
         raise ValueError(f"link must be logit, probit or log, got '{link}'")
     nodes, fragments, meta, curves = _spline_block(y, x, K, hyper, spline_kind)
     y, C = meta["y"], meta["C"]
-    # the logistic and Poisson updates run on the B-spline rows of an O'Sullivan design
+    # every link's updates run on the B-spline rows of an O'Sullivan design
     basis = meta["basis"] if spline_kind == OSULLIVAN_LIKE else None
     if link in ("logit", "probit"):
         if not np.all((y == 0) | (y == 1)):
             raise ValueError(f"{link} link needs a 0/1 response")
-        if link == "logit":
-            state = LogisticFragmentState(y, C, basis=basis)
-        else:
-            state = ProbitFragmentState(y, C)
+        state_cls = LogisticFragmentState if link == "logit" else ProbitFragmentState
+        state = state_cls(y, C, basis=basis)
     else:
         if np.any(y < 0) or np.any(y != np.round(y)):
             raise ValueError("log link needs a nonnegative integer response")

@@ -1,12 +1,21 @@
 import dataclasses
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline
 from scipy.special import log_ndtr
 
-from semivmp import fragments_glm
-from semivmp.engine import build_factor_graph, elbo, q_density, run_vmp
+from semivmp import fragments_glm, models
+from semivmp.engine import (
+    VmpNumericsError,
+    build_factor_graph,
+    elbo,
+    q_density,
+    run_vmp,
+    update_factor,
+)
 from semivmp.fragments_glm import (
     OVERFLOW_LIMIT,
     DenseRows,
@@ -69,6 +78,26 @@ def test_tangent_offset_at_zero():
     assert tangent_offset(0.0) == pytest.approx(-np.log(2.0), rel=1e-14)
 
 
+def reference_tangent_offset(xi, W=None):
+    """The tangent offset in its defining form xi/2 - log(1 + e^xi) + W xi^2."""
+    xi = np.asarray(xi, dtype=float)
+    W = tangent_weight(xi) if W is None else W
+    return 0.5 * xi - np.logaddexp(0.0, xi) + W * xi**2
+
+
+def test_tangent_offset_matches_its_defining_form_and_mpmath():
+    mpmath.mp.dps = 40
+    xi = np.concatenate([[1e-8, 9.9e-5, 1.01e-4], np.linspace(0.0, 60.0, 601), [700.0, 1e6]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tangent_offset(xi)
+    exact = np.array([float(mpmath.mpf(v) / 2 - mpmath.log1p(mpmath.exp(v))
+                            + mpmath.tanh(mpmath.mpf(v) / 2) * v / 4) for v in xi])
+    np.testing.assert_allclose(got, exact, rtol=1e-13)
+    np.testing.assert_allclose(got, reference_tangent_offset(xi), rtol=1e-13)
+    np.testing.assert_array_equal(tangent_offset(-xi), got)  # even in xi, like the bound
+
+
 def test_jj_update_identity_design():
     state = LogisticFragmentState(np.array([0.0, 1.0]), np.eye(2))
     eta = mvn_eta(np.zeros(2), np.eye(2))
@@ -128,6 +157,45 @@ def test_zeta_prime_against_mpmath():
     for x in (-30.0, -8.5, -8.0001, -7.9999, -3.0, 0.0, 2.0, 10.0, 40.0):
         expect = float(mpmath.npdf(x) / mpmath.ncdf(x))
         assert zeta_prime(x) == pytest.approx(expect, rel=1e-12), x
+
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def reference_zeta_prime(x):
+    """phi(x)/Phi(x) through log space, and for x < -8 by the classical
+    continued fraction for the Mills ratio."""
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(x_arr)
+    left = x_arr < -8.0
+    xm = x_arr[~left]
+    out[~left] = np.exp(-0.5 * xm**2 - 0.5 * _LOG_2PI - log_ndtr(xm))
+    t = -x_arr[left]
+    cf = np.zeros_like(t)
+    for k in range(60, 0, -1):
+        cf = k / (t + cf)
+    out[left] = t + cf
+    if np.ndim(x) == 0:
+        return float(out[0])
+    return out
+
+
+def test_zeta_prime_on_the_whole_line():
+    # one erfcx call against mpmath and the log-space / continued-fraction
+    # reference: full relative accuracy wherever the true value is a normal
+    # double; past x = 37.6 erfcx overflows and the ratio is 0
+    mpmath.mp.dps = 60
+    x = np.concatenate([np.linspace(-40.0, 40.0, 801), [-1e6, 1e6]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = zeta_prime(x)
+        ref = reference_zeta_prime(x)
+    exact = np.array([float(mpmath.npdf(v) / mpmath.ncdf(v)) for v in x])
+    normal = exact >= np.finfo(float).tiny
+    assert np.sum(~normal) >= 20 and np.all(x[~normal] > 37.6)
+    np.testing.assert_allclose(got[normal], exact[normal], rtol=1e-12)
+    np.testing.assert_allclose(got[normal], ref[normal], rtol=1e-12)
+    assert np.all(got[~normal] >= 0.0) and np.all(got[~normal] <= 1e-300)
 
 
 def test_zeta_prime_deep_tail_asymptote():
@@ -360,9 +428,10 @@ def fit_to_fixed_point(model):
 
 @pytest.mark.parametrize("link", ["logit", "probit", "log"])
 def test_fixed_point_matches_einsum_reference(monkeypatch, link):
-    # the builder's fit (B-spline rows for logit and log) against a fit on the
-    # dense design whose row forms are the three-index einsum and whose probit
-    # ELBO term is the row sum
+    # the builder's fit (B-spline rows, one-call special functions) against a
+    # fit on the dense design whose row forms are the three-index einsum, whose
+    # probit ELBO term is the row sum, and whose zeta_prime and tangent offset
+    # are the log-space / continued-fraction and logaddexp references
     etas, bound = fit_to_fixed_point(criterion_08_model(link))
     reference_calls = []
 
@@ -372,6 +441,8 @@ def test_fixed_point_matches_einsum_reference(monkeypatch, link):
 
     monkeypatch.setattr(fragments_glm, "row_quadratic", counted_einsum)
     monkeypatch.setattr(fragments_glm, "albert_chib_elbo", reference_albert_chib_elbo)
+    monkeypatch.setattr(fragments_glm, "zeta_prime", reference_zeta_prime)
+    monkeypatch.setattr(fragments_glm, "tangent_offset", reference_tangent_offset)
     ref_etas, ref_bound = fit_to_fixed_point(on_dense_rows(criterion_08_model(link)))
     assert reference_calls or link == "probit"  # the reference ran the dense row forms
     for node, ref in ref_etas.items():
@@ -401,23 +472,47 @@ def spline_cases(rng):
 
 
 def test_spline_rows_match_the_dense_kernels(rng):
+    def close(got, dense, name):  # relative to the largest entry of the dense result
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense)), name
+
     for name, x, K in spline_cases(rng):
         C, rows = spline_rows_case(x, K)
         n, p = C.shape
-        J, n_max, _ = rows.band.shape
+        J, _, n_max = rows.band.shape
         assert J == K - 1, name
         if name == "uneven":
             assert n_max > 3 * n / J  # one interval holds most rows
         for _ in range(3):
             S = random_spd(rng, p)
             w = rng.uniform(0.05, 3.0, size=n)
+            v, r = rng.normal(size=p), rng.normal(size=n)
             np.testing.assert_allclose(rows.quadratic(S), row_quadratic(C, S), rtol=1e-12,
                                        err_msg=name)
             dense = C.T @ (w[:, None] * C)
-            assert np.max(np.abs(rows.gram(w) - dense)) <= 1e-12 * np.max(np.abs(dense)), name
+            close(rows.gram(w), dense, name)
+            close(rows.matvec(v), C @ v, name)
+            close(rows.rmatvec(r), C.T @ r, name)
             dense_rows = DenseRows(C)
             np.testing.assert_array_equal(dense_rows.quadratic(S), row_quadratic(C, S))
             np.testing.assert_array_equal(dense_rows.gram(w), dense)
+            np.testing.assert_array_equal(dense_rows.matvec(v), C @ v)
+            np.testing.assert_array_equal(dense_rows.rmatvec(r), C.T @ r)
+
+
+def test_spline_rows_hold_the_design_matrix_bsplines(rng):
+    # the band's B-spline values are BSpline.design_matrix's, bit for bit, and
+    # its padding is zero
+    for name, x, K in spline_cases(rng):
+        meta = build_glm_spline(np.zeros(x.size), x, K=K, link="log").meta
+        rows = SplineRows(meta["C"][:, 1], meta["basis"])
+        B = BSpline.design_matrix(meta["C"][:, 1], meta["basis"].full_knots, 3)
+        flat = rows.band.transpose(0, 2, 1).reshape(-1, 6)
+        np.testing.assert_array_equal(flat[rows.where, 2:], B.data.reshape(-1, 4), err_msg=name)
+        np.testing.assert_array_equal(rows.cols[rows.where // rows.band.shape[2], 2],
+                                      2 + B.indices[::4], err_msg=name)
+        pad = np.ones(flat.shape[0], dtype=bool)
+        pad[rows.where] = False
+        assert not np.any(flat[pad]), name
 
 
 def row_sum_jaakkola_jordan_elbo(state, q_eta):
@@ -448,7 +543,7 @@ def test_jj_elbo_trace_form_is_the_row_sum(rng):
             )
 
 
-@pytest.mark.parametrize("link", ["logit", "log"])
+@pytest.mark.parametrize("link", ["logit", "probit", "log"])
 def test_spline_rows_live_only_in_the_graph(link):
     model = criterion_08_model(link)
     graph = build_factor_graph(model)
@@ -460,13 +555,46 @@ def test_spline_rows_live_only_in_the_graph(link):
     assert kept.A is own.A is model.meta["C"]
 
 
+@pytest.mark.parametrize("link", ["logit", "probit", "log"])
+def test_spline_rows_overflow_names_the_factor(link):
+    # the band's A mu feeds the overflow check of every link
+    graph = build_factor_graph(criterion_08_model(link))
+    p = graph.nodes["coef"].d
+    mu = np.zeros(p)
+    mu[0] = 3.0 * OVERFLOW_LIMIT  # halved by the unit-precision start: A mu = 1050
+    graph.fac_to_node[("penalization", "coef")] = mvn_eta(mu, np.eye(p))
+    with pytest.raises(VmpNumericsError) as exc:
+        update_factor(graph, "likelihood")
+    assert exc.value.factor == "likelihood"
+    assert isinstance(exc.value.__cause__, LinearPredictorOverflowError)
+    assert exc.value.__cause__.worst >= 1.5 * OVERFLOW_LIMIT - 1e-6
+
+
 def test_other_designs_keep_the_dense_kernels():
     r = np.random.default_rng(0)
     x = r.uniform(size=200)
     y = r.binomial(1, demo_mean_function(x)).astype(float)
-    for model in (build_glm_spline(y, x, K=10, link="probit"),
-                  build_glm_spline(y, x, K=10, link="logit", spline_kind=TRUNCATED_LINEAR)):
+    for link in ("logit", "probit"):
+        model = build_glm_spline(y, x, K=10, link=link, spline_kind=TRUNCATED_LINEAR)
         graph = build_factor_graph(model)
         run_vmp(graph, max_iter=3)
         state = graph.factors["likelihood"].fragment
-        assert getattr(state, "basis", None) is None and getattr(state, "rows", None) is None
+        assert state.basis is None and state.rows is None, link
+
+
+@pytest.mark.parametrize("link", ["logit", "probit", "log"])
+def test_bspline_design_formed_once_per_fit(monkeypatch, link):
+    # the builder forms the training B-spline design; the first sweep's band
+    # evaluates the same B-splines itself instead of forming it again
+    calls = []
+    real = BSpline.design_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(models.BSpline, "design_matrix", counted)  # the class every caller reads
+    graph = build_factor_graph(criterion_08_model(link))
+    run_vmp(graph, max_iter=2, track_elbo=True)
+    assert isinstance(graph.factors["likelihood"].fragment.rows, SplineRows)
+    assert calls == [(500,)]
