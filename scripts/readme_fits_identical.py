@@ -11,9 +11,13 @@ probit glmspline and groupcurves) then run in a subprocess with
 ``PYTHONPATH=<checkout>/src``.  The script prints one line per fit and
 compares the two JSON documents byte for byte, and each side's exit code
 (groupcurves stops at its sweep limit, exit 2).  When two documents differ,
-it also prints the largest relative difference |a - b| / max(|a|, |b|)
-among their numeric leaves, with that leaf's JSON path, or a path at
-which their structure or a non-numeric leaf differs.
+it also prints the largest relative difference among their numeric leaves,
+with that leaf's JSON path, or a path at which their structure or a
+non-numeric leaf differs.  A leaf's difference |a - b| is relative to the
+largest |value| of its enclosing array on either side (the outermost JSON
+list holding it, such as a whole covariance matrix), or to max(|a|, |b|)
+for a leaf in no list, so that a rounding change in an entry near zero
+reads as the rounding change it is.
 
 The exit code is 1 when any JSON or exit code differs or a fit failed,
 else 0.  The script writes nothing outside its temporary directory.
@@ -56,33 +60,44 @@ def fit(checkout, name, data, out):
     return proc.returncode, out.read_bytes()
 
 
-def leaves(doc, path="$"):
-    """(JSON path, value) of every leaf of a parsed JSON document."""
+def leaves(doc, path="$", array=None):
+    """(JSON path, value, path of the enclosing array) of every leaf of a
+    parsed JSON document; a leaf in no list is its own enclosing array."""
     if isinstance(doc, dict):
         for key, value in doc.items():
-            yield from leaves(value, f"{path}.{key}")
+            yield from leaves(value, f"{path}.{key}", array)
     elif isinstance(doc, list):
         for i, value in enumerate(doc):
-            yield from leaves(value, f"{path}[{i}]")
+            yield from leaves(value, f"{path}[{i}]", array or path)
     else:
-        yield path, doc
+        yield path, doc, array or path
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def largest_difference(doc_a, doc_b):
     """A line naming the largest relative difference among the numeric
     leaves of two JSON documents, or a path where their structure or a
     non-numeric leaf differs."""
-    a, b = dict(leaves(json.loads(doc_a))), dict(leaves(json.loads(doc_b)))
+    a = {path: (value, array) for path, value, array in leaves(json.loads(doc_a))}
+    b = {path: value for path, value, _ in leaves(json.loads(doc_b))}
     if a.keys() != b.keys():
         return f"structure differs at {sorted(a.keys() ^ b.keys())[0]}"
+    scale = {}  # largest finite |value| of each enclosing array, on either side
+    for path, (u, array) in a.items():
+        for t in (u, b[path]):
+            if is_number(t) and abs(t) < float("inf"):
+                scale[array] = max(scale.get(array, 0.0), abs(t))
     worst, where = 0.0, None
-    for path, u in a.items():
+    for path, (u, array) in a.items():
         v = b[path]
         if u == v or (u != u and v != v):  # equal, or both NaN
             continue
-        if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in (u, v)):
+        if not (is_number(u) and is_number(v)):
             return f"non-numeric leaf differs at {path}"
-        rel = abs(u - v) / max(abs(u), abs(v))
+        rel = abs(u - v) / scale[array] if scale[array] else float("inf")  # infinite leaves
         if where is None or rel > worst:
             worst, where = rel, path
     if where is None:

@@ -22,7 +22,7 @@ from scipy.stats import norm
 
 from semivmp.engine import build_factor_graph, q_density, run_vmp
 from semivmp.mfvb import sample_glm_spline_posterior
-from semivmp.models import build_glm_spline, demo_mean_function, fitted_curve
+from semivmp.models import build_glm_spline, demo_mean_function, design, fitted_curve
 
 
 DRAWS = 10_000  # exact-posterior draws: Monte-Carlo SE of the mean curve about 0.01
@@ -66,7 +66,7 @@ def run_one(link, n, knots, iters, seed):
     )
     hyper = model.meta["hyper"]
     exact = sample_glm_spline_posterior(
-        y, model.meta["C"], link, sigma_beta_sq=hyper.sigma_beta_sq, A=hyper.A,
+        y, design(model), link, sigma_beta_sq=hyper.sigma_beta_sq, A=hyper.A,
         n_draws=DRAWS, burn=DRAWS // 10, seed=seed,
     )
     exact_mean = exact.coef.mean(axis=0) @ model.curves["fit"](grid).T

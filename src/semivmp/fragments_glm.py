@@ -10,16 +10,18 @@ Each state is also the fragment the engine runs: its ``ports``, ``update``
 and ``logp`` methods call these module functions by name at call time.
 
 Every fragment reads the design A only through a row-kernel object: the
-products A v and A^T r, and for the logistic and Poisson fragments the two
-O(n p^2) kernels, the row quadratic forms a_i^T S a_i and the weighted Gram
-A^T diag(w) A.  ``DenseRows`` runs them on A itself (``natparam.row_quadratic``
-and matrix products).  When A is an O'Sullivan spline design [1, x, Z] and the
-state carries its basis, the first update builds ``SplineRows`` instead,
-which runs all four on the cubic B-spline rows (six nonzeros each) in O(n)
-and keeps them only in the state it returns.  The logistic state also keeps
-A^T W A and the summed tangent offsets at the tilts it sets, so its ELBO term
-is a trace; the probit state holds its constant A^T A, formed when the state
-is built, so the probit ELBO term is a trace too.
+products A v and A^T r, the row quadratic forms a_i^T S a_i and the weighted
+Gram A^T diag(w) A.  A state's A is either a dense array, run by
+``DenseRows`` (``natparam.row_quadratic`` and matrix products), or a
+``SplineDesign``: an O'Sullivan design [1, x, B(x) T] held as its predictor
+x and basis alone, which the first update turns into ``SplineRows``, all
+four kernels on the cubic B-spline rows (six nonzeros each) in O(n).  No
+state on a spline design holds an n x p array; its dense form exists only
+where ``models.design`` is asked for it.  The band is kept only in the
+state the first update returns.  Each update also keeps the constants it
+derives from its kernels: the logistic state keeps A^T W A and the summed
+tangent offsets at the tilts it sets, so its ELBO term is a trace, and the
+probit state its constant A^T A, so the probit ELBO term is a trace too.
 """
 
 from __future__ import annotations
@@ -72,6 +74,21 @@ def _check_binary(y):
     return y
 
 
+@dataclass(frozen=True)
+class SplineDesign:
+    """The O'Sullivan design A = [1, x, B(x) T] of a basis (its transform is
+    T), held as the predictor x and the basis: n + O(K^2) numbers in place of
+    n (K + 2).  Its width is the basis's; the fragments run it as
+    ``SplineRows(x, basis)``."""
+
+    x: np.ndarray
+    basis: object = field(repr=False)
+
+    @property
+    def shape(self):
+        return (self.x.size, self.basis.transform.shape[1] + 2)
+
+
 class DenseRows:
     """The row kernels of a GLM fragment on a dense design A."""
 
@@ -90,9 +107,9 @@ class DenseRows:
         """The row forms a_i^T S a_i."""
         return row_quadratic(self.A, S)
 
-    def gram(self, w):
-        """A^T diag(w) A."""
-        return self.A.T @ (w[:, None] * self.A)
+    def gram(self, w=None):
+        """A^T diag(w) A, or A^T A without w."""
+        return self.A.T @ (self.A if w is None else w[:, None] * self.A)
 
 
 class SplineRows:
@@ -167,8 +184,9 @@ class SplineRows:
         forms *= self.band
         return self._unpadded(forms.sum(axis=1))
 
-    def gram(self, w):
-        blocks = (self.band * self._padded(w)[:, None, :]) @ self.band.transpose(0, 2, 1)
+    def gram(self, w=None):
+        weighted = self.band if w is None else self.band * self._padded(w)[:, None, :]
+        blocks = weighted @ self.band.transpose(0, 2, 1)
         P = self.M.shape[0]
         X = np.bincount(self.flat, weights=blocks.ravel(), minlength=P * P).reshape(P, P)
         return self.M.T @ X @ self.M
@@ -212,21 +230,25 @@ class _GlmFragment:
         return [(MULTIVARIATE_NORMAL, self.A.shape[1])]
 
 
+def _design(A):
+    """A state's design: a ``SplineDesign`` as given, else a 2-d float array."""
+    return A if isinstance(A, SplineDesign) else np.atleast_2d(np.asarray(A, dtype=float))
+
+
 def _rows(state):
-    """The row kernels of a state: the spline rows an update kept, else
-    spline rows built from its basis (A[:, 1] is the standardized x), else
-    the dense kernels on A."""
+    """The row kernels of a state: the ones an update kept, else the spline
+    rows of its ``SplineDesign``, else the dense kernels on its A."""
     if state.rows is not None:
         return state.rows
-    if state.basis is not None:
-        return SplineRows(state.A[:, 1], state.basis)
+    if isinstance(state.A, SplineDesign):
+        return SplineRows(state.A.x, state.A.basis)
     return DenseRows(state.A)
 
 
 def _evolve(state, rows, **changes):
     """``state`` with ``changes``, and with ``rows`` when they are spline rows
     built for this update; every other field is shared, not re-validated."""
-    if state.basis is not None and state.rows is None:
+    if state.rows is None and isinstance(rows, SplineRows):
         changes["rows"] = rows
     if not changes:
         return state
@@ -238,15 +260,14 @@ def _evolve(state, rows, **changes):
 
 @dataclass(frozen=True)
 class LogisticFragmentState(_GlmFragment):
-    """``basis`` is the O'Sullivan basis when A is [1, x, basis(x)]; the
-    fields after it are derived: ``rows`` (kept by the first update on a
-    basis), and b = A^T (y - 1/2) with A^T W A and the summed tangent
-    offsets at ``xi`` (kept by each update; formed when absent)."""
+    """``A`` is a dense design or a ``SplineDesign``; the fields after
+    ``xi`` are derived: ``rows`` (kept by the first update), and
+    b = A^T (y - 1/2) with A^T W A and the summed tangent offsets at ``xi``
+    (kept by each update; formed when absent)."""
 
     y: np.ndarray
-    A: np.ndarray
+    A: np.ndarray | SplineDesign
     xi: np.ndarray = None
-    basis: object = field(default=None, repr=False, compare=False)
     rows: object = field(default=None, init=False, repr=False, compare=False)
     Atb: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     AtWA: np.ndarray = field(default=None, init=False, repr=False, compare=False)
@@ -254,7 +275,7 @@ class LogisticFragmentState(_GlmFragment):
 
     def __post_init__(self):
         y = _check_binary(self.y)
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        A = _design(self.A)
         xi = np.ones(y.size) if self.xi is None else np.atleast_1d(np.asarray(self.xi, dtype=float))
         if np.any(xi < 0):
             raise ValueError("xi must be nonnegative")
@@ -272,21 +293,17 @@ class LogisticFragmentState(_GlmFragment):
 
 @dataclass(frozen=True)
 class ProbitFragmentState(_GlmFragment):
-    """``basis`` and ``rows`` as for the logistic state; A^T A, the constant
-    message precision, is formed when the state is built."""
+    """``A`` and ``rows`` as for the logistic state; A^T A, the constant
+    message precision, is kept by the first update (formed when absent)."""
 
     y: np.ndarray
-    A: np.ndarray
-    basis: object = field(default=None, repr=False, compare=False)
+    A: np.ndarray | SplineDesign
     rows: object = field(default=None, init=False, repr=False, compare=False)
-    AtA: np.ndarray = field(init=False, repr=False, compare=False)
+    AtA: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        y = _check_binary(self.y)
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "AtA", A.T @ A)
+        object.__setattr__(self, "y", _check_binary(self.y))
+        object.__setattr__(self, "A", _design(self.A))
 
     def update(self, n2f, f2n, nodes, context):
         state, msg = albert_chib_update(self, f2n[0], n2f[0])
@@ -298,12 +315,11 @@ class ProbitFragmentState(_GlmFragment):
 
 @dataclass(frozen=True)
 class PoissonFragmentState(_GlmFragment):
-    """``basis`` and ``rows`` as for the logistic state; ``log_y_factorial``,
+    """``A`` and ``rows`` as for the logistic state; ``log_y_factorial``,
     the sum of log y_i! in the ELBO term, is kept by the first update."""
 
     y: np.ndarray
-    A: np.ndarray
-    basis: object = field(default=None, repr=False, compare=False)
+    A: np.ndarray | SplineDesign
     rows: object = field(default=None, init=False, repr=False, compare=False)
     log_y_factorial: float = field(default=None, init=False, repr=False, compare=False)
 
@@ -311,9 +327,8 @@ class PoissonFragmentState(_GlmFragment):
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
         if np.any(y < 0) or np.any(y != np.round(y)):
             raise ValueError("count response must contain nonnegative integers")
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "A", _design(self.A))
 
     def update(self, n2f, f2n, nodes, context):
         state, msg = knowles_minka_wand_update(self, f2n[0], n2f[0])
@@ -396,8 +411,9 @@ def albert_chib_update(state: ProbitFragmentState, eta_factor_to_theta, eta_thet
     _check_linear_predictor(float(np.max(np.abs(nu))))
     sgn = 2.0 * state.y - 1.0
     shifted = nu + sgn * zeta_prime(sgn * nu)  # truncated-normal means, auxiliaries integrated out
-    msg = np.concatenate([rows.rmatvec(shifted), -0.5 * vec(state.AtA)])
-    return _evolve(state, rows), msg
+    AtA = rows.gram() if state.AtA is None else state.AtA  # constant
+    msg = np.concatenate([rows.rmatvec(shifted), -0.5 * vec(AtA)])
+    return _evolve(state, rows, AtA=AtA), msg
 
 
 def knowles_minka_wand_update(state: PoissonFragmentState, eta_factor_to_theta, eta_theta_to_factor):
@@ -438,8 +454,10 @@ def albert_chib_elbo(state: ProbitFragmentState, q_eta, moments=None):
     are q's dense moments when the caller has them already.  The sum of the
     row forms a_i^T Sigma a_i is the trace tr(Sigma A^T A)."""
     mu, Sigma = _moments(state, q_eta, "probit elbo", moments)
+    rows = _rows(state)
+    AtA = rows.gram() if state.AtA is None else state.AtA
     sgn = 2.0 * state.y - 1.0
-    return float(np.sum(log_ndtr(sgn * _rows(state).matvec(mu))) - 0.5 * np.sum(state.AtA * Sigma))
+    return float(np.sum(log_ndtr(sgn * rows.matvec(mu))) - 0.5 * np.sum(AtA * Sigma))
 
 
 def knowles_minka_wand_elbo(state: PoissonFragmentState, q_eta, moments=None):

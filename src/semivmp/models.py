@@ -34,6 +34,7 @@ from .fragments_glm import (
     LogisticFragmentState,
     PoissonFragmentState,
     ProbitFragmentState,
+    SplineDesign,
 )
 from .natparam import TwoLevelLayout
 
@@ -111,9 +112,11 @@ def _quantile_knots(x, count, inner=False):
     return knots
 
 
-def _osullivan_transform(x, K):
-    """B-spline columns linearly mapped so the curvature penalty becomes the
-    identity on K columns (nullspace of the penalty is carried by [1, x])."""
+def _osullivan_basis(x, K):
+    """The cubic B-splines on quantile knots of x, with the transform T that
+    maps them to K columns on which the curvature penalty is the identity
+    (its nullspace is carried by [1, x]).  Only the knots and the penalty are
+    formed, not the B-spline design of x."""
     if K < 2:
         raise ValueError("osullivan_like basis needs K >= 2")
     x = np.asarray(x, dtype=float)
@@ -121,7 +124,6 @@ def _osullivan_transform(x, K):
     interior = _quantile_knots(x, K - 2, inner=True)
     t = np.concatenate([[lo] * 4, interior, [hi] * 4])
     nb = t.size - 4
-    B = BSpline.design_matrix(x, t, 3).toarray()
 
     # exact curvature penalty: B'' is piecewise linear, so 3-point Gauss-Legendre
     # per inter-knot interval integrates the products exactly
@@ -142,12 +144,11 @@ def _osullivan_transform(x, K):
             f"curvature penalty rank {int(np.sum(pos))} != requested K={K}; knot layout degenerate"
         )
     T = evecs[:, pos] / np.sqrt(evals[pos])
-    Z = B @ T
-    return Z, SplineBasis(interior, OSULLIVAN_LIKE, (lo, hi), transform=T, full_knots=t)
+    return SplineBasis(interior, OSULLIVAN_LIKE, (lo, hi), transform=T, full_knots=t)
 
 
-def spline_design(x, K, kind=TRUNCATED_LINEAR):
-    """(n x K design, SplineBasis) with knots at quantiles of the unique x."""
+def spline_basis(x, K, kind=TRUNCATED_LINEAR):
+    """The SplineBasis of K columns with knots at quantiles of the unique x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -156,12 +157,17 @@ def spline_design(x, K, kind=TRUNCATED_LINEAR):
     if np.unique(x).size < K:
         raise ValueError("too few distinct x values")
     if kind == TRUNCATED_LINEAR:
-        knots = _quantile_knots(x, K)
-        basis = SplineBasis(knots, kind, (float(np.min(x)), float(np.max(x))))
-        return basis.evaluate(x), basis
+        return SplineBasis(_quantile_knots(x, K), kind, (float(np.min(x)), float(np.max(x))))
     if kind == OSULLIVAN_LIKE:
-        return _osullivan_transform(x, K)
+        return _osullivan_basis(x, K)
     raise ValueError(f"unknown spline kind '{kind}'")
+
+
+def spline_design(x, K, kind=TRUNCATED_LINEAR):
+    """(n x K design, SplineBasis) with knots at quantiles of the unique x."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    basis = spline_basis(x, K, kind)
+    return basis.evaluate(x), basis
 
 
 def demo_mean_function(x):
@@ -329,9 +335,10 @@ def build_linear_regression(
 
 
 def _spline_block(y, x, K, hyper, spline_kind, fixed_sigma_u_sq=None):
-    """Shared body of the spline builders: the checked data, the design
-    C = [1, x, Z] on the standardized predictor, the coef node with its
-    penalization fragment, and the meta and curve design of the fit.
+    """Shared body of the spline builders: the checked data, the standardized
+    predictor xs and its spline basis, the coef node with its penalization
+    fragment, and the meta and curve design of the fit.  It forms no design:
+    the caller forms C = [1, xs, Z] on its own terms.
 
     The spline block is shrunk by the variance node sigsq_u unless
     fixed_sigma_u_sq pins it; the caller adds the sigsq_u chain."""
@@ -343,8 +350,7 @@ def _spline_block(y, x, K, hyper, spline_kind, fixed_sigma_u_sq=None):
     _require_finite("x", x)
     hyper = hyper or Hyperparameters()
     xs, x_mean, x_sd = _standardize_x(x)
-    Z, basis = spline_design(xs, K, spline_kind)
-    C = np.column_stack([np.ones(y.size), xs, Z])
+    basis = spline_basis(xs, K, spline_kind)
 
     if fixed_sigma_u_sq is None:
         block, pen_ports = PenalizedBlock(K, 1, SCALAR_D1), ("coef", "sigsq_u")
@@ -354,13 +360,22 @@ def _spline_block(y, x, K, hyper, spline_kind, fixed_sigma_u_sq=None):
     pen = GaussianPenalizationSpec(np.zeros(2), hyper.sigma_beta_sq * np.eye(2), (block,))
     nodes = [StochasticNode("coef", expfam.MULTIVARIATE_NORMAL, 2 + K)]
     fragments = [FragmentBinding("penalization", pen, pen_ports)]
-    meta = {"y": y, "x": x, "x_mean": x_mean, "x_sd": x_sd, "basis": basis, "C": C, "hyper": hyper}
+    meta = {"y": y, "x": x, "x_mean": x_mean, "x_sd": x_sd, "basis": basis, "hyper": hyper}
 
     def fit_design(grid):
         gs = (np.asarray(grid, dtype=float) - x_mean) / x_sd
         return np.column_stack([np.ones(gs.size), gs, basis.evaluate(gs)])
 
-    return nodes, fragments, meta, {"fit": fit_design}
+    return xs, nodes, fragments, meta, {"fit": fit_design}
+
+
+def design(model: ModelSpec):
+    """The dense n x (K + 2) design C = [1, x, Z] of a spline model on its
+    standardized predictor, formed on each call.  A GLM spline model keeps
+    no dense design (its fragments run C from x and the basis), so this is
+    the one place it is formed; on a penalized-spline model it equals
+    meta["C"]."""
+    return model.curves["fit"](model.meta["x"])
 
 
 def build_penalized_spline(
@@ -375,12 +390,13 @@ def build_penalized_spline(
 
     Coefficients are (intercept, slope, K spline weights); the spline block is
     shrunk by its own variance with a half-Cauchy hierarchy unless
-    fixed_sigma_u_sq pins it.
+    fixed_sigma_u_sq pins it.  meta["C"] keeps the dense design.
     """
-    nodes, fragments, meta, curves = _spline_block(y, x, K, hyper, spline_kind, fixed_sigma_u_sq)
+    _, nodes, fragments, meta, curves = _spline_block(y, x, K, hyper, spline_kind, fixed_sigma_u_sq)
     A_hyper = meta["hyper"].A
     if fixed_sigma_u_sq is None:
         _variance_chain(nodes, fragments, "u", "sigsq_u", "a_u", A_hyper)
+    meta["C"] = curves["fit"](meta["x"])
     lik = GaussianLikelihoodSpec.from_design(meta["y"], meta["C"])
     fragments.append(FragmentBinding("likelihood", lik, ("coef", "sigsq_eps")))
     _variance_chain(nodes, fragments, "eps", "sigsq_eps", "a_eps", A_hyper)
@@ -395,23 +411,29 @@ def build_glm_spline(
 
     Same coefficient block and shrinkage chain as the Gaussian spline model,
     with the likelihood fragment swapped for the link-specific one and no
-    noise-variance chain.
+    noise-variance chain.  An O'Sullivan fit keeps its design as the
+    ``SplineDesign`` of the standardized x and the basis, which the fragments
+    run on the B-spline band: nothing n x p is formed or kept, and
+    ``design(model)`` forms C on request.  A truncated-linear fit keeps the
+    dense C in its likelihood state.
     """
     if link not in ("logit", "probit", "log"):
         raise ValueError(f"link must be logit, probit or log, got '{link}'")
-    nodes, fragments, meta, curves = _spline_block(y, x, K, hyper, spline_kind)
-    y, C = meta["y"], meta["C"]
-    # every link's updates run on the B-spline rows of an O'Sullivan design
-    basis = meta["basis"] if spline_kind == OSULLIVAN_LIKE else None
+    xs, nodes, fragments, meta, curves = _spline_block(y, x, K, hyper, spline_kind)
+    y = meta["y"]
+    if spline_kind == OSULLIVAN_LIKE:
+        A = SplineDesign(xs, meta["basis"])
+    else:
+        A = curves["fit"](meta["x"])
     if link in ("logit", "probit"):
         if not np.all((y == 0) | (y == 1)):
             raise ValueError(f"{link} link needs a 0/1 response")
         state_cls = LogisticFragmentState if link == "logit" else ProbitFragmentState
-        state = state_cls(y, C, basis=basis)
+        state = state_cls(y, A)
     else:
         if np.any(y < 0) or np.any(y != np.round(y)):
             raise ValueError("log link needs a nonnegative integer response")
-        state = PoissonFragmentState(y, C, basis=basis)
+        state = PoissonFragmentState(y, A)
     fragments.append(FragmentBinding("likelihood", state, ("coef",)))
     _variance_chain(nodes, fragments, "u", "sigsq_u", "a_u", meta["hyper"].A)
     return ModelSpec(nodes, fragments, link, "coef", curves, meta)

@@ -57,6 +57,7 @@ from semivmp.models import (
     build_linear_regression,
     build_penalized_spline,
     demo_mean_function,
+    design,
     fitted_curve,
 )
 from semivmp.natparam import mvn_moments_from_natural, row_quadratic, vec, vec_inverse
@@ -400,7 +401,7 @@ def test_08_synthetic_recovery(announce):
 
         hyper = model.meta["hyper"]
         draws = sample_glm_spline_posterior(
-            y, model.meta["C"], link, n_fixed=2, sigma_beta_sq=hyper.sigma_beta_sq, A=hyper.A,
+            y, design(model), link, n_fixed=2, sigma_beta_sq=hyper.sigma_beta_sq, A=hyper.A,
             n_draws=10_000, burn=1000, seed=8,
         )
         exact_curves = draws.coef @ model.curves["fit"](grid).T

@@ -453,7 +453,7 @@ def test_separated_binary_fit_returns_unconverged(link):
     g = build_factor_graph(spec)
     report = run_vmp(g, max_iter=defaults.iters, tol=defaults.tol, track_elbo=False)
     assert not report.converged and report.iterations == defaults.iters
-    worst = np.max(np.abs(spec.meta["C"] @ q_density(g, "coef").common["mu"]))
+    worst = np.max(np.abs(models.design(spec) @ q_density(g, "coef").common["mu"]))
     assert 5.0 < worst < fragments_glm.OVERFLOW_LIMIT / 10
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+import types
 import warnings
 
 import mpmath
@@ -23,6 +25,7 @@ from semivmp.fragments_glm import (
     LogisticFragmentState,
     PoissonFragmentState,
     ProbitFragmentState,
+    SplineDesign,
     SplineRows,
     albert_chib_elbo,
     albert_chib_update,
@@ -244,10 +247,13 @@ def test_ac_elbo_is_the_row_sum_form(rng):
     for _ in range(5):
         eta = mvn_eta(rng.normal(size=d), random_spd(rng, d, 0.3))
         state = ProbitFragmentState(y, A)
-        np.testing.assert_array_equal(state.AtA, A.T @ A)
-        assert albert_chib_elbo(state, eta) == pytest.approx(
-            reference_albert_chib_elbo(state, eta), rel=1e-12
-        )
+        kept, _ = albert_chib_update(state, *split(eta))
+        assert state.AtA is None  # formed by the first update, and kept by it
+        np.testing.assert_array_equal(kept.AtA, A.T @ A)
+        for s in (state, kept):
+            assert albert_chib_elbo(s, eta) == pytest.approx(
+                reference_albert_chib_elbo(s, eta), rel=1e-12
+            )
 
 
 # --- Poisson -----------------------------------------------------------------
@@ -396,23 +402,31 @@ def reference_albert_chib_elbo(state, q_eta, moments=None):
                  - 0.5 * np.sum(einsum_row_quadratic(state.A, q.Sigma)))
 
 
-def criterion_08_model(link):
-    """The criterion-08 data (n=500, K=25, data seed 0) and its model."""
+def criterion_08_model(link, n=500):
+    """The criterion-08 data (n=500, K=25, data seed 0) and its model; other
+    sizes n draw their data the same way."""
     r = np.random.default_rng(0)
-    x = r.uniform(size=500)
+    x = r.uniform(size=n)
     f = demo_mean_function(x)
     y = r.binomial(1, f) if link != "log" else r.poisson(10.0 * f)
     return build_glm_spline(y, x, K=25, link=link)
 
 
+def likelihood_state(model):
+    return next(b.fragment for b in model.fragments if b.name == "likelihood")
+
+
 def on_dense_rows(model):
-    """The model with its likelihood state rebuilt from meta["C"] alone, so
-    every update and ELBO term runs the dense kernels."""
+    """The model with its likelihood state rebuilt on the explicit dense
+    design from ``models.design``, so every update and ELBO term runs the
+    dense kernels."""
+    C = models.design(model)
+
     def dense(binding):
         if binding.name != "likelihood":
             return binding
         state = binding.fragment
-        return dataclasses.replace(binding, fragment=type(state)(state.y, model.meta["C"]))
+        return dataclasses.replace(binding, fragment=type(state)(state.y, C))
 
     return dataclasses.replace(model, fragments=tuple(dense(b) for b in model.fragments))
 
@@ -424,6 +438,14 @@ def fit_to_fixed_point(model):
     assert report.converged
     etas = {node: q_density(graph, node).eta_q for node in graph.nodes}
     return etas, elbo(graph)
+
+
+def assert_same_fixed_point(got, ref):
+    (etas, bound), (ref_etas, ref_bound) = got, ref
+    for node, eta in ref_etas.items():
+        gap = np.max(np.abs(etas[node] - eta) / np.maximum(1.0, np.abs(eta)))
+        assert gap <= 1e-12, node
+    assert bound == pytest.approx(ref_bound, rel=1e-12)
 
 
 @pytest.mark.parametrize("link", ["logit", "probit", "log"])
@@ -443,12 +465,20 @@ def test_fixed_point_matches_einsum_reference(monkeypatch, link):
     monkeypatch.setattr(fragments_glm, "albert_chib_elbo", reference_albert_chib_elbo)
     monkeypatch.setattr(fragments_glm, "zeta_prime", reference_zeta_prime)
     monkeypatch.setattr(fragments_glm, "tangent_offset", reference_tangent_offset)
-    ref_etas, ref_bound = fit_to_fixed_point(on_dense_rows(criterion_08_model(link)))
+    ref = fit_to_fixed_point(on_dense_rows(criterion_08_model(link)))
     assert reference_calls or link == "probit"  # the reference ran the dense row forms
-    for node, ref in ref_etas.items():
-        gap = np.max(np.abs(etas[node] - ref) / np.maximum(1.0, np.abs(ref)))
-        assert gap <= 1e-12, node
-    assert bound == pytest.approx(ref_bound, rel=1e-12)
+    assert_same_fixed_point((etas, bound), ref)
+
+
+@pytest.mark.parametrize("link", ["logit", "probit", "log"])
+def test_band_built_fit_matches_an_explicit_dense_design(link):
+    # at n=10^4 on the criterion-08 data: the builder's fit, run from x and
+    # the basis on the B-spline band, against a fit whose state holds the
+    # dense C that models.design forms, run by the dense kernels
+    model = criterion_08_model(link, n=10_000)
+    dense = on_dense_rows(model)
+    assert isinstance(likelihood_state(dense).A, np.ndarray)  # run by DenseRows
+    assert_same_fixed_point(fit_to_fixed_point(model), fit_to_fixed_point(dense))
 
 
 # --- the B-spline row kernels against the dense ones --------------------------
@@ -458,7 +488,7 @@ def spline_rows_case(x, K):
     """(dense design, SplineRows) of the O'Sullivan design the GLM builder
     forms on x with K spline columns."""
     model = build_glm_spline(np.zeros(x.size), x, K=K, link="log")
-    C = model.meta["C"]
+    C = models.design(model)
     return C, SplineRows(C[:, 1], model.meta["basis"])
 
 
@@ -503,9 +533,10 @@ def test_spline_rows_hold_the_design_matrix_bsplines(rng):
     # the band's B-spline values are BSpline.design_matrix's, bit for bit, and
     # its padding is zero
     for name, x, K in spline_cases(rng):
-        meta = build_glm_spline(np.zeros(x.size), x, K=K, link="log").meta
-        rows = SplineRows(meta["C"][:, 1], meta["basis"])
-        B = BSpline.design_matrix(meta["C"][:, 1], meta["basis"].full_knots, 3)
+        model = build_glm_spline(np.zeros(x.size), x, K=K, link="log")
+        xs, basis = likelihood_state(model).A.x, model.meta["basis"]
+        rows = SplineRows(xs, basis)
+        B = BSpline.design_matrix(xs, basis.full_knots, 3)
         flat = rows.band.transpose(0, 2, 1).reshape(-1, 6)
         np.testing.assert_array_equal(flat[rows.where, 2:], B.data.reshape(-1, 4), err_msg=name)
         np.testing.assert_array_equal(rows.cols[rows.where // rows.band.shape[2], 2],
@@ -515,11 +546,12 @@ def test_spline_rows_hold_the_design_matrix_bsplines(rng):
         assert not np.any(flat[pad]), name
 
 
-def row_sum_jaakkola_jordan_elbo(state, q_eta):
-    """The logistic ELBO term as the sum over rows of its tangent bound."""
-    q = mvn_moments(q_eta, state.A.shape[1])
-    second = einsum_row_quadratic(state.A, q.Sigma + np.outer(q.mu, q.mu))
-    return float((state.y - 0.5) @ (state.A @ q.mu) - tangent_weight(state.xi) @ second
+def row_sum_jaakkola_jordan_elbo(state, q_eta, A):
+    """The logistic ELBO term as the sum over rows of its tangent bound, on
+    the dense design A of the state."""
+    q = mvn_moments(q_eta, A.shape[1])
+    second = einsum_row_quadratic(A, q.Sigma + np.outer(q.mu, q.mu))
+    return float((state.y - 0.5) @ (A @ q.mu) - tangent_weight(state.xi) @ second
                  + np.sum(tangent_offset(state.xi)))
 
 
@@ -528,7 +560,7 @@ def test_jj_elbo_trace_form_is_the_row_sum(rng):
     y = rng.integers(0, 2, n).astype(float)
     A = rng.normal(size=(n, d))
     model = criterion_08_model("logit")
-    spline = next(b.fragment for b in model.fragments if b.name == "likelihood")
+    spline, C = likelihood_state(model), models.design(model)
     p = spline.A.shape[1]
     for _ in range(5):
         eta = mvn_eta(rng.normal(size=d), random_spd(rng, d, 0.3))
@@ -537,22 +569,65 @@ def test_jj_elbo_trace_form_is_the_row_sum(rng):
         eta_p = mvn_eta(rng.normal(scale=0.3, size=p), random_spd(rng, p, 0.01))
         on_spline, _ = jaakkola_jordan_update(spline, *split(eta_p))
         assert tilted.AtWA is not None and on_spline.AtWA is not None  # kept by the update
-        for state, q_eta in ((tilted, eta), (direct, eta), (on_spline, eta_p)):
+        for state, q_eta, dense in ((tilted, eta, A), (direct, eta, A), (on_spline, eta_p, C)):
             assert jaakkola_jordan_elbo(state, q_eta) == pytest.approx(
-                row_sum_jaakkola_jordan_elbo(state, q_eta), rel=1e-12
+                row_sum_jaakkola_jordan_elbo(state, q_eta, dense), rel=1e-12
             )
+
+
+def reachable_arrays(root):
+    """Every numpy array reachable from ``root`` through object attributes,
+    dataclass fields, dicts, lists, tuples and closure cells."""
+    seen, found, stack = set(), [], [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (str, bytes, int, float, type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return found
 
 
 @pytest.mark.parametrize("link", ["logit", "probit", "log"])
 def test_spline_rows_live_only_in_the_graph(link):
+    # the model holds the O'Sullivan design as x and the basis, and no array
+    # of n x p; the band is built by the first update and kept by the graph
     model = criterion_08_model(link)
     graph = build_factor_graph(model)
     run_vmp(graph, max_iter=5)
-    own = next(b.fragment for b in model.fragments if b.name == "likelihood")
-    kept = graph.factors["likelihood"].fragment
-    assert own.basis is model.meta["basis"] and own.rows is None
-    assert isinstance(kept.rows, SplineRows)
-    assert kept.A is own.A is model.meta["C"]
+    own, kept = likelihood_state(model), graph.factors["likelihood"].fragment
+    assert isinstance(own.A, SplineDesign) and own.rows is None
+    assert own.A.basis is model.meta["basis"] and own.A.shape == (500, 27)
+    assert isinstance(kept.rows, SplineRows) and kept.A is own.A
+    shapes = {a.shape for a in reachable_arrays(model)}
+    assert (500,) in shapes and not any(len(s) == 2 and 500 in s for s in shapes)
+
+
+@pytest.mark.parametrize("link", ["logit", "probit", "log"])
+def test_spline_build_stays_below_one_dense_design(link):
+    # n=2*10^4: building the model and its graph allocates less, at its
+    # peak, than one dense n x (K + 2) design, and keeps no array of that shape
+    n, K = 20_000, 25
+    model = criterion_08_model(link, n=n)  # outside the trace: the data draw
+    y, x = model.meta["y"], model.meta["x"]
+    tracemalloc.start()
+    try:
+        model = build_glm_spline(y, x, K=K, link=link)
+        graph = build_factor_graph(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * (K + 2) * 8
+    assert not any(a.size >= n * (K + 2) for a in reachable_arrays((model, graph)))
 
 
 @pytest.mark.parametrize("link", ["logit", "probit", "log"])
@@ -579,13 +654,15 @@ def test_other_designs_keep_the_dense_kernels():
         graph = build_factor_graph(model)
         run_vmp(graph, max_iter=3)
         state = graph.factors["likelihood"].fragment
-        assert state.basis is None and state.rows is None, link
+        assert isinstance(state.A, np.ndarray) and state.rows is None, link
+        assert isinstance(fragments_glm._rows(state), DenseRows), link
 
 
 @pytest.mark.parametrize("link", ["logit", "probit", "log"])
-def test_bspline_design_formed_once_per_fit(monkeypatch, link):
-    # the builder forms the training B-spline design; the first sweep's band
-    # evaluates the same B-splines itself instead of forming it again
+def test_bspline_design_never_formed_by_a_fit(monkeypatch, link):
+    # the builder forms only the knots and the penalty transform; the first
+    # sweep's band evaluates the B-splines itself, so no B-spline design of
+    # the data is formed
     calls = []
     real = BSpline.design_matrix
 
@@ -597,4 +674,4 @@ def test_bspline_design_formed_once_per_fit(monkeypatch, link):
     graph = build_factor_graph(criterion_08_model(link))
     run_vmp(graph, max_iter=2, track_elbo=True)
     assert isinstance(graph.factors["likelihood"].fragment.rows, SplineRows)
-    assert calls == [(500,)]
+    assert calls == []
