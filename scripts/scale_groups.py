@@ -19,6 +19,14 @@ graph).  Each peak is the ``tracemalloc`` peak of one more run of the phase,
 untimed.  The last column gives the size of one dense p x p array for
 comparison, and a final line gives each time relative to the first m.
 
+    python3 scripts/scale_groups.py --groups 20 200 --to-tol
+
+``--to-tol [TOL]`` (1e-8 when no value is given) instead fits each m to that
+tolerance twice, with plain VMP and with the ELBO-guarded SQUAREM of
+``run_vmp``, both without an ELBO trace (the accelerated run still takes the
+ELBOs its guard needs), and prints the sweeps and seconds of each, the
+accelerated run's accepted and rejected steps, and the ratio of sweeps.
+
 BLAS is pinned to one thread before numpy is imported, and the package is
 imported from this checkout's ``src``.  The script writes nothing outside
 its temporary directory.
@@ -108,15 +116,52 @@ def measure(data, repeats):
     return p, (build_s, sweep_s, q_s, band_s), peaks
 
 
+def to_tol(data, tol, max_sweeps):
+    """(p, [(sweeps, seconds, converged, accepted, rejected)] plain, then accelerated)."""
+    model = build_group_curves(*data)
+    runs = []
+    for accelerate in (False, True):
+        graph = build_factor_graph(model)
+        t0 = perf_counter()
+        report = run_vmp(graph, max_iter=max_sweeps, tol=tol, track_elbo=False,
+                         accelerate=accelerate)
+        runs.append((report.iterations, perf_counter() - t0, report.converged,
+                     report.steps_accepted, report.steps_rejected))
+    return graph.nodes["coef"].d, runs
+
+
+def print_to_tol(args):
+    print(f"{'m':>6} {'p':>6} {'plain sweeps':>13} {'plain s':>9} {'SQUAREM sweeps':>15} "
+          f"{'SQUAREM s':>10} {'acc/rej':>9} {'sweep ratio':>12}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for m in args.groups:
+            data = grouped_data(Path(tmp) / f"m{m}", m, args.per_group, args.seed)
+            p, runs = to_tol(data, args.to_tol, args.max_sweeps)
+            (n0, s0, c0, _, _), (n1, s1, c1, acc, rej) = runs
+            plain, fast = f"{n0}{'' if c0 else '*'}", f"{n1}{'' if c1 else '*'}"
+            print(f"{m:>6} {p:>6} {plain:>13} {s0:>9.2f} {fast:>15} {s1:>10.2f} "
+                  f"{f'{acc}/{rej}':>9} {n1 / n0:>12.3f}", flush=True)
+    print(f"tol {args.to_tol:g}; * marks a fit stopped at --max-sweeps {args.max_sweeps}")
+    return 0
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--groups", type=int, nargs="+", default=[200, 400, 1000])
     ap.add_argument("--per-group", type=int, default=25)
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--to-tol", type=float, nargs="?", const=1e-8, default=None,
+                    help="fit each m to this tol, plain against accelerated (default 1e-8)")
+    ap.add_argument("--max-sweeps", type=int, default=20000,
+                    help="sweep cap of each --to-tol fit")
     args = ap.parse_args(argv)
     if args.repeats < 1 or min(args.groups) < 1:
         ap.error("--repeats and every --groups value must be at least 1")
+    if args.to_tol is not None:
+        if not args.to_tol > 0 or args.max_sweeps < 1:
+            ap.error("--to-tol must be positive and --max-sweeps at least 1")
+        return print_to_tol(args)
 
     print(f"{'m':>6} {'p':>6} {'build s':>9} {'sweep ms':>9} {'q_density s':>12} {'band s':>8} "
           f"{'build MB':>9} {'sweep MB':>9} {'q_density MB':>13} {'band MB':>8} {'p x p MB':>9}",

@@ -21,7 +21,9 @@ A fragment is any object with three methods, all in port order:
   q-density or the expected sufficient statistic E{T} of any other.
 
 A fragment may also set ``start_precision``, the precision of the normal
-messages it starts from.  The engine knows no fragment kind.
+messages it starts from, and ``ascends_elbo = False`` when a sweep of its
+update is not known to raise the ELBO, which keeps ``run_vmp`` from
+accelerating the graph.  The engine knows no fragment kind.
 
 Each normal q-density is factored once per sweep where it can be.  At
 damping 1 the engine keeps the pairs an update hands back, one per node, and
@@ -131,10 +133,17 @@ class QDensity:
 
 @dataclass
 class ConvergenceReport:
+    """``iterations`` counts every sweep run; ``elbo_trace`` holds one ELBO
+    per sweep whose state stands, so it is ``iterations - steps_rejected``
+    long when tracked.  ``steps_accepted`` and ``steps_rejected`` count the
+    extrapolated candidates an accelerated run tried (0 on a plain run)."""
+
     iterations: int
     converged: bool
     max_relative_delta: float
     elbo_trace: list = field(default_factory=list)
+    steps_accepted: int = 0
+    steps_rejected: int = 0
 
 
 class FactorGraph:
@@ -255,7 +264,7 @@ def update_factor(graph: FactorGraph, factor_name: str, damping: float = 1.0):
                 f"message to node '{nname}' has shape {np.shape(payload)}, "
                 f"the edge stores {old.shape}",
             )
-        if not np.all(np.isfinite(payload)):
+        if not np.isfinite(payload).all():
             raise VmpNumericsError(factor_name, f"non-finite message to node '{nname}'")
         new = payload if damping == 1.0 else damping * payload + (1.0 - damping) * old
         graph.fac_to_node[(factor_name, nname)] = new
@@ -300,7 +309,7 @@ def q_density(graph: FactorGraph, node_name: str) -> QDensity:
     """
     node = graph.nodes[node_name]
     eta = _eta_q(graph, node_name)
-    if not np.all(np.isfinite(eta)):
+    if not np.isfinite(eta).all():
         raise ImproperQDensityError(node_name, eta)
     mom = None
     if node.family == expfam.MULTIVARIATE_NORMAL:
@@ -354,13 +363,19 @@ def run_vmp(
     tol: float = 1e-8,
     damping: float = 1.0,
     track_elbo: bool = True,
+    accelerate: bool = True,
 ) -> ConvergenceReport:
     """Sweep the factors until the q-density natural parameters settle.
 
     Convergence is the infinity norm of the relative change of all q-density
     vectors, with per-coordinate denominator max(1, |old|), taken node by
-    node; the ELBO is recorded once per sweep when tracking is on, from the
-    same vectors.
+    node over one sweep; the ELBO is recorded once per sweep that stands
+    when tracking is on, from the same vectors.
+
+    With ``accelerate`` (the default) the sweeps run in ELBO-guarded SQUAREM
+    cycles (see ``_squarem``), unless a fragment of the graph sets
+    ``ascends_elbo = False``; otherwise, or with ``accelerate=False``, every
+    sweep starts where the last one ended.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -379,22 +394,143 @@ def run_vmp(
             missing = sorted(set(graph.factors) - set(schedule))
             raise GraphStructureError(f"schedule misses factors: {missing}")
 
-    prev = {n: _eta_q(graph, n) for n in graph.nodes}
     report = ConvergenceReport(iterations=0, converged=False, max_relative_delta=np.inf)
-    for _ in range(max_iter):
+
+    def sweep(prev):
+        """One sweep, counted (also when an update raises), its delta
+        against ``prev`` (whose vectors it overwrites) reported; returns
+        the new q-density vectors."""
+        report.iterations += 1
         for fname in schedule:
             update_factor(graph, fname, damping=damping)
-        report.iterations += 1
         cur = {n: _eta_q(graph, n) for n in graph.nodes}
-        delta = float(np.max([_max_relative_change(cur[n], prev[n]) for n in graph.nodes]))
-        report.max_relative_delta = delta
-        prev = cur
+        report.max_relative_delta = float(
+            np.max([_max_relative_change(cur[n], prev[n]) for n in graph.nodes])
+        )
+        return cur
+
+    if accelerate and all(getattr(f.fragment, "ascends_elbo", True) for f in graph.factors.values()):
+        _squarem(graph, sweep, report, max_iter, tol, track_elbo)
+        return report
+    prev = {n: _eta_q(graph, n) for n in graph.nodes}
+    for _ in range(max_iter):
+        prev = sweep(prev)
         if track_elbo:
-            report.elbo_trace.append(elbo(graph, cur))
-        if delta < tol:
+            report.elbo_trace.append(elbo(graph, prev))
+        if report.max_relative_delta < tol:
             report.converged = True
             break
     return report
+
+
+_STEP_GROWTH = 4.0
+
+
+def _squarem(graph, sweep, report, max_iter, tol, track_elbo):
+    """ELBO-guarded SQUAREM (Varadhan & Roland, Scand. J. Stat. 2008, the S3
+    step) over the factor-to-node messages.
+
+    A cycle runs two plain sweeps, theta0 -> theta1 -> theta2, and with
+    r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0 takes the step
+    alpha = -|r| / |v| clipped to [-s, -1].  At alpha = -1 the candidate is
+    theta2 itself and none is tried.  Otherwise the candidate
+    theta0 - 2 alpha r + alpha^2 v gets one stabilising sweep and stands
+    if its ELBO is no lower than theta2's; if it is lower, or the sweep or
+    its ELBO finds an improper q-density or a failing update, the graph
+    rolls back to theta2: its messages and fragment states, with the kept
+    moments dropped.  The step cap s starts at 1, grows 4-fold after a step
+    at the cap that stands and shrinks 4-fold (never below 1) after one
+    that is rejected, as in the SQUAREM reference implementation; a
+    rejected step shorter than the cap leaves it.
+
+    Only messages on edges whose node has no layout are extrapolated; the
+    stabilising sweep recomputes the packed ones from them.  Every sweep
+    counts towards ``max_iter``, a candidate is tried only when its sweep
+    fits within it, and the reported delta is always one sweep's change.
+    """
+    edges = [key for key in graph.fac_to_node if graph.nodes[key[1]].layout is None]
+    splits = np.cumsum([graph.fac_to_node[key].size for key in edges], dtype=int)[:-1]
+
+    def messages_now():  # the extrapolated messages, end to end
+        return np.concatenate([np.zeros(0)] + [graph.fac_to_node[key] for key in edges])
+
+    cap = 1.0
+    prev = {n: _eta_q(graph, n) for n in graph.nodes}
+    while report.iterations < max_iter:
+        theta = [messages_now()] if cap > 1.0 else None  # at cap 1 alpha is -1
+        for _ in range(2):
+            prev = sweep(prev)
+            if track_elbo:
+                report.elbo_trace.append(elbo(graph, prev))
+            if report.max_relative_delta < tol:
+                report.converged = True
+                return
+            if report.iterations == max_iter:
+                return
+            if theta is not None:
+                theta.append(messages_now())
+        if theta is None:  # theta2 stands as a step at the cap
+            cap *= _STEP_GROWTH
+            continue
+        alpha, candidate = _extrapolate(*theta, cap)
+        del theta
+        if candidate is None:
+            continue
+        floor = report.elbo_trace[-1] if track_elbo else elbo(graph, prev)
+        del prev  # theta2's vectors are summed again on a rollback
+        prev, value = _stabilise(graph, sweep, report, zip(edges, np.split(candidate, splits)), floor)
+        del candidate
+        if prev is not None:
+            report.steps_accepted += 1
+            if alpha == -cap:
+                cap *= _STEP_GROWTH
+            if track_elbo:
+                report.elbo_trace.append(value)
+            if report.max_relative_delta < tol:
+                report.converged = True
+                return
+        else:
+            report.steps_rejected += 1
+            if alpha == -cap:
+                cap = max(1.0, cap / _STEP_GROWTH)
+            prev = {n: _eta_q(graph, n) for n in graph.nodes}
+
+
+def _extrapolate(theta0, theta1, theta2, cap):
+    """(alpha, candidate) of the S3 step under the cap; the candidate is
+    None at alpha = -1 (also when v = 0, which gives no step length)."""
+    r = theta1 - theta0
+    v = theta2 - 2.0 * theta1 + theta0
+    norm_r, norm_v = np.sqrt(r @ r), np.sqrt(v @ v)
+    alpha = -min(cap, max(1.0, norm_r / norm_v)) if norm_v > 0 else -1.0
+    if alpha == -1.0:
+        return alpha, None
+    return alpha, theta0 - 2.0 * alpha * r + alpha**2 * v
+
+
+def _stabilise(graph, sweep, report, candidate, floor):
+    """Sweep once from the ``candidate`` (edge, message) pairs.  Returns the
+    new q-density vectors and the ELBO when the ELBO reaches ``floor``;
+    otherwise puts back the graph's messages, fragment states and delta
+    (with the kept moments dropped) and returns (None, the ELBO)."""
+    delta = report.max_relative_delta
+    messages = dict(graph.fac_to_node)
+    states = {name: factor.fragment for name, factor in graph.factors.items()}
+    graph.kept_moments.clear()
+    graph.fac_to_node.update(candidate)
+    try:
+        cur = sweep({n: _eta_q(graph, n) for n in graph.nodes})
+        value = elbo(graph, cur)
+    except (ImproperQDensityError, VmpNumericsError):
+        value = -np.inf
+    if value >= floor:
+        return cur, value
+    graph.fac_to_node.update(messages)
+    for name, state in states.items():
+        graph.factors[name].fragment = state
+    graph.kept_moments.clear()
+    report.max_relative_delta = delta
+    return None, value
 
 
 def _max_relative_change(new, old):

@@ -83,7 +83,7 @@ class NatParam:
                 f"{self.family}(d={self.d}) wants eta of length "
                 f"{eta_length(self.family, self.d)}, got {e.size}"
             )
-        if not np.all(np.isfinite(e)):
+        if not np.isfinite(e).all():
             raise ValueError(f"non-finite natural parameter for {self.family}")
 
     def matrix_block(self):
@@ -98,7 +98,7 @@ class NatParam:
 def digamma(x):
     """psi(x) for x > 0 (delegates to scipy; the domain check is ours)."""
     xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
+    if (xa <= 0.0).any():
         raise ValueError("digamma requires a positive argument")
     out = _scipy_psi(xa)
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
@@ -107,7 +107,7 @@ def digamma(x):
 def exponential_integral_ei(x):
     """Ei(x) for x != 0."""
     xa = np.asarray(x, dtype=float)
-    if np.any(xa == 0.0):
+    if (xa == 0.0).any():
         raise ValueError("Ei is singular at 0")
     out = _scipy_expi(xa)
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
@@ -173,7 +173,7 @@ def is_proper(x: NatParam) -> bool:
     if x.family == INVERSE_WISHART:
         return inverse_wishart_factor(e, d) is not None
     if x.family == INVERSE_G_WISHART_DIAG:
-        return e[0] < -1.0 and bool(np.all(np.diag(x.matrix_block()) < 0.0))
+        return e[0] < -1.0 and bool((np.diag(x.matrix_block()) < 0.0).all())
     raise UnknownFamilyError(x.family)
 
 

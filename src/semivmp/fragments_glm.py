@@ -318,6 +318,10 @@ class PoissonFragmentState(_GlmFragment):
     """``A`` and ``rows`` as for the logistic state; ``log_y_factorial``,
     the sum of log y_i! in the ELBO term, is kept by the first update."""
 
+    # the fixed-point update is only known to be stationary at the bound's
+    # optimum, not to raise it each sweep, so run_vmp does not extrapolate it
+    ascends_elbo = False
+
     y: np.ndarray
     A: np.ndarray | SplineDesign
     rows: object = field(default=None, init=False, repr=False, compare=False)

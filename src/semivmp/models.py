@@ -99,12 +99,27 @@ class ModelSpec:
         object.__setattr__(self, "fragments", tuple(self.fragments))
 
 
-def _quantile_knots(x, count, inner=False):
-    ux = np.unique(np.asarray(x, dtype=float))
+def _sorted_quantiles(a, probs):
+    """np.quantile(a, probs) of a sorted array, bit for bit (the linear rule:
+    the lerp at (n - 1) p, from the upper end when its weight is >= 1/2),
+    without the partition np.quantile runs."""
+    virtual = (a.size - 1) * probs
+    below = np.floor(virtual)
+    gamma = virtual - below
+    lo = below.astype(np.intp)
+    lower, upper = a[lo], a[np.minimum(lo + 1, a.size - 1)]
+    diff = upper - lower
+    out = lower + diff * gamma
+    np.subtract(upper, diff * (1.0 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
+def _quantile_knots(ux, count, inner=False):
+    """``count`` knots at equally spaced quantiles of the sorted unique x."""
     if count == 0:
         return np.array([])
     probs = np.arange(1, count + 1) / (count + 1.0)
-    knots = np.quantile(ux, probs)
+    knots = _sorted_quantiles(ux, probs)
     if np.unique(knots).size < count:
         raise ValueError(f"too few distinct x values to place {count} knots")
     if inner and (knots[0] <= ux[0] or knots[-1] >= ux[-1]):
@@ -112,16 +127,15 @@ def _quantile_knots(x, count, inner=False):
     return knots
 
 
-def _osullivan_basis(x, K):
-    """The cubic B-splines on quantile knots of x, with the transform T that
-    maps them to K columns on which the curvature penalty is the identity
-    (its nullspace is carried by [1, x]).  Only the knots and the penalty are
-    formed, not the B-spline design of x."""
+def _osullivan_basis(x, ux, K):
+    """The cubic B-splines on quantile knots of x (``ux``: its sorted unique
+    values), with the transform T that maps them to K columns on which the
+    curvature penalty is the identity (its nullspace is carried by [1, x]).
+    Only the knots and the penalty are formed, not the B-spline design of x."""
     if K < 2:
         raise ValueError("osullivan_like basis needs K >= 2")
-    x = np.asarray(x, dtype=float)
     lo, hi = float(np.min(x)), float(np.max(x))
-    interior = _quantile_knots(x, K - 2, inner=True)
+    interior = _quantile_knots(ux, K - 2, inner=True)
     t = np.concatenate([[lo] * 4, interior, [hi] * 4])
     nb = t.size - 4
 
@@ -148,18 +162,20 @@ def _osullivan_basis(x, K):
 
 
 def spline_basis(x, K, kind=TRUNCATED_LINEAR):
-    """The SplineBasis of K columns with knots at quantiles of the unique x."""
+    """The SplineBasis of K columns with knots at quantiles of the unique x
+    (x is sorted once, for the distinct-value check and the knots)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if K < 1:
         raise ValueError("K must be >= 1")
     if x.size <= K:
         raise ValueError("need n > K observations")
-    if np.unique(x).size < K:
+    ux = np.unique(x)
+    if ux.size < K:
         raise ValueError("too few distinct x values")
     if kind == TRUNCATED_LINEAR:
-        return SplineBasis(_quantile_knots(x, K), kind, (float(np.min(x)), float(np.max(x))))
+        return SplineBasis(_quantile_knots(ux, K), kind, (float(np.min(x)), float(np.max(x))))
     if kind == OSULLIVAN_LIKE:
-        return _osullivan_basis(x, K)
+        return _osullivan_basis(x, ux, K)
     raise ValueError(f"unknown spline kind '{kind}'")
 
 

@@ -440,7 +440,7 @@ def two_level_moments(eta, layout, context=""):
     A = -(M_GG + M_GG.T)
     B = -(M_iG + M_Gi)
     D = -(M_ii + M_ii.swapaxes(1, 2))
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B)) and np.all(np.isfinite(D))):
+    if not (np.isfinite(A).all() and np.isfinite(B).all() and np.isfinite(D).all()):
         raise SpdFactorizationError(context, "non-finite entries")
     try:
         L = np.linalg.cholesky(D)

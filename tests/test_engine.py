@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from semivmp import cli, expfam, fragments_gaussian, fragments_glm, models
+from semivmp import cli, engine, expfam, fragments_gaussian, fragments_glm, models
 from semivmp.engine import (
     ConvergenceReport,
     FragmentBinding,
@@ -339,7 +339,7 @@ def test_elbo_monotone_on_linreg():
     y, X = make_regression_data(11, n=40)
     g = build_factor_graph(models.build_linear_regression(y, X))
     rep = run_vmp(g, max_iter=60, tol=1e-14)
-    assert len(rep.elbo_trace) == rep.iterations
+    assert len(rep.elbo_trace) == rep.iterations - rep.steps_rejected
     assert np.min(np.diff(rep.elbo_trace)) >= -1e-8
 
 
@@ -451,10 +451,17 @@ def test_separated_binary_fit_returns_unconverged(link):
     hyper = models.Hyperparameters(sigma_beta_sq=defaults.sigma_beta_sq, A=defaults.a_hyper)
     spec = models.build_glm_spline(y, x, K=defaults.knots, link=link, hyper=hyper)
     g = build_factor_graph(spec)
-    report = run_vmp(g, max_iter=defaults.iters, tol=defaults.tol, track_elbo=False)
+    report = run_vmp(g, max_iter=defaults.iters, tol=defaults.tol, track_elbo=False,
+                     accelerate=False)
     assert not report.converged and report.iterations == defaults.iters
     worst = np.max(np.abs(models.design(spec) @ q_density(g, "coef").common["mu"]))
     assert 5.0 < worst < fragments_glm.OVERFLOW_LIMIT / 10
+    # extrapolation follows the divergence further, still without an overflow
+    g = build_factor_graph(spec)
+    report = run_vmp(g, max_iter=defaults.iters, tol=defaults.tol, track_elbo=False)
+    assert not report.converged and report.iterations == defaults.iters
+    fast = np.max(np.abs(models.design(spec) @ q_density(g, "coef").common["mu"]))
+    assert worst <= fast < fragments_glm.OVERFLOW_LIMIT
 
 
 # --- run_vmp contract ---------------------------------------------------------
@@ -596,7 +603,7 @@ def assert_fit_matches_reference(model, sweeps=60, kept=True):
     bit for bit: every message, the report (ELBO trace included) and every
     q_density.  ``kept`` says whether the fit should have moments to reuse."""
     graph = build_factor_graph(model)
-    report = run_vmp(graph, max_iter=sweeps, tol=1e-300)
+    report = run_vmp(graph, max_iter=sweeps, tol=1e-300, accelerate=False)
     ref_graph, ref_report = reference_fit(model, sweeps, 1e-300)
     assert report == ref_report
     assert graph.fac_to_node.keys() == ref_graph.fac_to_node.keys()
@@ -728,3 +735,281 @@ def test_non_finite_right_hand_side_is_rejected():
             spd_solve(M, bad)
         with pytest.raises(ValueError, match="infs or NaNs"):
             chol_solve(spd_chol(M), np.array(bad))
+
+
+# --- SQUAREM acceleration -----------------------------------------------------
+# A cycle is two plain sweeps and, when its step is longer than a plain one,
+# one stabilising sweep of an extrapolated candidate.  The step cap starts at
+# 1, so the first cycle (sweeps 1-2) tries no candidate and the first
+# candidate is swept in sweep 5.
+
+
+class Contraction:
+    """A fragment on one normal node whose message moves the first entry of
+    its natural vector by m <- rho m + 1 and keeps the rest: a linear map of
+    rate rho, so |r| / |v| = 1 / (1 - rho), and at rho = 1 the second
+    difference v is exactly 0."""
+
+    def __init__(self, rho, d=1):
+        self.rho, self.d = rho, d
+
+    def ports(self):
+        return [(MULTIVARIATE_NORMAL, self.d)]
+
+    def update(self, n2f, f2n, nodes, context):
+        message = f2n[0].copy()
+        message[0] = self.rho * message[0] + 1.0
+        return self, [message], {}
+
+    def logp(self, q_etas, moments):
+        return 0.0
+
+
+def contraction_graph(rho):
+    return build_factor_graph(model_of(
+        [StochasticNode("theta", MULTIVARIATE_NORMAL, 1)],
+        [FragmentBinding("move", Contraction(rho), ("theta",))],
+    ))
+
+
+def logit_spline():
+    x, f, r = spline_data(23)
+    return models.build_glm_spline(r.binomial(1, f).astype(float), x, K=6, link="logit")
+
+
+def plain_sweeps(graph, sweeps):
+    return run_vmp(graph, max_iter=sweeps, tol=1e-300, accelerate=False)
+
+
+def extrapolated_keys(graph):
+    return [key for key in graph.fac_to_node if graph.nodes[key[1]].layout is None]
+
+
+def assert_same_messages(graph, ref):
+    assert graph.fac_to_node.keys() == ref.fac_to_node.keys()
+    for key, msg in ref.fac_to_node.items():
+        assert np.array_equal(graph.fac_to_node[key], msg), key
+
+
+def assert_same_glm_state(graph, ref):
+    got, want = graph.factors["likelihood"].fragment, ref.factors["likelihood"].fragment
+    for name in ("xi", "Atb", "AtWA", "offset_sum"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_accepted_step_is_the_extrapolated_candidate_swept_once():
+    # by hand: two plain sweeps, then theta0 -> theta1 -> theta2, the S3 step
+    # at cap 4 and one plain sweep of the candidate
+    graph = build_factor_graph(logit_spline())
+    report = run_vmp(graph, max_iter=5, tol=1e-300)
+    assert (report.iterations, report.steps_accepted, report.steps_rejected) == (5, 1, 0)
+    assert len(report.elbo_trace) == 5 and np.all(np.diff(report.elbo_trace) >= 0)
+
+    ref = build_factor_graph(logit_spline())
+    plain_sweeps(ref, 2)
+    keys = extrapolated_keys(ref)
+    theta = [np.concatenate([ref.fac_to_node[k] for k in keys])]
+    for _ in range(2):
+        plain_sweeps(ref, 1)
+        theta.append(np.concatenate([ref.fac_to_node[k] for k in keys]))
+    r = theta[1] - theta[0]
+    v = theta[2] - 2.0 * theta[1] + theta[0]
+    ratio = np.sqrt(r @ r) / np.sqrt(v @ v)
+    assert 1.0 < ratio < 4.0  # a step inside the cap
+    alpha = -ratio
+    candidate = theta[0] - 2.0 * alpha * r + alpha**2 * v
+    start = 0
+    for key in keys:
+        size = ref.fac_to_node[key].size
+        ref.fac_to_node[key] = candidate[start:start + size]
+        start += size
+    ref.kept_moments.clear()
+    plain_sweeps(ref, 1)
+    assert_same_messages(graph, ref)
+    assert_same_glm_state(graph, ref)
+    assert report.elbo_trace[-1] == elbo(ref)
+
+
+def test_step_cap_grows_after_a_capped_step_that_stands():
+    # rho = 0.9: |r| / |v| = 10.  Sweep 5 takes the step at the cap 4, which
+    # grows to 16, so sweep 8 takes the full step and lands on the fixed
+    # point m = 10 of the linear map; a cap still at 4 would not reach it
+    graph = contraction_graph(0.9)
+    report = run_vmp(graph, max_iter=8, tol=1e-300)
+    assert (report.steps_accepted, report.steps_rejected) == (2, 0)
+    assert graph.fac_to_node[("move", "theta")][0] == pytest.approx(10.0, rel=1e-12)
+
+
+def forced_rejection(monkeypatch, call):
+    """Make the ``call``-th ELBO evaluation read -inf."""
+    real, calls = engine.elbo, []
+
+    def low(graph, q_etas=None):
+        calls.append(1)
+        return -np.inf if len(calls) == call else real(graph, q_etas)
+
+    monkeypatch.setattr(engine, "elbo", low)
+
+
+def test_rejected_capped_step_shrinks_the_cap(monkeypatch):
+    # the step of sweep 5 is at the cap 4 and is rejected, so the cap falls to
+    # 1: the cycle of sweeps 6-7 tries no candidate and the next one is
+    # swept in sweep 10 (with the cap left at 4 it would be in sweep 8)
+    for sweeps, steps in ((8, 1), (10, 2)):
+        forced_rejection(monkeypatch, 5)
+        report = run_vmp(contraction_graph(0.9), max_iter=sweeps, tol=1e-300)
+        assert report.steps_rejected == 1
+        assert report.steps_accepted + report.steps_rejected == steps
+        assert len(report.elbo_trace) == report.iterations - 1 == sweeps - 1
+
+
+def raising_update(monkeypatch, call):
+    """Make the ``call``-th factor update raise a numerics error."""
+    real, calls = engine.update_factor, []
+
+    def update(graph, name, damping=1.0):
+        calls.append(name)
+        if len(calls) == call:
+            raise VmpNumericsError(name, "forced failure")
+        return real(graph, name, damping=damping)
+
+    monkeypatch.setattr(engine, "update_factor", update)
+
+
+def improper_candidate(monkeypatch, call):
+    """Make the ``call``-th ELBO evaluation find an improper q-density."""
+    real, calls = engine.elbo, []
+
+    def improper(graph, q_etas=None):
+        calls.append(1)
+        if len(calls) == call:
+            raise ImproperQDensityError("coef", [np.nan])
+        return real(graph, q_etas)
+
+    monkeypatch.setattr(engine, "elbo", improper)
+
+
+@pytest.mark.parametrize("sabotage", ["lower_elbo", "improper_elbo", "raising_update"])
+def test_rejected_candidate_rolls_back_to_theta2(monkeypatch, sabotage):
+    # the candidate of sweep 5 is rejected: the graph is the one after four
+    # plain sweeps, bit for bit, messages and GLM state alike
+    n_factors = len(build_factor_graph(logit_spline()).factors)
+    if sabotage == "lower_elbo":
+        forced_rejection(monkeypatch, 5)
+    elif sabotage == "improper_elbo":
+        improper_candidate(monkeypatch, 5)
+    else:
+        raising_update(monkeypatch, 4 * n_factors + 2)  # inside the candidate's sweep
+    graph = build_factor_graph(logit_spline())
+    report = run_vmp(graph, max_iter=5, tol=1e-300)
+    monkeypatch.undo()
+    ref = build_factor_graph(logit_spline())
+    ref_report = plain_sweeps(ref, 4)
+    assert (report.iterations, report.steps_accepted, report.steps_rejected) == (5, 0, 1)
+    assert report.elbo_trace == ref_report.elbo_trace
+    assert report.max_relative_delta == ref_report.max_relative_delta
+    assert not graph.kept_moments
+    assert_same_messages(graph, ref)
+    assert_same_glm_state(graph, ref)
+    for node in graph.nodes:
+        assert_same_q_density(q_density(graph, node), q_density(ref, node))
+
+
+def test_graph_with_only_layout_edges_runs_plain_sweeps():
+    # no message is extrapolated, so no cycle has a step to take
+    layout = TwoLevelLayout([0], [[1, 2], [3, 4]])
+    model = model_of([StochasticNode("coef", MULTIVARIATE_NORMAL, 5, layout)],
+                     [FragmentBinding("move", Contraction(0.9, d=5), ("coef",))])
+    fast, plain = build_factor_graph(model), build_factor_graph(model)
+    report = run_vmp(fast, max_iter=12, tol=1e-300)
+    assert report == run_vmp(plain, max_iter=12, tol=1e-300, accelerate=False)
+    assert_same_messages(fast, plain)
+
+
+def test_zero_second_difference_takes_no_step():
+    # rho = 1 moves the mean by exactly 1 a sweep: r != 0, v == 0, and no
+    # NaN step; every sweep is plain
+    graph = contraction_graph(1.0)
+    report = run_vmp(graph, max_iter=9, tol=1e-300)
+    assert (report.iterations, report.steps_accepted, report.steps_rejected) == (9, 0, 0)
+    assert graph.fac_to_node[("move", "theta")][0] == 9.0
+    assert np.all(np.isfinite(report.elbo_trace)) and not report.converged
+
+
+@pytest.mark.parametrize("track_elbo", [True, False])
+def test_accelerated_run_honours_max_iter(track_elbo):
+    for sweeps in range(1, 13):
+        report = run_vmp(build_factor_graph(logit_spline()), max_iter=sweeps, tol=1e-300,
+                         track_elbo=track_elbo)
+        assert report.iterations == sweeps and not report.converged
+        assert report.steps_accepted + report.steps_rejected == max(0, (sweeps - 2) // 3)
+        assert len(report.elbo_trace) == (sweeps - report.steps_rejected if track_elbo else 0)
+
+
+def test_accelerated_run_without_elbo_takes_the_same_steps():
+    traced = build_factor_graph(logit_spline())
+    plain = build_factor_graph(logit_spline())
+    a = run_vmp(traced, max_iter=40, tol=1e-10)
+    b = run_vmp(plain, max_iter=40, tol=1e-10, track_elbo=False)
+    assert (a.iterations, a.steps_accepted, a.steps_rejected) == (
+        b.iterations, b.steps_accepted, b.steps_rejected)
+    assert_same_messages(traced, plain)
+
+
+def test_poisson_graph_is_never_accelerated():
+    x, f, r = spline_data(24)
+    model = models.build_glm_spline(r.poisson(np.exp(f)).astype(float), x, K=6, link="log")
+    assert not fragments_glm.PoissonFragmentState.ascends_elbo
+    fast, plain = build_factor_graph(model), build_factor_graph(model)
+    report = run_vmp(fast, max_iter=60, tol=1e-300)
+    assert report == run_vmp(plain, max_iter=60, tol=1e-300, accelerate=False)
+    assert report.steps_accepted == report.steps_rejected == 0
+    assert_same_messages(fast, plain)
+
+
+def test_accelerated_fit_matches_fresh_factorizations():
+    # kept moments change no bit of an accelerated fit either, rejected
+    # candidates included
+    model = logit_spline()
+    graph, ref = build_factor_graph(model), build_factor_graph(model)
+    ref.kept_moments = Forgetful()
+    report = run_vmp(graph, max_iter=60, tol=1e-300)
+    assert report.steps_accepted and report.steps_rejected
+    assert report == run_vmp(ref, max_iter=60, tol=1e-300)
+    assert_same_messages(graph, ref)
+
+
+def fit_plain_and_accelerated(model, tol=1e-12):
+    """For a plain and an accelerated fit of ``model`` to ``tol``: the report,
+    the final ELBO, the q-density vectors and the curve means on the
+    interior grid of criterion 08, concatenated."""
+    grid = np.linspace(0.02, 0.98, 201)
+    fits = []
+    for accelerate in (False, True):
+        graph = build_factor_graph(model)
+        report = run_vmp(graph, max_iter=5000, tol=tol, track_elbo=False, accelerate=accelerate)
+        assert report.converged
+        bound = elbo(graph)
+        etas = {node: q_density(graph, node).eta_q for node in graph.nodes}
+        q_coef = q_density(graph, model.coef_node)
+        curves = np.concatenate([
+            models.fitted_curve(q_coef, design, grid, link=model.link).mean
+            for design in model.curves.values()
+        ])
+        fits.append((report, bound, etas, curves))
+    return fits
+
+
+def assert_accelerated_fit_agrees(model):
+    """Plain and accelerated fits to tol 1e-12 agree to 1e-12 in the final
+    ELBO (relative) and in the curve means (relative to max(1, |mean|)),
+    and the accelerated fit takes fewer sweeps.  Their q-density vectors are
+    not compared at 1e-12: under a slow mode plain VMP stops further than
+    its tol from the fixed point."""
+    (plain, plain_bound, _, plain_curves), (fast, fast_bound, _, fast_curves) = (
+        fit_plain_and_accelerated(model)
+    )
+    assert fast.iterations < plain.iterations
+    assert abs(fast_bound - plain_bound) <= 1e-12 * abs(plain_bound)
+    gap = np.abs(fast_curves - plain_curves) / np.maximum(1.0, np.abs(plain_curves))
+    assert np.max(gap) <= 1e-12

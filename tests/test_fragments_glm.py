@@ -42,6 +42,7 @@ from semivmp.natparam import mvn_moments, row_quadratic, vec
 
 from conftest import random_spd
 from test_acceptance import kmw_local_objective
+from test_engine import assert_accelerated_fit_agrees, fit_plain_and_accelerated
 
 
 def mvn_eta(mu, Sigma):
@@ -434,7 +435,7 @@ def on_dense_rows(model):
 def fit_to_fixed_point(model):
     """q-density vectors and ELBO of the model fitted to tol 1e-12."""
     graph = build_factor_graph(model)
-    report = run_vmp(graph, max_iter=2000, tol=1e-12, track_elbo=False)
+    report = run_vmp(graph, max_iter=2000, tol=1e-12, track_elbo=False, accelerate=False)
     assert report.converged
     etas = {node: q_density(graph, node).eta_q for node in graph.nodes}
     return etas, elbo(graph)
@@ -675,3 +676,25 @@ def test_bspline_design_never_formed_by_a_fit(monkeypatch, link):
     run_vmp(graph, max_iter=2, track_elbo=True)
     assert isinstance(graph.factors["likelihood"].fragment.rows, SplineRows)
     assert calls == []
+
+
+@pytest.mark.parametrize("link", ["logit", "probit"])
+def test_accelerated_fit_agrees_with_plain_fit(link):
+    assert_accelerated_fit_agrees(criterion_08_model(link))
+
+
+@pytest.mark.parametrize("link", ["logit", "probit"])
+def test_accelerated_fit_stops_no_further_from_the_fixed_point(link):
+    # against a plain fit to tol 1e-15, the accelerated fit to tol 1e-12
+    # lies no further away than the plain one
+    model = criterion_08_model(link)
+    (_, _, plain, _), (_, _, fast, _) = fit_plain_and_accelerated(model)
+    graph = build_factor_graph(model)
+    assert run_vmp(graph, max_iter=5000, tol=1e-15, track_elbo=False, accelerate=False).converged
+    tight = {node: q_density(graph, node).eta_q for node in graph.nodes}
+
+    def gap(etas):
+        return max(np.max(np.abs(etas[n] - tight[n]) / np.maximum(1.0, np.abs(tight[n])))
+                   for n in tight)
+
+    assert gap(fast) <= gap(plain)

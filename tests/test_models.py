@@ -618,3 +618,27 @@ def test_glm_spline_smoke(link):
     tail = np.diff(rep.elbo_trace[-20:])
     assert np.all(np.isfinite(rep.elbo_trace))
     assert np.min(tail) >= -1e-6
+
+
+def test_spline_knots_are_numpy_quantiles_of_the_unique_x():
+    # the knots come from one sort of x; they are np.quantile's of the
+    # unique values, bit for bit, on data with and without ties
+    r = np.random.default_rng(31)
+    for trial in range(60):
+        n = int(r.integers(30, 3000))
+        x = r.uniform(-3.0, 5.0, size=n)
+        if trial % 2:
+            x = np.round(x, 1)  # heavy ties
+        ux = np.unique(x)
+        for K in (3, 7, 25):
+            if ux.size < K + 2:
+                continue
+            probs = np.arange(1, K + 1) / (K + 1.0)
+            assert np.array_equal(models.spline_basis(x, K).knots, np.quantile(ux, probs))
+            probs = np.arange(1, K - 1) / (K - 1.0)
+            knots = models.spline_basis(x, K, OSULLIVAN_LIKE).knots
+            assert np.array_equal(knots, np.quantile(ux, probs))
+    for n in (1, 2, 5):
+        a = np.sort(r.normal(size=n))
+        probs = np.linspace(0.0, 1.0, 11)
+        assert np.array_equal(models._sorted_quantiles(a, probs), np.quantile(a, probs))
