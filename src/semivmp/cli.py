@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import math
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -68,6 +69,8 @@ def _load_csv(path):
                     f"line {lineno}: expected {len(header)} fields, found {len(row)}"
                 )
             rows.append((lineno, [c.strip() for c in row]))
+    if not rows:
+        raise CliError("no data rows after the header")
     return header, rows
 
 
@@ -94,11 +97,88 @@ def _numeric_column(header, rows, name):
     return out
 
 
-def _json_default(obj):
-    """numpy arrays and scalars as the lists and Python scalars JSON writes."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+def _write_json(obj, fh, nl="\n"):
+    """Write ``obj`` to ``fh`` as ``json.dump(obj, fh, indent=2,
+    sort_keys=True)`` writes it, numpy arrays and scalars as their
+    ``tolist()``, byte for byte.
+
+    With an indent the stdlib switches to its pure-Python encoder, one
+    generator step and one ``float.__repr__`` per number.  Here a finite
+    float64 array forms the repr of each distinct value once (distinct by
+    bit pattern, so -0.0 keeps its sign) and joins each innermost row in C;
+    a covariance holds each value about twice, and structural zeros fill
+    most of a group-curve η.  ``nl`` is the newline and indent of the
+    enclosing level.
+    """
+    inner = nl + "  "
+    if isinstance(obj, str):
+        fh.write(encode_basestring_ascii(obj))
+    elif obj is None:
+        fh.write("null")
+    elif obj is True:
+        fh.write("true")
+    elif obj is False:
+        fh.write("false")
+    elif isinstance(obj, int):
+        fh.write(int.__repr__(obj))
+    elif isinstance(obj, float):
+        fh.write(_float_token(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            fh.write("[]")
+            return
+        sep = "["
+        for item in obj:
+            fh.write(sep + inner)
+            _write_json(item, fh, inner)
+            sep = ","
+        fh.write(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            fh.write("{}")
+            return
+        sep = "{"
+        for key in sorted(obj):
+            fh.write(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(obj[key], fh, inner)
+            sep = ","
+        fh.write(nl + "}")
+    elif (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim and obj.size
+          and np.isfinite(obj).all()):
+        distinct, which = np.unique(obj.view(np.int64), return_inverse=True)
+        reprs = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
+        _write_float_rows(reprs[which.reshape(obj.shape)], fh, nl)
+    elif isinstance(obj, (np.ndarray, np.generic)):
+        _write_json(obj.tolist(), fh, nl)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float_token(x):
+    """A float as json writes it, ``NaN`` and ``Infinity`` included."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_float_rows(tokens, fh, nl):
+    """An object array of number tokens as nested JSON lists."""
+    inner = nl + "  "
+    if tokens.ndim == 1:
+        fh.write("[" + inner)
+        fh.write(("," + inner).join(tokens.tolist()))
+        fh.write(nl + "]")
+        return
+    sep = "["
+    for row in tokens:
+        fh.write(sep + inner)
+        _write_float_rows(row, fh, inner)
+        sep = ","
+    fh.write(nl + "]")
 
 
 def _build_model(req: FitRequest, header, rows):
@@ -212,9 +292,9 @@ def cmd_fit(req: FitRequest) -> int:
         "curves": curves,
         **extras,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
     with open(req.out, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        _write_json(doc, fh)
+        fh.write("\n")
     status = "converged" if report.converged else "hit sweep limit"
     print(
         f"{req.model}: n={len(rows)} sweeps={report.iterations} {status} "

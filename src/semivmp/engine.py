@@ -379,8 +379,8 @@ def run_vmp(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # also rejects NaN, which never ends the loop
+        raise ValueError(f"tol must be positive, got {tol!r}")
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
     if schedule is None:

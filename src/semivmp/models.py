@@ -56,6 +56,14 @@ class Hyperparameters:
     A: float = 1e5
     nu: float = 2.0
 
+    def __post_init__(self):
+        for name in ("sigma_beta_sq", "A", "nu"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"Hyperparameters.{name} must be finite and positive, got {value!r}"
+                )
+
 
 @dataclass(frozen=True)
 class SplineBasis:
@@ -314,6 +322,7 @@ def build_linear_regression(
     With fixed_sigma_sq the noise variance is held at a known constant and the
     variance chain disappears (fully conjugate sub-model).
     """
+    hyper = Hyperparameters(sigma_beta_sq=sigma_beta_sq, A=A_hyper)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if y.size == 0:
@@ -329,7 +338,7 @@ def build_linear_regression(
         sigma_beta_sq * np.eye(d) if Sigma_beta is None else np.asarray(Sigma_beta, dtype=float)
     )
 
-    meta = {"y": y, "X": X, "hyper": Hyperparameters(sigma_beta_sq=sigma_beta_sq, A=A_hyper)}
+    meta = {"y": y, "X": X, "hyper": hyper}
     if standardize:
         Xs, M = _standardize_design(X)
         Minv = np.linalg.inv(M)

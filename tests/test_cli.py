@@ -1,16 +1,23 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from semivmp import cli
 from semivmp.engine import build_factor_graph, q_density, run_vmp
 from semivmp.models import demo_mean_function
+from test_two_level import write_synthetic_data
 
 
 def make_csv(path, header, columns):
@@ -172,6 +179,35 @@ def test_ragged_row_reports_line_number(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_header_without_data_rows_is_reported(tmp_path, capsys):
+    p = tmp_path / "header_only.csv"
+    p.write_text("x,y\n\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(
+            ["fit", "--model", "penspline", "--data", str(p), "--response", "y",
+             "--predictor", "x", "--out", str(tmp_path / "o.json")]
+        )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "no data rows" in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "nan", "tol must be positive, got nan"),
+    ("--tol", "0", "tol must be positive, got 0.0"),
+    ("--a-hyper", "0", "Hyperparameters.A must be finite and positive, got 0.0"),
+    ("--sigma-beta-sq", "-1", "Hyperparameters.sigma_beta_sq must be finite and positive, got -1.0"),
+    ("--sigma-beta-sq", "inf", "Hyperparameters.sigma_beta_sq must be finite and positive, got inf"),
+])
+def test_bad_numeric_flag_is_reported(tmp_path, spline_csv, capsys, flag, value, message):
+    code, out = run_fit(tmp_path, spline_csv, "penspline", ["--knots", "6", flag, value])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_linreg_requires_predictor(tmp_path, linreg_csv, capsys):
     code = cli.main(
         ["fit", "--model", "linreg", "--data", str(linreg_csv), "--response", "y",
@@ -242,6 +278,121 @@ def test_groupcurves_json_holds_the_dense_coef_density(tmp_path, groups_csv):
     assert np.array_equal(entry["eta"], layout.unpack(qd.eta_q)) and len(entry["eta"]) == p + p * p
     assert np.array_equal(entry["common"]["mu"], qd.common["mu"])
     assert np.array_equal(entry["common"]["Sigma"], qd.moments.covariance())
+
+
+# --- the JSON writer -------------------------------------------------------
+
+
+def stdlib_json(obj):
+    """The reference layout: the stdlib's pretty-printer."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=lambda o: o.tolist())
+
+
+def written_json(obj):
+    buf = io.StringIO()
+    cli._write_json(obj, buf)
+    return buf.getvalue()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e16, -1e16,
+                  1e-5, 1e-7, 0.1, 123456789.0, 1.7976931348623157e308]
+FINITE_FLOATS = st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+ANY_FLOATS = FINITE_FLOATS | st.sampled_from([math.inf, -math.inf, math.nan])
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+TEXT = st.text(st.characters(codec="utf-8") | st.sampled_from("\x00\x1f\"\\\u00e9\u2028\U0001f600"))
+FLOAT_ARRAYS = (hnp.arrays(np.float64, SHAPES, elements=FINITE_FLOATS)
+                | hnp.arrays(np.float64, SHAPES, elements=ANY_FLOATS))
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | ANY_FLOATS | TEXT | FLOAT_ARRAYS
+    | hnp.arrays(np.int64, SHAPES) | hnp.arrays(np.bool_, SHAPES)
+    | ANY_FLOATS.map(np.float64) | st.floats(width=32).map(np.float32)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_)
+)
+JSON_DOCUMENTS = st.recursive(
+    JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(TEXT, children, max_size=4)),
+    max_leaves=12,
+)
+
+
+@given(JSON_DOCUMENTS)
+def test_writer_matches_the_stdlib_pretty_printer(doc):
+    assert written_json(doc) == stdlib_json(doc)
+
+
+@given(FLOAT_ARRAYS)
+@example(np.array([[0.0, -0.0, 5e-324], [-0.0, 1e16, 1e-5]]))
+@example(np.array([1.0, np.nan, -np.inf]))
+def test_writer_matches_the_stdlib_pretty_printer_on_float_arrays(a):
+    doc = {"a": [a]}
+    assert written_json(doc) == stdlib_json(doc)
+
+
+def test_writer_rejects_what_json_rejects():
+    for bad in (object(), {1.5j}, np.array([1 + 2j])):
+        with pytest.raises(TypeError):
+            written_json({"a": [bad]})
+
+
+README_FITS = {
+    "penspline": ["--model", "penspline", "--data", "gaussian_spline.csv", "--response", "y",
+                  "--predictor", "x", "--knots", "15"],
+    "probit": ["--model", "glmspline", "--data", "binary_spline.csv", "--response", "y",
+               "--predictor", "x", "--link", "probit", "--iters", "400"],
+    "groupcurves": ["--model", "groupcurves", "--data", "grouped_curves.csv", "--response", "y",
+                    "--predictor", "x", "--group", "subject", "--label", "arm"],
+}
+
+
+@pytest.fixture(scope="module")
+def readme_fits(tmp_path_factory):
+    """The three README fits on the README data (seed 1): for each, the
+    written JSON text and the document the CLI handed its writer."""
+    data = tmp_path_factory.mktemp("readme")
+    write_synthetic_data(data, "--seed", "1")
+    writer, docs, fits = cli._write_json, [], {}
+
+    def spy(obj, fh, nl="\n"):
+        if nl == "\n":  # the top level, not the writer's own recursion
+            docs.append(obj)
+        writer(obj, fh, nl)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_write_json", spy)
+        for name, args in README_FITS.items():
+            args, out = list(args), data / f"{name}.json"
+            args[args.index("--data") + 1] = str(data / args[args.index("--data") + 1])
+            assert cli.main(["fit", *args, "--out", str(out)]) == 0
+            fits[name] = out.read_text(encoding="utf-8"), docs.pop()
+    return fits
+
+
+@pytest.mark.parametrize("name", README_FITS)
+def test_readme_json_has_the_stdlib_layout(readme_fits, name):
+    text, doc = readme_fits[name]
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert text == stdlib_json(doc) + "\n"
+
+
+def write_peak(write, doc, path):
+    """tracemalloc peak, in bytes, of writing ``doc`` to ``path``."""
+    tracemalloc.start()
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(doc, fh)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_peaks_below_the_stdlib_writer(readme_fits, tmp_path):
+    """On the README group-curve document (dense coef eta and Sigma, p=164)."""
+    _, doc = readme_fits["groupcurves"]
+    ours = write_peak(lambda d, fh: (cli._write_json(d, fh), fh.write("\n")), doc, tmp_path / "a.json")
+    theirs = write_peak(lambda d, fh: fh.write(stdlib_json(d) + "\n"), doc, tmp_path / "b.json")
+    assert ours < theirs
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_validate_all_pass(capsys):

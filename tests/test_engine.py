@@ -473,6 +473,8 @@ def test_run_vmp_argument_validation():
         run_vmp(g, max_iter=0)
     with pytest.raises(ValueError):
         run_vmp(g, tol=-1.0)
+    with pytest.raises(ValueError, match="tol must be positive, got nan"):
+        run_vmp(g, tol=float("nan"))
     with pytest.raises(ValueError):
         run_vmp(g, damping=1.5)
     with pytest.raises(GraphStructureError, match="unknown factors"):

@@ -588,6 +588,19 @@ def test_builders_keep_their_prior():
     assert build_glm_spline(yb, x, K=5).meta["hyper"] == Hyperparameters()
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_hyperparameters_must_be_finite_and_positive(bad):
+    for name in ("sigma_beta_sq", "A", "nu"):
+        message = rf"^Hyperparameters\.{name} must be finite and positive, got {bad!r}$"
+        with pytest.raises(ValueError, match=message):
+            Hyperparameters(**{name: bad})
+    y, X = make_regression_data(5, n=30)
+    with pytest.raises(ValueError, match=rf"^Hyperparameters\.sigma_beta_sq .* got {bad!r}$"):
+        build_linear_regression(y, X, sigma_beta_sq=bad)
+    with pytest.raises(ValueError, match=rf"^Hyperparameters\.A .* got {bad!r}$"):
+        build_linear_regression(y, X, A_hyper=bad)
+
+
 # --- GLM splines --------------------------------------------------------------
 
 

@@ -42,15 +42,20 @@ from test_natparam import arrowhead_precision, assert_rel
 GENERATOR = Path(__file__).resolve().parent.parent / "scripts" / "make_synthetic_data.py"
 
 
-def readme_group_data(tmp_path, groups, per_group=25, seed=1):
-    """The grouped dataset of scripts/make_synthetic_data.py (m=20 is the README's)."""
+def write_synthetic_data(outdir, *args):
+    """Run scripts/make_synthetic_data.py into ``outdir`` with ``args``."""
     saved = sys.argv
-    sys.argv = [str(GENERATOR), "--outdir", str(tmp_path), "--seed", str(seed),
-                "--groups", str(groups), "--per-group", str(per_group)]
+    sys.argv = [str(GENERATOR), "--outdir", str(outdir), *args]
     try:
         runpy.run_path(str(GENERATOR), run_name="__main__")
     finally:
         sys.argv = saved
+
+
+def readme_group_data(tmp_path, groups, per_group=25, seed=1):
+    """The grouped dataset of scripts/make_synthetic_data.py (m=20 is the README's)."""
+    write_synthetic_data(tmp_path, "--seed", str(seed), "--groups", str(groups),
+                         "--per-group", str(per_group))
     with open(tmp_path / "grouped_curves.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     col = lambda name: np.array([r[name] for r in rows])  # noqa: E731
