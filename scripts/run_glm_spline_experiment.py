@@ -13,16 +13,20 @@ data (the exact posterior misses too) or an error of the approximation.
 """
 
 import argparse
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
-import numpy as np
-from scipy.special import logit as logit_fn
-from scipy.stats import norm
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from semivmp.engine import build_factor_graph, q_density, run_vmp
-from semivmp.mfvb import sample_glm_spline_posterior
-from semivmp.models import build_glm_spline, demo_mean_function, design, fitted_curve
+import numpy as np  # noqa: E402
+from scipy.special import logit as logit_fn  # noqa: E402
+from scipy.stats import norm  # noqa: E402
+
+from semivmp.engine import build_factor_graph, q_density, run_vmp  # noqa: E402
+from semivmp.mfvb import sample_glm_spline_posterior  # noqa: E402
+from semivmp.models import build_glm_spline, demo_mean_function, design, fitted_curve  # noqa: E402
 
 
 DRAWS = 10_000  # exact-posterior draws: Monte-Carlo SE of the mean curve about 0.01

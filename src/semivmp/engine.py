@@ -11,19 +11,23 @@ sum of all inbound factor messages.
 A fragment is any object with three methods, all in port order:
 
 - ``ports()``: the (family, d) each port needs;
-- ``update(n2f, f2n, nodes, context)``: the fragment to keep (itself, or a
-  replaced state), its new factor-to-node messages, and a dict that maps a
-  normal port to the pair (vector, moments) of a combined density the update
+- ``update(n2f, f2n, context)``: the fragment to keep (itself, or a replaced
+  state), its new factor-to-node messages, and a dict that maps a normal
+  port to the pair (vector, moments) of a combined density the update
   factored, the port's node-to-factor message plus its new message (empty
   when it factored none);
-- ``logp(q_etas, moments)``: its term E_q{log fragment} of the ELBO, given
-  the q-density vectors and, for each port, the moments of a normal
-  q-density or the expected sufficient statistic E{T} of any other.
+- ``logp(moments)``: its term E_q{log fragment} of the ELBO, given for each
+  port the moments of a normal q-density or the expected sufficient
+  statistic E{T} of any other.
 
 A fragment may also set ``start_precision``, the precision of the normal
-messages it starts from, and ``ascends_elbo = False`` when a sweep of its
-update is not known to raise the ELBO, which keeps ``run_vmp`` from
-accelerating the graph.  The engine knows no fragment kind.
+messages it starts from; ``ascends_elbo = False`` when a sweep of its update
+is not known to raise the ELBO, which keeps ``run_vmp`` from accelerating
+the graph; and ``layout``, the TwoLevelLayout its normal ports store their
+vectors packed on (absent or None: dense).  How a node is stored is decided
+by the model builder alone: ``build_factor_graph`` rejects a fragment whose
+layout is not that of a normal node it is bound to.  The engine knows no
+fragment kind.
 
 Each normal q-density is factored once per sweep where it can be.  At
 damping 1 the engine keeps the pairs an update hands back, one per node, and
@@ -81,9 +85,9 @@ class VmpNumericsError(RuntimeError):
 class StochasticNode:
     """A node of the graph.  A multivariate normal node may carry the
     TwoLevelLayout its precision keeps (set by the builder that knows the
-    columns); every message on its edges is then packed on that pattern, and
-    every consumer of its moments uses the O(m) two-level factorization
-    instead of a dense one."""
+    columns); every message on its edges is then packed on that pattern, by
+    fragments that declare the same layout, and every consumer of its
+    moments uses the O(m) two-level factorization instead of a dense one."""
 
     name: str
     family: str
@@ -198,6 +202,7 @@ def build_factor_graph(model) -> FactorGraph:
             raise GraphStructureError(
                 f"factor '{frag.name}' wants {len(reqs)} ports, got {len(frag.ports)}"
             )
+        layout = getattr(frag.fragment, "layout", None)
         for pname, (fam, d) in zip(frag.ports, reqs):
             node = graph.nodes.get(pname)
             if node is None:
@@ -208,6 +213,11 @@ def build_factor_graph(model) -> FactorGraph:
                 raise GraphStructureError(
                     f"factor '{frag.name}' port '{pname}' expects family={fam} d={d}, "
                     f"node has family={node.family} d={node.d}"
+                )
+            if fam == expfam.MULTIVARIATE_NORMAL and layout is not node.layout:
+                raise GraphStructureError(
+                    f"factor '{frag.name}' port '{pname}': the fragment's layout is not the "
+                    "node's (a fragment without one stores the node dense)"
                 )
         graph.factors[frag.name] = FactorNode(frag.name, frag.fragment, frag.ports)
         for pname in frag.ports:
@@ -250,9 +260,7 @@ def update_factor(graph: FactorGraph, factor_name: str, damping: float = 1.0):
     n2f = [update_node_to_factor(graph, nname, factor_name) for nname in nb]
     f2n = [graph.fac_to_node[(factor_name, nname)] for nname in nb]
     try:
-        factor.fragment, payloads, formed = factor.fragment.update(
-            n2f, f2n, [graph.nodes[nname] for nname in nb], factor_name
-        )
+        factor.fragment, payloads, formed = factor.fragment.update(n2f, f2n, factor_name)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as err:
         raise VmpNumericsError(factor_name, err) from err
     out = []
@@ -318,25 +326,25 @@ def q_density(graph: FactorGraph, node_name: str) -> QDensity:
         if node.layout is None:
             common["Sigma"] = mom.Sigma
     else:
-        nat = NatParam(node.family, eta, node.d)
-        if not expfam.is_proper(nat):
-            raise ImproperQDensityError(node_name, eta)
-        common = expfam.natural_to_common(nat)
+        try:
+            common = expfam.natural_to_common(NatParam(node.family, eta, node.d))
+        except expfam.ImproperParameterError:
+            raise ImproperQDensityError(node_name, eta) from None
     return QDensity(node_name, node.family, node.d, eta, common, mom)
 
 
-def elbo(graph: FactorGraph, q_etas=None) -> float:
+def elbo(graph: FactorGraph, etas=None) -> float:
     """Entropy of each q-density plus each factor's E_q{log fragment}.
 
-    ``q_etas`` maps each node to its summed vector when the caller has them
-    already.  Each multivariate normal q-density is factored at most once
+    ``etas`` maps each node to its q-density vector when the caller has
+    them already.  Each multivariate normal q-density is factored at most once
     (two-level when its node has a layout), and not at all when the graph
     kept its moments; those moments give its properness, its entropy and the
     moments the fragments' terms read.  Each other q-density gives its
     entropy and the E{T} the fragments' terms read.
     """
     total = 0.0
-    etas = q_etas if q_etas is not None else {n: _eta_q(graph, n) for n in graph.nodes}
+    etas = etas if etas is not None else {n: _eta_q(graph, n) for n in graph.nodes}
     moments = {}
     for nname, node in graph.nodes.items():
         eta = etas[nname]
@@ -351,8 +359,7 @@ def elbo(graph: FactorGraph, q_etas=None) -> float:
                 raise ImproperQDensityError(nname, eta) from None
             moments[nname] = expfam.expected_sufficient_statistic(nat)
     for factor in graph.factors.values():
-        nb = factor.neighbors
-        total += factor.fragment.logp([etas[n] for n in nb], [moments[n] for n in nb])
+        total += factor.fragment.logp([moments[n] for n in factor.neighbors])
     return float(total)
 
 

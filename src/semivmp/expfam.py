@@ -104,15 +104,6 @@ def digamma(x):
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
-def exponential_integral_ei(x):
-    """Ei(x) for x != 0."""
-    xa = np.asarray(x, dtype=float)
-    if (xa == 0.0).any():
-        raise ValueError("Ei is singular at 0")
-    out = _scipy_expi(xa)
-    return float(out) if np.isscalar(x) or xa.ndim == 0 else out
-
-
 def scaled_ei_neg(z):
     """exp(z) * Ei(-z) for z > 0, stable for large z.
 

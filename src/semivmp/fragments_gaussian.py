@@ -22,13 +22,17 @@ The companion ``*_logp`` functions give each factor's contribution
 E_q{log factor} to the evidence lower bound.  They take a variance port's
 q-density as its expected sufficient statistic E{T}, which the engine forms
 once per ELBO, and a normal port's as its moments.  Each spec is also the fragment
-the engine runs: its ``ports``, ``update`` and ``logp`` methods call these
-module functions by name at call time.
+the engine runs: its ``ports``, ``update(n2f, f2n, context)`` and
+``logp(moments)`` methods call these module functions by name at call time.
+
+The penalization and the likelihood store the coefficient vectors on their
+``layout``, which the model builder sets to the coefficient node's: packed
+on a TwoLevelLayout, or dense when it is None.  The engine checks the two
+agree when it builds the graph.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,11 +151,11 @@ class GaussianPriorSpec:
     def ports(self):
         return [(expfam.MULTIVARIATE_NORMAL, self.d)]
 
-    def update(self, n2f, f2n, nodes, context):
+    def update(self, n2f, f2n, context):
         return self, [gaussian_prior_message(self)], {}
 
-    def logp(self, q_etas, moments):
-        return gaussian_prior_logp(self, q_etas[0], moments=moments[0])
+    def logp(self, moments):
+        return gaussian_prior_logp(self, moments[0])
 
 
 @dataclass(frozen=True)
@@ -175,10 +179,10 @@ class InverseWishartPriorSpec:
     def ports(self):
         return [(self.graph_kind, self.d)]
 
-    def update(self, n2f, f2n, nodes, context):
+    def update(self, n2f, f2n, context):
         return self, [inverse_wishart_prior_message(self)], {}
 
-    def logp(self, q_etas, moments):
+    def logp(self, moments):
         return inverse_wishart_prior_logp(self, moments[0])
 
 
@@ -203,11 +207,11 @@ class IteratedIGWSpec:
             (self.theta2_kind, self.d_Theta),
         ]
 
-    def update(self, n2f, f2n, nodes, context):
+    def update(self, n2f, f2n, context):
         msg1, msg2 = iterated_igw_messages(self, n2f[0], n2f[1], f2n[0], f2n[1], context=context)
         return self, [msg1, msg2], {}
 
-    def logp(self, q_etas, moments):
+    def logp(self, moments):
         return iterated_igw_logp(self, moments[0], moments[1])
 
 
@@ -280,24 +284,20 @@ class GaussianPenalizationSpec:
     def stochastic_blocks(self):
         return [b for b in self.blocks if b.fixed_Theta is None]
 
-    def for_layout(self, layout):
-        """This penalization for a coefficient node on ``layout``."""
-        return self if layout is self.layout else dataclasses.replace(self, layout=layout)
-
     def ports(self):
         return [(expfam.MULTIVARIATE_NORMAL, self.total_dim)] + [
             (b.kind, b.d) for b in self.stochastic_blocks()
         ]
 
-    def update(self, n2f, f2n, nodes, context):
-        spec, formed = self.for_layout(nodes[0].layout), {}
+    def update(self, n2f, f2n, context):
+        formed = {}
         msg_coef, msgs_theta = gaussian_penalization_messages(
-            spec, n2f[0], n2f[1:], f2n[0], f2n[1:], context=context, formed=formed
+            self, n2f[0], n2f[1:], f2n[0], f2n[1:], context=context, formed=formed
         )
-        return spec, [msg_coef, *msgs_theta], formed
+        return self, [msg_coef, *msgs_theta], formed
 
-    def logp(self, q_etas, moments):
-        return gaussian_penalization_logp(self, q_etas[0], moments[1:], moments=moments[0])
+    def logp(self, moments):
+        return gaussian_penalization_logp(self, moments[0], moments[1:])
 
 
 @dataclass(frozen=True)
@@ -348,31 +348,22 @@ class GaussianLikelihoodSpec:
     def d(self):
         return self.Aty.size
 
-    def for_layout(self, layout):
-        """This likelihood for a theta1 node on ``layout``: itself, or with a
-        packed A^T A unpacked for a node without a layout."""
-        if layout is self.layout:
-            return self
-        if layout is None:
-            return dataclasses.replace(self, AtA=self.layout.unpack_matrix(self.AtA), layout=None)
-        raise ValueError("A^T A is stored on another layout than the coefficient node's")
-
     def ports(self):
         if self.sigma_sq_fixed is None:
             return [(expfam.MULTIVARIATE_NORMAL, self.d), (expfam.INVERSE_CHI_SQUARED, 1)]
         return [(expfam.MULTIVARIATE_NORMAL, self.d)]
 
-    def update(self, n2f, f2n, nodes, context):
-        spec, formed = self.for_layout(nodes[0].layout), {}
+    def update(self, n2f, f2n, context):
+        formed = {}
         n2f_var, f2n_var = (n2f[1], f2n[1]) if len(n2f) > 1 else (None, None)
         msg1, msg2 = gaussian_likelihood_messages(
-            spec, n2f[0], n2f_var, f2n[0], f2n_var, context=context, formed=formed
+            self, n2f[0], n2f_var, f2n[0], f2n_var, context=context, formed=formed
         )
-        return spec, [msg1] if msg2 is None else [msg1, msg2], formed
+        return self, [msg1] if msg2 is None else [msg1, msg2], formed
 
-    def logp(self, q_etas, moments):
+    def logp(self, moments):
         ET_var = moments[1] if len(moments) > 1 else None
-        return gaussian_likelihood_logp(self, q_etas[0], ET_var, moments=moments[0])
+        return gaussian_likelihood_logp(self, moments[0], ET_var)
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +512,9 @@ def gaussian_likelihood_messages(
 # ELBO contributions: E_q{log factor}
 
 
-def gaussian_prior_logp(spec: GaussianPriorSpec, q_eta, moments=None):
-    """E_q{log N(theta; mu, Sigma)}; ``moments`` are q's moments when the
-    caller has them already."""
+def gaussian_prior_logp(spec: GaussianPriorSpec, moments):
+    """E_q{log N(theta; mu, Sigma)} from the moments of q."""
     d = spec.d
-    if moments is None:
-        moments = mvn_moments(q_eta, d, "prior logp")
     Sinv = spec.Sinv
     log_norm = (
         -0.5 * d * _LOG_2PI
@@ -564,13 +552,10 @@ def iterated_igw_logp(spec: IteratedIGWSpec, ET_theta1, ET_theta2):
     )
 
 
-def gaussian_penalization_logp(spec: GaussianPenalizationSpec, q_eta_coef, ETs_theta, moments=None):
-    """E_q{log penalization factor} from E{T} of each stochastic block's
-    q(Theta_l), in block order; ``moments`` are q(coefficients)'s moments
-    when the caller has them already."""
-    if moments is None:
-        moments = mvn_moments(q_eta_coef, spec.total_dim, "penalization logp", spec.layout)
-    spec = spec.for_layout(moments.layout)
+def gaussian_penalization_logp(spec: GaussianPenalizationSpec, moments, ETs_theta):
+    """E_q{log penalization factor} from the moments of q(coefficients),
+    stored as on ``spec.layout``, and E{T} of each stochastic block's
+    q(Theta_l), in block order."""
     d0 = spec.d0
     S0inv = spec.S0inv
     dm = moments.mu[:d0] - spec.mu0
@@ -589,13 +574,10 @@ def gaussian_penalization_logp(spec: GaussianPenalizationSpec, q_eta_coef, ETs_t
     return float(total)
 
 
-def gaussian_likelihood_logp(spec: GaussianLikelihoodSpec, q_eta_coef, ET_var=None, moments=None):
-    """E_q{log likelihood factor}, with E{T} of q(theta2) when the noise
-    variance is unknown; ``moments`` are q(theta1)'s moments when the caller
-    has them already (two-level moments read A^T A packed)."""
-    if moments is None:
-        moments = mvn_moments(q_eta_coef, spec.d, "likelihood logp", spec.layout)
-    spec = spec.for_layout(moments.layout)
+def gaussian_likelihood_logp(spec: GaussianLikelihoodSpec, moments, ET_var=None):
+    """E_q{log likelihood factor} from the moments of q(theta1), stored as on
+    ``spec.layout`` (two-level moments read A^T A packed), with E{T} of
+    q(theta2) when the noise variance is unknown."""
     gv = moments.expected_quadratic(spec.AtA, spec.Aty, spec.yty)
     n = spec.n
     if spec.sigma_sq_fixed is not None:

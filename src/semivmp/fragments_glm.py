@@ -6,8 +6,11 @@ probit fragment that integrates out truncated-normal auxiliaries in closed
 form, and a fixed-point Poisson fragment for the log link.  Each update is
 pure: it takes the current fragment state plus the two message vectors on the
 coefficient edge and returns the state to keep and a fresh outbound message.
-Each state is also the fragment the engine runs: its ``ports``, ``update``
-and ``logp`` methods call these module functions by name at call time.
+Each ELBO term takes the state and the dense moments of q(coefficients),
+which the engine hands over.  Each state is also the fragment the engine
+runs: its ``ports``, ``update(n2f, f2n, context)`` and ``logp(moments)``
+methods call these module functions by name at call time.  A state declares
+no ``layout``: its coefficient node is stored dense.
 
 Every fragment reads the design A only through a row-kernel object: the
 products A v and A^T r, the row quadratic forms a_i^T S a_i and the weighted
@@ -283,12 +286,12 @@ class LogisticFragmentState(_GlmFragment):
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "xi", xi)
 
-    def update(self, n2f, f2n, nodes, context):
+    def update(self, n2f, f2n, context):
         state, msg = jaakkola_jordan_update(self, f2n[0], n2f[0])
         return state, [msg], {}
 
-    def logp(self, q_etas, moments):
-        return jaakkola_jordan_elbo(self, q_etas[0], moments=moments[0])
+    def logp(self, moments):
+        return jaakkola_jordan_elbo(self, moments[0])
 
 
 @dataclass(frozen=True)
@@ -305,12 +308,12 @@ class ProbitFragmentState(_GlmFragment):
         object.__setattr__(self, "y", _check_binary(self.y))
         object.__setattr__(self, "A", _design(self.A))
 
-    def update(self, n2f, f2n, nodes, context):
+    def update(self, n2f, f2n, context):
         state, msg = albert_chib_update(self, f2n[0], n2f[0])
         return state, [msg], {}
 
-    def logp(self, q_etas, moments):
-        return albert_chib_elbo(self, q_etas[0], moments=moments[0])
+    def logp(self, moments):
+        return albert_chib_elbo(self, moments[0])
 
 
 @dataclass(frozen=True)
@@ -334,21 +337,18 @@ class PoissonFragmentState(_GlmFragment):
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "A", _design(self.A))
 
-    def update(self, n2f, f2n, nodes, context):
+    def update(self, n2f, f2n, context):
         state, msg = knowles_minka_wand_update(self, f2n[0], n2f[0])
         return state, [msg], {}
 
-    def logp(self, q_etas, moments):
-        return knowles_minka_wand_elbo(self, q_etas[0], moments=moments[0])
+    def logp(self, moments):
+        return knowles_minka_wand_elbo(self, moments[0])
 
 
-def _moments(state, eta, context, moments=None):
-    """(mu, Sigma) of the coefficient density with natural vector ``eta``:
-    from ``moments`` (dense) when the caller has them already, else from one
-    factorization of eta."""
-    if moments is None:
-        return mvn_moments_from_natural(eta, state.A.shape[1], context=context)
-    return moments.mu, moments.Sigma
+def _moments(state, eta, context):
+    """(mu, Sigma) of the coefficient density with natural vector ``eta``,
+    from one factorization."""
+    return mvn_moments_from_natural(eta, state.A.shape[1], context=context)
 
 
 def tangent_weight(xi):
@@ -437,12 +437,12 @@ def knowles_minka_wand_update(state: PoissonFragmentState, eta_factor_to_theta, 
 # ELBO contributions: E_q{log p(y | theta)} (exact or lower bound)
 
 
-def jaakkola_jordan_elbo(state: LogisticFragmentState, q_eta, moments=None):
-    """Tangent lower bound on the logistic log likelihood under q; ``moments``
-    are q's dense moments when the caller has them already.  The sum of the
-    row terms (y_i - 1/2) a_i^T mu - w_i a_i^T (Sigma + mu mu^T) a_i is the
-    trace form b^T mu - tr(A^T W A (Sigma + mu mu^T)), with b = A^T (y - 1/2)."""
-    mu, Sigma = _moments(state, q_eta, "logistic elbo", moments)
+def jaakkola_jordan_elbo(state: LogisticFragmentState, moments):
+    """Tangent lower bound on the logistic log likelihood under q, from q's
+    dense moments.  The sum of the row terms
+    (y_i - 1/2) a_i^T mu - w_i a_i^T (Sigma + mu mu^T) a_i is the trace form
+    b^T mu - tr(A^T W A (Sigma + mu mu^T)), with b = A^T (y - 1/2)."""
+    mu, Sigma = moments.mu, moments.Sigma
     Atb, AtWA, offset_sum = state.Atb, state.AtWA, state.offset_sum
     if AtWA is None:  # no update has set xi: a state built with its tilts
         rows = _rows(state)
@@ -452,22 +452,22 @@ def jaakkola_jordan_elbo(state: LogisticFragmentState, q_eta, moments=None):
     return float(Atb @ mu - np.sum(AtWA * Sigma) - mu @ AtWA @ mu + offset_sum)
 
 
-def albert_chib_elbo(state: ProbitFragmentState, q_eta, moments=None):
+def albert_chib_elbo(state: ProbitFragmentState, moments):
     """Exact E_q log p(y | theta) for the probit model with the auxiliaries
-    collapsed; truncated-normal entropies cancel the cross terms.  ``moments``
-    are q's dense moments when the caller has them already.  The sum of the
-    row forms a_i^T Sigma a_i is the trace tr(Sigma A^T A)."""
-    mu, Sigma = _moments(state, q_eta, "probit elbo", moments)
+    collapsed, from q's dense moments; truncated-normal entropies cancel the
+    cross terms.  The sum of the row forms a_i^T Sigma a_i is the trace
+    tr(Sigma A^T A)."""
+    mu, Sigma = moments.mu, moments.Sigma
     rows = _rows(state)
     AtA = rows.gram() if state.AtA is None else state.AtA
     sgn = 2.0 * state.y - 1.0
     return float(np.sum(log_ndtr(sgn * rows.matvec(mu))) - 0.5 * np.sum(AtA * Sigma))
 
 
-def knowles_minka_wand_elbo(state: PoissonFragmentState, q_eta, moments=None):
-    """E_q log p(y | theta) for the Poisson log-link model; ``moments`` are
-    q's dense moments when the caller has them already."""
-    mu, Sigma = _moments(state, q_eta, "poisson elbo", moments)
+def knowles_minka_wand_elbo(state: PoissonFragmentState, moments):
+    """E_q log p(y | theta) for the Poisson log-link model, from q's dense
+    moments."""
+    mu, Sigma = moments.mu, moments.Sigma
     rows = _rows(state)
     Amu = rows.matvec(mu)
     lin = Amu + 0.5 * rows.quadratic(Sigma)

@@ -111,11 +111,6 @@ def chol_solve(factor, B):
     return X
 
 
-def spd_solve(M, B, context=""):
-    """Solve M X = B for SPD M (symmetrized before factorization)."""
-    return chol_solve(spd_chol(M, context=context), B)
-
-
 def spd_inverse(M, context=""):
     c = spd_chol(M, context=context)
     return symmetrize(chol_solve(c, np.eye(M.shape[0])))
@@ -139,8 +134,6 @@ class _Moments:
     entries of one multivariate normal, all read off a single factorization.
     A matrix Q handed to them is stored as the normal's node stores its
     precision: a p x p array, or on a ``layout`` its packed pattern entries."""
-
-    layout = None
 
     def expected_quadratic(self, Q, r, s):
         """E{-1/2 (theta^T Q theta - 2 r^T theta + s)}, through the mean and
@@ -277,12 +270,6 @@ class TwoLevelLayout:
         """Write the packed pattern entries Q into the p x p array (or view) M."""
         for (r, c), blk in zip(self._index_pairs(), self.split(Q)):
             M[r, c] = blk
-
-    def unpack_matrix(self, Q):
-        """The p x p array of packed pattern entries Q; zero off the pattern."""
-        M = np.zeros((self.p, self.p))
-        self._scatter(M, Q)
-        return M
 
     def unpack(self, eta):
         """Dense natural vector of a packed one; zero off the pattern."""

@@ -60,7 +60,7 @@ from semivmp.models import (
     design,
     fitted_curve,
 )
-from semivmp.natparam import mvn_moments_from_natural, row_quadratic, vec, vec_inverse
+from semivmp.natparam import mvn_moments, mvn_moments_from_natural, row_quadratic, vec, vec_inverse
 
 
 @pytest.fixture
@@ -313,11 +313,11 @@ def test_07_glm_fragment_properties(announce):
     min_gain = np.inf
     for _ in range(10):
         xi0 = r.uniform(0.0, 4.0, size=8)
-        before = jaakkola_jordan_elbo(LogisticFragmentState(y2, A2, xi=xi0), eta)
+        before = jaakkola_jordan_elbo(LogisticFragmentState(y2, A2, xi=xi0), mvn_moments(eta, 2))
         new, _ = jaakkola_jordan_update(
             LogisticFragmentState(y2, A2, xi=xi0), 0.25 * eta, 0.75 * eta
         )
-        min_gain = min(min_gain, jaakkola_jordan_elbo(new, eta) - before)
+        min_gain = min(min_gain, jaakkola_jordan_elbo(new, mvn_moments(eta, 2)) - before)
 
     # probit: the precision block of the message never moves
     y3 = r.integers(0, 2, 12).astype(float)

@@ -433,3 +433,14 @@ def test_module_entry_point_runs_without_warning():
     )
     assert proc.returncode == 0, proc.stderr
     assert "fit" in proc.stdout
+
+
+def test_glm_spline_experiment_runs_from_a_checkout(tmp_path):
+    # the script puts the checkout's src on sys.path itself, as the other scripts do
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_glm_spline_experiment.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(script), "--help"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import types
 from collections import Counter
 
@@ -39,7 +40,6 @@ from semivmp.natparam import (
     chol_solve,
     mvn_moments_from_natural,
     spd_chol,
-    spd_solve,
     vec,
 )
 
@@ -92,7 +92,7 @@ class _NoLogp:
     def ports(self):
         return [(MULTIVARIATE_NORMAL, 1)]
 
-    def update(self, n2f, f2n, nodes, context):
+    def update(self, n2f, f2n, context):
         return self, [n2f[0]]
 
 
@@ -168,12 +168,28 @@ def test_layout_must_match_its_node():
         StochasticNode("s", INVERSE_CHI_SQUARED, 5, layout)
 
 
+class DenseMessageOnLayout:
+    """A prior that declares its node's layout but sends the dense message."""
+
+    def __init__(self, layout):
+        self.layout = layout
+        self.prior = GaussianPriorSpec(np.zeros(layout.p), np.eye(layout.p))
+
+    def ports(self):
+        return self.prior.ports()
+
+    def update(self, n2f, f2n, context):
+        return self.prior.update(n2f, f2n, context)
+
+    def logp(self, moments):
+        return 0.0
+
+
 def layout_prior_model():
-    """A prior that knows nothing of packing, on a node with a layout."""
     layout = TwoLevelLayout([0], [[1, 2], [3, 4]])
     return layout, model_of(
         [StochasticNode("coef", MULTIVARIATE_NORMAL, 5, layout)],
-        [FragmentBinding("prior", GaussianPriorSpec(np.zeros(5), np.eye(5)), ("coef",))],
+        [FragmentBinding("prior", DenseMessageOnLayout(layout), ("coef",))],
     )
 
 
@@ -193,6 +209,29 @@ def test_message_of_another_shape_names_factor_and_node():
     with pytest.raises(VmpNumericsError, match=r"factor 'prior'.*node 'coef'") as exc:
         run_vmp(g, max_iter=1)
     assert exc.value.factor == "prior"
+
+
+@pytest.mark.parametrize("groups", [1, 2])
+def test_fragment_must_store_its_node_as_the_node_does(groups):
+    """A fragment without a layout on a layout node is rejected when the
+    graph is built, also at m=1, where packed and dense vectors have the
+    same length; so is a fragment with a layout on a dense node."""
+    r = np.random.default_rng(4)
+    x = r.uniform(size=12 * groups)
+    subject = np.repeat(np.arange(groups), 12)
+    with pytest.warns(UserWarning, match="labels equal"):
+        model = models.build_group_curves(
+            r.normal(size=x.size), x, subject, np.zeros(x.size), K_gbl=4, K_grp=2
+        )
+    coef = model.nodes[0]
+    p = coef.d
+    assert coef.layout.m == groups and (groups > 1 or coef.layout.packed_size == p + p * p)
+    prior = FragmentBinding("prior", GaussianPriorSpec(np.zeros(p), np.eye(p)), ("coef",))
+    with pytest.raises(GraphStructureError, match=r"factor 'prior' port 'coef': .*layout"):
+        build_factor_graph(model_of(model.nodes, [*model.fragments, prior]))
+    dense = [dataclasses.replace(coef, layout=None), *model.nodes[1:]]
+    with pytest.raises(GraphStructureError, match=r"factor 'penalization' port 'coef': .*layout"):
+        build_factor_graph(model_of(dense, model.fragments))
 
 
 def test_initialization_conventions():
@@ -531,6 +570,24 @@ def test_q_density_of_a_normal_node():
         elbo(g)
 
 
+def test_q_density_factors_an_inverse_wishart_node_once(monkeypatch):
+    r = np.random.default_rng(5)
+    x = r.uniform(size=40)
+    subject = np.repeat(np.arange(4), 10)
+    g = build_factor_graph(
+        models.build_group_curves(r.normal(size=40), x, subject, subject % 2, K_gbl=4, K_grp=0)
+    )
+    run_vmp(g, max_iter=3, tol=1e-300, track_elbo=False)
+    calls, real = [], expfam.inverse_wishart_factor
+    monkeypatch.setattr(expfam, "inverse_wishart_factor", lambda *a: calls.append(1) or real(*a))
+    assert q_density(g, "Sigma_subject").family == INVERSE_WISHART
+    assert len(calls) == 1
+    first = g.node_factors["Sigma_subject"][0]
+    g.fac_to_node[(first, "Sigma_subject")] = np.r_[0.0, 1e6 * vec(np.eye(2))]  # -M not SPD
+    with pytest.raises(ImproperQDensityError, match="'Sigma_subject'"):
+        q_density(g, "Sigma_subject")
+
+
 # --- each q-density factored once per sweep ---------------------------------
 #
 # The engine keeps the moments an update hands back and reads them in the
@@ -731,12 +788,11 @@ def test_non_spd_matrix_still_names_its_context():
 
 def test_non_finite_right_hand_side_is_rejected():
     M = np.array([[2.0, 0.3], [0.3, 1.0]])
-    np.testing.assert_allclose(spd_solve(M, [1.0, 2.0]), np.linalg.solve(M, [1.0, 2.0]), rtol=1e-14)
+    factor = spd_chol(M)
+    np.testing.assert_allclose(chol_solve(factor, [1.0, 2.0]), np.linalg.solve(M, [1.0, 2.0]), rtol=1e-14)
     for bad in ([1.0, np.nan], [np.inf, 0.0]):
         with pytest.raises(ValueError, match="infs or NaNs"):
-            spd_solve(M, bad)
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            chol_solve(spd_chol(M), np.array(bad))
+            chol_solve(factor, bad)
 
 
 # --- SQUAREM acceleration -----------------------------------------------------
@@ -752,18 +808,18 @@ class Contraction:
     rate rho, so |r| / |v| = 1 / (1 - rho), and at rho = 1 the second
     difference v is exactly 0."""
 
-    def __init__(self, rho, d=1):
-        self.rho, self.d = rho, d
+    def __init__(self, rho, d=1, layout=None):
+        self.rho, self.d, self.layout = rho, d, layout
 
     def ports(self):
         return [(MULTIVARIATE_NORMAL, self.d)]
 
-    def update(self, n2f, f2n, nodes, context):
+    def update(self, n2f, f2n, context):
         message = f2n[0].copy()
         message[0] = self.rho * message[0] + 1.0
         return self, [message], {}
 
-    def logp(self, q_etas, moments):
+    def logp(self, moments):
         return 0.0
 
 
@@ -846,9 +902,9 @@ def forced_rejection(monkeypatch, call):
     """Make the ``call``-th ELBO evaluation read -inf."""
     real, calls = engine.elbo, []
 
-    def low(graph, q_etas=None):
+    def low(graph, etas=None):
         calls.append(1)
-        return -np.inf if len(calls) == call else real(graph, q_etas)
+        return -np.inf if len(calls) == call else real(graph, etas)
 
     monkeypatch.setattr(engine, "elbo", low)
 
@@ -882,11 +938,11 @@ def improper_candidate(monkeypatch, call):
     """Make the ``call``-th ELBO evaluation find an improper q-density."""
     real, calls = engine.elbo, []
 
-    def improper(graph, q_etas=None):
+    def improper(graph, etas=None):
         calls.append(1)
         if len(calls) == call:
             raise ImproperQDensityError("coef", [np.nan])
-        return real(graph, q_etas)
+        return real(graph, etas)
 
     monkeypatch.setattr(engine, "elbo", improper)
 
@@ -921,7 +977,7 @@ def test_graph_with_only_layout_edges_runs_plain_sweeps():
     # no message is extrapolated, so no cycle has a step to take
     layout = TwoLevelLayout([0], [[1, 2], [3, 4]])
     model = model_of([StochasticNode("coef", MULTIVARIATE_NORMAL, 5, layout)],
-                     [FragmentBinding("move", Contraction(0.9, d=5), ("coef",))])
+                     [FragmentBinding("move", Contraction(0.9, d=5, layout=layout), ("coef",))])
     fast, plain = build_factor_graph(model), build_factor_graph(model)
     report = run_vmp(fast, max_iter=12, tol=1e-300)
     assert report == run_vmp(plain, max_iter=12, tol=1e-300, accelerate=False)

@@ -25,7 +25,6 @@ from semivmp.expfam import (
     digamma,
     entropy,
     eta_length,
-    exponential_integral_ei,
     expected_log_base,
     expected_sufficient_statistic,
     is_proper,
@@ -287,11 +286,6 @@ def test_natparam_validates_length():
 def test_digamma_against_mpmath():
     for x in (1e-3, 0.1, 1.0, 4.5, 123.0, 1e6):
         assert digamma(x) == pytest.approx(float(mpmath.digamma(x)), rel=1e-12)
-
-
-def test_exponential_integral_against_mpmath():
-    for x in (-50.0, -10.0, -1.0, -1e-3, -1e-6):
-        assert exponential_integral_ei(x) == pytest.approx(float(mpmath.ei(x)), rel=1e-10)
 
 
 def test_scaled_ei_neg_both_branches():

@@ -127,11 +127,12 @@ def test_jj_xi_update_never_decreases_bound(rng):
     y = rng.integers(0, 2, n).astype(float)
     A = rng.normal(size=(n, d))
     eta = mvn_eta(rng.normal(size=d), 0.5 * random_spd(rng, d))
+    q = mvn_moments(eta, d)
     for _ in range(10):
         xi0 = rng.uniform(0.0, 4.0, size=n)
-        before = jaakkola_jordan_elbo(LogisticFragmentState(y, A, xi=xi0), eta)
+        before = jaakkola_jordan_elbo(LogisticFragmentState(y, A, xi=xi0), q)
         new, _ = jaakkola_jordan_update(LogisticFragmentState(y, A, xi=xi0), *split(eta))
-        after = jaakkola_jordan_elbo(new, eta)
+        after = jaakkola_jordan_elbo(new, q)
         assert after >= before - 1e-12
 
 
@@ -146,7 +147,7 @@ def test_jj_elbo_is_lower_bound_on_exact_expectation(rng):
     h = draws @ A.T
     ll = np.sum(y * h - np.logaddexp(0.0, h), axis=1)
     se = ll.std() / np.sqrt(ll.size)
-    assert jaakkola_jordan_elbo(state, eta) <= ll.mean() + 4 * se
+    assert jaakkola_jordan_elbo(state, mvn_moments(eta, d)) <= ll.mean() + 4 * se
 
 
 # --- probit ------------------------------------------------------------------
@@ -251,10 +252,9 @@ def test_ac_elbo_is_the_row_sum_form(rng):
         kept, _ = albert_chib_update(state, *split(eta))
         assert state.AtA is None  # formed by the first update, and kept by it
         np.testing.assert_array_equal(kept.AtA, A.T @ A)
+        q = mvn_moments(eta, d)
         for s in (state, kept):
-            assert albert_chib_elbo(s, eta) == pytest.approx(
-                reference_albert_chib_elbo(s, eta), rel=1e-12
-            )
+            assert albert_chib_elbo(s, q) == pytest.approx(reference_albert_chib_elbo(s, q), rel=1e-12)
 
 
 # --- Poisson -----------------------------------------------------------------
@@ -308,7 +308,7 @@ def test_kmw_elbo_exact_log_likelihood_expectation(rng):
 
     ll = np.sum(y * h - np.exp(h) - gammaln(y + 1.0), axis=1)
     se = ll.std() / np.sqrt(ll.size)
-    assert knowles_minka_wand_elbo(state, eta) == pytest.approx(ll.mean(), abs=5 * se)
+    assert knowles_minka_wand_elbo(state, mvn_moments(eta, d)) == pytest.approx(ll.mean(), abs=5 * se)
 
 
 def test_kmw_overflow_raises():
@@ -381,11 +381,12 @@ def test_state_validation():
      (knowles_minka_wand_elbo, PoissonFragmentState)],
 )
 def test_glm_elbo_reads_given_moments(rng, elbo_fn, state_cls):
-    # moments passed in by the caller give the same number as factoring q_eta
+    # the fragment's ELBO term is the module function on the moments the
+    # engine passes in
     A = rng.normal(scale=0.3, size=(12, 3))
     state = state_cls(rng.integers(0, 2, size=12).astype(float), A)
-    eta = mvn_eta(rng.normal(size=3), random_spd(rng, 3, 0.2))
-    assert elbo_fn(state, eta, moments=mvn_moments(eta, 3)) == elbo_fn(state, eta)
+    q = mvn_moments(mvn_eta(rng.normal(size=3), random_spd(rng, 3, 0.2)), 3)
+    assert state.logp([q]) == elbo_fn(state, q)
 
 
 # --- the BLAS row forms against the reference they replace -------------------
@@ -395,9 +396,9 @@ def einsum_row_quadratic(A, S):
     return np.einsum("ij,jk,ik->i", A, S, A)
 
 
-def reference_albert_chib_elbo(state, q_eta, moments=None):
-    """The probit ELBO term as the row sum of its a_i^T Sigma a_i."""
-    q = mvn_moments(q_eta, state.A.shape[1]) if moments is None else moments
+def reference_albert_chib_elbo(state, q):
+    """The probit ELBO term as the row sum of its a_i^T Sigma a_i, from q's
+    dense moments."""
     sgn = 2.0 * state.y - 1.0
     return float(np.sum(log_ndtr(sgn * (state.A @ q.mu)))
                  - 0.5 * np.sum(einsum_row_quadratic(state.A, q.Sigma)))
@@ -547,10 +548,9 @@ def test_spline_rows_hold_the_design_matrix_bsplines(rng):
         assert not np.any(flat[pad]), name
 
 
-def row_sum_jaakkola_jordan_elbo(state, q_eta, A):
-    """The logistic ELBO term as the sum over rows of its tangent bound, on
-    the dense design A of the state."""
-    q = mvn_moments(q_eta, A.shape[1])
+def row_sum_jaakkola_jordan_elbo(state, q, A):
+    """The logistic ELBO term as the sum over rows of its tangent bound, from
+    q's dense moments, on the dense design A of the state."""
     second = einsum_row_quadratic(A, q.Sigma + np.outer(q.mu, q.mu))
     return float((state.y - 0.5) @ (A @ q.mu) - tangent_weight(state.xi) @ second
                  + np.sum(tangent_offset(state.xi)))
@@ -570,9 +570,10 @@ def test_jj_elbo_trace_form_is_the_row_sum(rng):
         eta_p = mvn_eta(rng.normal(scale=0.3, size=p), random_spd(rng, p, 0.01))
         on_spline, _ = jaakkola_jordan_update(spline, *split(eta_p))
         assert tilted.AtWA is not None and on_spline.AtWA is not None  # kept by the update
-        for state, q_eta, dense in ((tilted, eta, A), (direct, eta, A), (on_spline, eta_p, C)):
-            assert jaakkola_jordan_elbo(state, q_eta) == pytest.approx(
-                row_sum_jaakkola_jordan_elbo(state, q_eta, dense), rel=1e-12
+        q, q_p = mvn_moments(eta, d), mvn_moments(eta_p, p)
+        for state, q, dense in ((tilted, q, A), (direct, q, A), (on_spline, q_p, C)):
+            assert jaakkola_jordan_elbo(state, q) == pytest.approx(
+                row_sum_jaakkola_jordan_elbo(state, q, dense), rel=1e-12
             )
 
 

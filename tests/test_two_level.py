@@ -1,7 +1,8 @@
 """Group-curve fits on the two-level path agree with the dense path.
 
 The dense path (the same model with the layout stripped from the coefficient
-node) is the reference.  Natural parameters are compared with the relative
+node and from the penalization and likelihood specs, whose A^T A is
+unpacked) is the reference.  Natural parameters are compared with the relative
 measure run_vmp converges on: |a - b| / max(1, |b|).  Messages on a layout
 node are packed; the packed penalization and likelihood messages must be the
 dense ones with their structural zeros dropped.
@@ -63,8 +64,22 @@ def readme_group_data(tmp_path, groups, per_group=25, seed=1):
 
 
 def strip_layout(model):
+    """The model on dense coefficient vectors: no layout on its nodes, and its
+    two Gaussian specs rebuilt without one (A^T A unpacked, zero off the
+    pattern)."""
     nodes = tuple(dataclasses.replace(n, layout=None) for n in model.nodes)
-    return dataclasses.replace(model, nodes=nodes)
+    fragments = []
+    for binding in model.fragments:
+        spec = binding.fragment
+        if getattr(spec, "layout", None) is not None:
+            changes = {"layout": None}
+            if isinstance(spec, GaussianLikelihoodSpec):
+                p = spec.layout.p
+                packed = np.r_[np.zeros(p), spec.AtA]
+                changes["AtA"] = spec.layout.unpack(packed)[p:].reshape((p, p), order="F")
+            binding = dataclasses.replace(binding, fragment=dataclasses.replace(spec, **changes))
+        fragments.append(binding)
+    return dataclasses.replace(model, nodes=nodes, fragments=tuple(fragments))
 
 
 def rel_gap(a, b):
@@ -367,7 +382,7 @@ def test_packed_messages_match_dense(m, q, g, seed):
     thetas = [variance_eta(b.kind, b.d) / 2 for b in pen.blocks]
     dense_coef, dense_th = gaussian_penalization_messages(pen, eta / 2, thetas, eta / 2, thetas)
     msg_coef, msgs_th = gaussian_penalization_messages(
-        pen.for_layout(layout), packed / 2, thetas, packed / 2, thetas
+        dataclasses.replace(pen, layout=layout), packed / 2, thetas, packed / 2, thetas
     )
     assert np.array_equal(layout.pack(dense_coef), msg_coef)
     for got, want in zip(msgs_th, dense_th):
@@ -376,7 +391,7 @@ def test_packed_messages_match_dense(m, q, g, seed):
     var = variance_eta(SCALAR_D1, 1) / 2
     dense_1, dense_2 = gaussian_likelihood_messages(lik, eta / 2, var, eta / 2, var)
     packed_lik = packed_likelihood(lik, layout)
-    assert np.array_equal(packed_lik.for_layout(None).AtA, lik.AtA)  # A is on the pattern
+    assert np.array_equal(layout.unpack(packed_lik.natural), lik.natural)  # A is on the pattern
     msg_1, msg_2 = gaussian_likelihood_messages(packed_lik, packed / 2, var, packed / 2, var)
     assert np.array_equal(layout.pack(dense_1), msg_1)
     assert_rel(msg_2, dense_2)
