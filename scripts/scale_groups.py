@@ -16,8 +16,10 @@ into a temporary directory) and reports four phases of a fit:
 
 Each time is the minimum over ``--repeats`` runs (the sweeps continue on one
 graph).  Each peak is the ``tracemalloc`` peak of one more run of the phase,
-untimed.  The last column gives the size of one dense p x p array for
-comparison, and a final line gives each time relative to the first m.
+untimed.  The last two columns give the size of one packed ``coef``
+natural vector, the form every message and q-density on that node takes,
+and of one dense p x p array for comparison.  A final line gives each time
+relative to the first m.
 
     python3 scripts/scale_groups.py --groups 20 200 --to-tol
 
@@ -111,9 +113,9 @@ def measure(data, repeats):
     sweep_s, _ = timed(sweep, repeats)
     q_s, q_coef = timed(coef_q, repeats)
     band_s, _ = timed(band, repeats)
-    p = graph.nodes["coef"].d
+    coef = graph.nodes["coef"]
     peaks = [peak_bytes(fn) for fn in (build, sweep, coef_q, band)]
-    return p, (build_s, sweep_s, q_s, band_s), peaks
+    return coef.d, coef.layout.packed_size, (build_s, sweep_s, q_s, band_s), peaks
 
 
 def to_tol(data, tol, max_sweeps):
@@ -164,18 +166,19 @@ def main(argv=None):
         return print_to_tol(args)
 
     print(f"{'m':>6} {'p':>6} {'build s':>9} {'sweep ms':>9} {'q_density s':>12} {'band s':>8} "
-          f"{'build MB':>9} {'sweep MB':>9} {'q_density MB':>13} {'band MB':>8} {'p x p MB':>9}",
+          f"{'build MB':>9} {'sweep MB':>9} {'q_density MB':>13} {'band MB':>8} {'packed MB':>10} "
+          f"{'p x p MB':>9}",
           flush=True)
     first = None
     with tempfile.TemporaryDirectory() as tmp:
         for m in args.groups:
             data = grouped_data(Path(tmp) / f"m{m}", m, args.per_group, args.seed)
-            p, (build_s, sweep_s, q_s, band_s), peaks = measure(data, args.repeats)
+            p, packed, (build_s, sweep_s, q_s, band_s), peaks = measure(data, args.repeats)
             first = first or (m, build_s, sweep_s, q_s, band_s)
             mb = [x / 1e6 for x in peaks]
             print(f"{m:>6} {p:>6} {build_s:>9.4f} {1e3 * sweep_s:>9.2f} {q_s:>12.4f} "
                   f"{band_s:>8.4f} {mb[0]:>9.1f} {mb[1]:>9.1f} {mb[2]:>13.1f} {mb[3]:>8.1f} "
-                  f"{8 * p * p / 1e6:>9.0f}", flush=True)
+                  f"{8 * packed / 1e6:>10.2f} {8 * p * p / 1e6:>9.0f}", flush=True)
             last = (m, build_s, sweep_s, q_s, band_s)
     if len(args.groups) > 1:
         ratios = [b / a for a, b in zip(first[1:], last[1:])]

@@ -61,7 +61,8 @@ class LinearPredictorOverflowError(ArithmeticError):
         self.worst = float(worst)
         super().__init__(
             f"linear predictor {worst:.3g} exceeds {OVERFLOW_LIMIT:g}; the fit is "
-            "diverging: consider damping (rho < 1) or a tighter coefficient prior"
+            "diverging: consider damping, run_vmp(damping=...) below 1, or a tighter "
+            "coefficient prior, a smaller --sigma-beta-sq in semivmp fit"
         )
 
 

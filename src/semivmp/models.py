@@ -483,10 +483,9 @@ def _two_level_statistics(y, X_G, local, gidx, sizes, layout):
     Aty[layout.glob] = X_G.T @ y
     Aty[layout.groups] = out[:, :, -1]
     AtA = np.empty(layout.packed_size - layout.p)
-    GG, iG, Gi, ii = layout.split(AtA)
+    GG, iG, ii = layout.split(AtA)
     GG[...] = X_G.T @ X_G
     iG[...] = out[:, :, q : q + g]
-    Gi[...] = iG
     np.add(out[:, :, :q], out[:, :, :q].swapaxes(1, 2), out=ii)
     ii *= 0.5
     return Aty, AtA

@@ -14,6 +14,10 @@ factorization of Nolan & Wand (2020), which costs O(m) in the group count
 and forms only the covariance blocks on that pattern.  Such a vector is
 stored packed, the pattern entries only (block-arrowhead storage, Nolan,
 Menictas & Wand, JMLR 2020), so no p x p array is formed while sweeping.
+The packed matrix part has three blocks: global by global, group by global
+and each group's own block.  The global-by-group mirror of the second is
+not stored, as the streamlined two-level solvers take each group's
+off-diagonal block once.
 """
 
 from __future__ import annotations
@@ -203,15 +207,16 @@ class TwoLevelLayout:
 
     A normal node with a layout stores its natural vector **packed**: the p
     entries of the first part, then the pattern entries of the p x p matrix
-    part in four blocks, each in C order:
+    part in three blocks, each in C order:
 
-        GG (g, g): M[G_a, G_b]        iG (m, q, g): M[I_ik, G_a]
-        Gi (m, q, g): M[G_a, I_ik]    ii (m, q, q): M[I_ik, I_il]
+        GG (g, g): M[G_a, G_b]    iG (m, q, g): M[I_ik, G_a]    ii (m, q, q): M[I_ik, I_il]
 
-    This is the dense vector with its structural zeros dropped, so sums,
-    damping and relative changes give the same numbers on both.  (At m=1 the
-    two have the same length but not the same order: which form a vector
-    has follows from its node, never from its length.)
+    The matrix part is symmetric, so each global-by-group pair is kept once:
+    the mirror M[G_a, I_ik] is read from iG's slot, and
+    ``packed_size = p + g^2 + m q g + m q^2``.  This is the dense vector with
+    its structural zeros and those mirrors dropped.  Sums, damping and
+    relative changes are elementwise, so they give the same numbers on both.
+    Which form a vector has follows from its node, never from its length.
     """
 
     def __init__(self, glob, groups):
@@ -235,29 +240,42 @@ class TwoLevelLayout:
         # row of each column in its stacked block: GG rows, or the m q rows of iG / ii
         self._stacked = np.where(owner < 0, pos, owner * q + pos)
         self.p, self.g, self.m, self.q = p, g, m, q
-        shapes = ((g, g), (m, q, g), (m, q, g), (m, q, q))
-        ends = np.cumsum([g * g, m * q * g, m * q * g, m * q * q])
+        shapes = ((g, g), (m, q, g), (m, q, q))
+        ends = np.cumsum([g * g, m * q * g, m * q * q])
         begins = np.r_[0, ends[:-1]]
         self._blocks = tuple(zip(begins, ends, shapes))  # each block among the pattern entries
         self._starts = p + begins  # and where it starts in the packed vector
         self.packed_size = p + int(ends[-1])
 
     def _index_pairs(self):
-        """(rows, cols) index arrays of the four pattern blocks, packed order."""
+        """(rows, cols) index arrays of the three pattern blocks, packed order."""
         G, I = self.glob, self.groups
         return (
             (G[:, None], G[None, :]),
             (I[:, :, None], G),
-            (G, I[:, :, None]),
             (I[:, :, None], I[:, None, :]),
         )
 
     def pack_matrix(self, M):
-        """The pattern entries of a p x p array, in packed order."""
-        return np.concatenate([M[r, c].ravel() for r, c in self._index_pairs()])
+        """The pattern entries of a p x p array, in packed order.  Each
+        global-by-group entry must equal its mirror bitwise, since only one
+        of the two is kept."""
+        M = np.asarray(M, dtype=float)
+        G, I = self.glob, self.groups
+        GG, iG, ii = (M[r, c] for r, c in self._index_pairs())
+        Gi = M[G, I[:, :, None]]
+        bad = np.flatnonzero(iG.view(np.uint64) != Gi.view(np.uint64))
+        if bad.size:
+            i, k, a = np.unravel_index(bad[0], iG.shape)
+            r, c = I[i, k], G[a]
+            raise DimensionError(
+                f"matrix part is not symmetric on the pattern: entry ({r}, {c}) is "
+                f"{float(iG[i, k, a])!r} but ({c}, {r}) is {float(Gi[i, k, a])!r}"
+            )
+        return np.concatenate([GG.ravel(), iG.ravel(), ii.ravel()])
 
     def split(self, Q):
-        """The blocks (GG, iG, Gi, ii) of packed pattern entries, as views."""
+        """The blocks (GG, iG, ii) of packed pattern entries, as views."""
         return tuple(Q[b:e].reshape(shape) for b, e, shape in self._blocks)
 
     def pack(self, eta):
@@ -267,9 +285,12 @@ class TwoLevelLayout:
         return np.concatenate([eta[:p], self.pack_matrix(eta[p:].reshape((p, p), order="F"))])
 
     def _scatter(self, M, Q):
-        """Write the packed pattern entries Q into the p x p array (or view) M."""
-        for (r, c), blk in zip(self._index_pairs(), self.split(Q)):
+        """Write the packed pattern entries Q into the p x p array (or view) M,
+        each global-by-group entry also at its mirror."""
+        blocks = self.split(Q)
+        for (r, c), blk in zip(self._index_pairs(), blocks):
             M[r, c] = blk
+        M[self.glob, self.groups[:, :, None]] = blocks[1]
 
     def unpack(self, eta):
         """Dense natural vector of a packed one; zero off the pattern."""
@@ -281,17 +302,18 @@ class TwoLevelLayout:
 
     def position(self, rows, cols):
         """Positions in the packed natural vector of the matrix-part entries
-        (rows, cols), which must lie on the pattern."""
+        (rows, cols), which must lie on the pattern.  (G_a, I_ik) and
+        (I_ik, G_a) share iG's slot."""
         rows, cols = np.asarray(rows), np.asarray(cols)
         gr, gc = self.owner[rows], self.owner[cols]
         if np.any((gr != gc) & (gr >= 0) & (gc >= 0)):
             raise DimensionError("entries between two groups are not on the pattern")
-        block = 3 - (gr < 0) - 2 * (gc < 0)  # 0-3: GG, iG, Gi, ii
+        block = np.add(gr >= 0, gc >= 0, dtype=np.intp)  # 0-2: GG, iG, ii
         sr, sc = self._stacked[rows], self._stacked[cols]
         offset = np.where(  # the C-order position inside the block
-            block == 3,
+            block == 2,
             sr * self.q + self.pos[cols],
-            np.where(block == 2, sc * self.g + sr, sr * self.g + sc),
+            np.where(gc >= 0, sc * self.g + sr, sr * self.g + sc),
         )
         return self._starts[block] + offset
 
@@ -327,8 +349,7 @@ class TwoLevelMoments(_Moments):
         block = np.searchsorted(starts, pos, side="right") - 1
         offset = pos - starts[block]
         out = np.empty(np.shape(pos))
-        # a Gi entry is the iG entry of the transposed pair
-        for b, S in enumerate((self.Sigma_GG, self.Sigma_iG, self.Sigma_iG, self.Sigma_ii)):
+        for b, S in enumerate((self.Sigma_GG, self.Sigma_iG, self.Sigma_ii)):
             sel = block == b
             out[sel] = S.ravel()[offset[sel]]
         return out
@@ -336,20 +357,20 @@ class TwoLevelMoments(_Moments):
     def mean_quadratic(self, Q):
         """mu^T Q mu for packed pattern entries Q."""
         lay = self.layout
-        Q_GG, Q_iG, Q_Gi, Q_ii = lay.split(Q)
+        Q_GG, Q_iG, Q_ii = lay.split(Q)
         mu_G, mu_I = self.mu[lay.glob], self.mu[lay.groups]
         return float(
             mu_G @ Q_GG @ mu_G
-            + mu_I.ravel() @ ((Q_iG + Q_Gi).reshape(-1, lay.g) @ mu_G)
+            + mu_I.ravel() @ ((2.0 * Q_iG).reshape(-1, lay.g) @ mu_G)
             + np.einsum("ik,ikl,il->", mu_I, Q_ii, mu_I)
         )
 
     def trace_product(self, Q):
         """tr(Q Sigma) for packed pattern entries Q."""
-        Q_GG, Q_iG, Q_Gi, Q_ii = self.layout.split(Q)
+        Q_GG, Q_iG, Q_ii = self.layout.split(Q)
         return float(
             np.sum(Q_GG * self.Sigma_GG)
-            + np.sum((Q_iG + Q_Gi) * self.Sigma_iG)
+            + np.sum(2.0 * Q_iG * self.Sigma_iG)
             + np.sum(Q_ii * self.Sigma_ii)
         )
 
@@ -423,9 +444,9 @@ def two_level_moments(eta, layout, context=""):
         raise DimensionError(
             f"expected a packed natural vector of length {layout.packed_size}, got {eta.size}"
         )
-    M_GG, M_iG, M_Gi, M_ii = layout.split(eta[p:])
+    M_GG, M_iG, M_ii = layout.split(eta[p:])
     A = -(M_GG + M_GG.T)
-    B = -(M_iG + M_Gi)
+    B = -2.0 * M_iG
     D = -(M_ii + M_ii.swapaxes(1, 2))
     if not (np.isfinite(A).all() and np.isfinite(B).all() and np.isfinite(D).all()):
         raise SpdFactorizationError(context, "non-finite entries")

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from semivmp import cli
 from semivmp.engine import build_factor_graph, q_density, run_vmp
+from semivmp.fragments_glm import LinearPredictorOverflowError
 from semivmp.models import demo_mean_function
 from test_two_level import write_synthetic_data
 
@@ -206,6 +208,17 @@ def test_bad_numeric_flag_is_reported(tmp_path, spline_csv, capsys, flag, value,
     assert code == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_overflow_advice_names_a_fit_flag(capsys):
+    """The CLI flag the GLM overflow error recommends is one `semivmp fit` has."""
+    advice = str(LinearPredictorOverflowError(1e300))
+    flags = re.findall(r"--[a-z][a-z-]*", advice)
+    assert flags == ["--sigma-beta-sq"] and "run_vmp(damping=" in advice
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit", "--help"])
+    assert exc.value.code == 0
+    assert flags[0] in capsys.readouterr().out
 
 
 def test_linreg_requires_predictor(tmp_path, linreg_csv, capsys):

@@ -214,8 +214,8 @@ def test_message_of_another_shape_names_factor_and_node():
 @pytest.mark.parametrize("groups", [1, 2])
 def test_fragment_must_store_its_node_as_the_node_does(groups):
     """A fragment without a layout on a layout node is rejected when the
-    graph is built, also at m=1, where packed and dense vectors have the
-    same length; so is a fragment with a layout on a dense node."""
+    graph is built, at one group as at two; so is a fragment with a layout
+    on a dense node."""
     r = np.random.default_rng(4)
     x = r.uniform(size=12 * groups)
     subject = np.repeat(np.arange(groups), 12)
@@ -225,7 +225,8 @@ def test_fragment_must_store_its_node_as_the_node_does(groups):
         )
     coef = model.nodes[0]
     p = coef.d
-    assert coef.layout.m == groups and (groups > 1 or coef.layout.packed_size == p + p * p)
+    lay = coef.layout
+    assert lay.m == groups and lay.packed_size == p + lay.g**2 + lay.m * lay.q * (lay.g + lay.q)
     prior = FragmentBinding("prior", GaussianPriorSpec(np.zeros(p), np.eye(p)), ("coef",))
     with pytest.raises(GraphStructureError, match=r"factor 'prior' port 'coef': .*layout"):
         build_factor_graph(model_of(model.nodes, [*model.fragments, prior]))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -205,6 +207,62 @@ def test_two_level_moments_match_dense(m, q, g, seed):
     r = rng.normal(size=p)
     packed = (layout.pack(eta), layout.pack_matrix(Q))
     assert_rel(g_vmp(*packed, r, 1.5, layout=layout), g_vmp(eta, Q, r, 1.5))
+
+
+def pattern_mask(layout):
+    """The p x p entries that may be nonzero on ``layout``."""
+    own = layout.owner
+    return (own[:, None] == own[None, :]) | (own[:, None] < 0) | (own[None, :] < 0)
+
+
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_packed_layout_keeps_each_symmetric_pair_once(m, q, g, seed):
+    """Three blocks, GG, iG and ii: a global-by-group entry and its mirror
+    share one slot (GG and ii keep both halves), every slot belongs to some
+    pattern entry, and packing a symmetric on-pattern vector puts each
+    entry at its position.  So does packing a matrix whose GG and ii blocks
+    are not symmetric, and unpacking gives it back."""
+    rng = np.random.default_rng(seed)
+    layout, eta, _ = arrowhead_natural(rng, m, q, g)
+    p = layout.p
+    assert layout.packed_size == p + g * g + m * q * g + m * q * q
+    on = pattern_mask(layout)
+    cross = (layout.owner[:, None] < 0) != (layout.owner[None, :] < 0)  # global by group
+    rows, cols = np.nonzero(on)
+    pos, mirror = layout.position(rows, cols), layout.position(cols, rows)
+    shared = cross[rows, cols]
+    assert np.array_equal(pos[shared], mirror[shared])
+    apart = ~shared & (rows != cols)
+    assert np.all(pos[apart] != mirror[apart])
+    assert np.array_equal(np.unique(pos), np.arange(p, layout.packed_size))
+    M = eta[p:].reshape((p, p), order="F")
+    assert np.array_equal(layout.pack(eta)[pos], M[rows, cols])
+    R = rng.normal(size=(p, p)) * on
+    R = np.where(cross, R + R.T, R)
+    packed = np.concatenate([eta[:p], layout.pack_matrix(R)])
+    assert np.array_equal(packed[pos], R[rows, cols])
+    assert np.array_equal(layout.unpack(packed)[p:].reshape((p, p), order="F"), R)
+
+
+def test_pack_rejects_an_asymmetric_pair(rng):
+    """Only one of each global-by-group pair is kept, so packing names the
+    first pair, in packed order, whose two entries differ in any bit."""
+    layout, eta, _ = arrowhead_natural(rng, 3, 2, 2)
+    p = layout.p
+    M = eta[p:].reshape((p, p), order="F").copy()
+    for i, k, a in ((2, 1, 0), (1, 0, 1)):
+        r, c = layout.groups[i, k], layout.glob[a]
+        M[c, r] = np.nextafter(M[r, c], np.inf)
+    r, c = layout.groups[1, 0], layout.glob[1]
+    want = re.escape(f"entry ({r}, {c}) is {float(M[r, c])!r} but ({c}, {r}) is {float(M[c, r])!r}")
+    with pytest.raises(DimensionError, match=want):
+        layout.pack_matrix(M)
+    with pytest.raises(DimensionError, match=want):
+        layout.pack(np.concatenate([eta[:p], M.ravel(order="F")]))
+    M[c, r] = M[r, c]
+    r, c = layout.groups[2, 1], layout.glob[0]
+    with pytest.raises(DimensionError, match=rf"entry \({r}, {c}\)"):
+        layout.pack_matrix(M)
 
 
 def test_two_level_moments_name_the_failing_group(rng):
