@@ -5,14 +5,17 @@
 
 For each m the script generates the README's grouped dataset with m groups
 of ``--per-group`` rows (``scripts/make_synthetic_data.py``, run in-process
-into a temporary directory) and reports four phases of a fit:
+into a temporary directory) and reports five phases of a fit:
 
 - build: ``build_group_curves`` plus ``build_factor_graph`` (the benchmark's
   set-up);
 - sweep: one ``run_vmp`` sweep with the ELBO;
 - q_density: the q-density of the ``coef`` node;
 - band: the three population curves (``group_0``, ``group_1``, ``contrast``)
-  with their 95% bands on a 201-point grid, through ``fitted_curve``.
+  with their 95% bands on a 201-point grid, through ``fitted_curve``;
+- output: what ``semivmp fit`` writes after its sweeps, ``cli._posterior_output``
+  (every q-density, the curve grids) and ``cli._write_json`` into a file in
+  the temporary directory, whose size is the ``file MB`` column.
 
 Each time is the minimum over ``--repeats`` runs (the sweeps continue on one
 graph).  Each peak is the ``tracemalloc`` peak of one more run of the phase,
@@ -54,6 +57,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from semivmp.cli import _posterior_output, _write_json  # noqa: E402
 from semivmp.engine import build_factor_graph, q_density, run_vmp  # noqa: E402
 from semivmp.models import build_group_curves, fitted_curve  # noqa: E402
 
@@ -93,7 +97,7 @@ def peak_bytes(fn):
         tracemalloc.stop()
 
 
-def measure(data, repeats):
+def measure(data, repeats, outdir):
     grid = np.linspace(np.min(data[1]), np.max(data[1]), 201)
 
     def build():
@@ -109,13 +113,20 @@ def measure(data, repeats):
     def band():
         return [fitted_curve(q_coef, design, grid) for design in model.curves.values()]
 
+    def output():
+        qtable, curves, extras = _posterior_output(model, graph)
+        with open(outdir / "fit.json", "w", encoding="utf-8") as fh:
+            _write_json({"q_densities": qtable, "curves": curves, **extras}, fh)
+
     build_s, (model, graph) = timed(build, repeats)
     sweep_s, _ = timed(sweep, repeats)
     q_s, q_coef = timed(coef_q, repeats)
     band_s, _ = timed(band, repeats)
+    out_s, _ = timed(output, repeats)
     coef = graph.nodes["coef"]
-    peaks = [peak_bytes(fn) for fn in (build, sweep, coef_q, band)]
-    return coef.d, coef.layout.packed_size, (build_s, sweep_s, q_s, band_s), peaks
+    peaks = [peak_bytes(fn) for fn in (build, sweep, coef_q, band, output)]
+    file_mb = (outdir / "fit.json").stat().st_size / 1e6
+    return coef.d, coef.layout.packed_size, (build_s, sweep_s, q_s, band_s, out_s), peaks, file_mb
 
 
 def to_tol(data, tol, max_sweeps):
@@ -166,25 +177,28 @@ def main(argv=None):
         return print_to_tol(args)
 
     print(f"{'m':>6} {'p':>6} {'build s':>9} {'sweep ms':>9} {'q_density s':>12} {'band s':>8} "
-          f"{'build MB':>9} {'sweep MB':>9} {'q_density MB':>13} {'band MB':>8} {'packed MB':>10} "
-          f"{'p x p MB':>9}",
+          f"{'output s':>9} {'build MB':>9} {'sweep MB':>9} {'q_density MB':>13} {'band MB':>8} "
+          f"{'output MB':>10} {'file MB':>8} {'packed MB':>10} {'p x p MB':>9}",
           flush=True)
     first = None
     with tempfile.TemporaryDirectory() as tmp:
         for m in args.groups:
-            data = grouped_data(Path(tmp) / f"m{m}", m, args.per_group, args.seed)
-            p, packed, (build_s, sweep_s, q_s, band_s), peaks = measure(data, args.repeats)
-            first = first or (m, build_s, sweep_s, q_s, band_s)
+            outdir = Path(tmp) / f"m{m}"
+            data = grouped_data(outdir, m, args.per_group, args.seed)
+            p, packed, times, peaks, file_mb = measure(data, args.repeats, outdir)
+            build_s, sweep_s, q_s, band_s, out_s = times
+            first = first or (m, *times)
             mb = [x / 1e6 for x in peaks]
             print(f"{m:>6} {p:>6} {build_s:>9.4f} {1e3 * sweep_s:>9.2f} {q_s:>12.4f} "
-                  f"{band_s:>8.4f} {mb[0]:>9.1f} {mb[1]:>9.1f} {mb[2]:>13.1f} {mb[3]:>8.1f} "
-                  f"{8 * packed / 1e6:>10.2f} {8 * p * p / 1e6:>9.0f}", flush=True)
-            last = (m, build_s, sweep_s, q_s, band_s)
+                  f"{band_s:>8.4f} {out_s:>9.4f} {mb[0]:>9.1f} {mb[1]:>9.1f} {mb[2]:>13.1f} "
+                  f"{mb[3]:>8.1f} {mb[4]:>10.1f} {file_mb:>8.2f} {8 * packed / 1e6:>10.2f} "
+                  f"{8 * p * p / 1e6:>9.0f}", flush=True)
+            last = (m, *times)
     if len(args.groups) > 1:
         ratios = [b / a for a, b in zip(first[1:], last[1:])]
         print(f"m={last[0]} against m={first[0]} ({last[0] / first[0]:g}x the groups): build "
               f"{ratios[0]:.2f}x, sweep {ratios[1]:.2f}x, q_density {ratios[2]:.2f}x, "
-              f"band {ratios[3]:.2f}x")
+              f"band {ratios[3]:.2f}x, output {ratios[4]:.2f}x")
     return 0
 
 

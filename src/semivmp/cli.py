@@ -31,6 +31,9 @@ class CliError(Exception):
     pass
 
 
+KNOT_MODELS = ("penspline", "glmspline")  # the models whose spline basis --knots sizes
+
+
 @dataclass
 class FitRequest:
     model: str
@@ -106,9 +109,12 @@ def _write_json(obj, fh, nl="\n"):
     generator step and one ``float.__repr__`` per number.  Here a finite
     float64 array forms the repr of each distinct value once (distinct by
     bit pattern, so -0.0 keeps its sign) and joins each innermost row in C;
-    a covariance holds each value about twice, and structural zeros fill
-    most of a group-curve η.  ``nl`` is the newline and indent of the
-    enclosing level.
+    a symmetric covariance or covariance block holds each value about
+    twice, a triangular factor is half zeros, and a natural vector repeats
+    the mirror halves and zeros of its matrix part.  No group-curve entry
+    is a p x p array: the coef q-density is written in its two-level blocks
+    (see ``_q_entry``).  ``nl`` is the newline and indent of the enclosing
+    level.
     """
     inner = nl + "  "
     if isinstance(obj, str):
@@ -211,24 +217,35 @@ def _build_model(req: FitRequest, header, rows):
     raise CliError(f"unknown model '{req.model}'")
 
 
-def _dense_entry(qd, layout):
-    """A q-density as the JSON holds it: the dense natural vector and common
-    parameters, unpacked from the packed vector and the two-level blocks
-    when the node has a layout."""
-    eta, common = qd.eta_q, qd.common
-    if layout is not None:
-        eta = layout.unpack(eta)
-        common = {**common, "Sigma": qd.moments.covariance()}
-    return {"family": qd.family, "d": qd.d, "eta": eta, "common": common}
+def _q_entry(qd, layout):
+    """A q-density as the JSON holds it: its natural vector and common
+    parameters.  On a node with a layout both stay as the graph holds them,
+    so no p x p array is formed: ``eta_packed`` in the layout's packed order,
+    the layout's column indices, and ``mu`` with the covariance blocks
+    Sigma_GG, Sigma_iG, Sigma_ii and the Schur factor L (L L^T =
+    Sigma_GG^{-1}).  A reader gets the dense eta and Sigma bit for bit from
+    ``TwoLevelLayout(global, groups).unpack(eta_packed)`` and
+    ``TwoLevelMoments(...).covariance()``.  The dense keys ``eta`` and
+    ``Sigma`` are absent there, so a reader of dense entries fails loudly."""
+    if layout is None:
+        return {"family": qd.family, "d": qd.d, "eta": qd.eta_q, "common": qd.common}
+    mom = qd.moments
+    return {
+        "family": qd.family,
+        "d": qd.d,
+        "layout": {"global": layout.glob, "groups": layout.groups},
+        "eta_packed": qd.eta_q,
+        "common": {"mu": mom.mu, "Sigma_GG": mom.Sigma_GG, "Sigma_iG": mom.Sigma_iG,
+                   "Sigma_ii": mom.Sigma_ii, "schur_factor": mom.schur_factor},
+    }
 
 
 def _posterior_output(model, graph):
     """The q-density table, the curve grids and the original-scale
     coefficients (when the model has a transform) of a fitted graph, as the
-    JSON holds them.  The q-densities themselves are dropped on return, so a
-    packed vector and its two-level moments do not outlive their dense copies."""
+    JSON holds them."""
     qds = {node: q_density(graph, node) for node in graph.nodes}
-    qtable = {node: _dense_entry(qd, graph.nodes[node].layout) for node, qd in qds.items()}
+    qtable = {node: _q_entry(qd, graph.nodes[node].layout) for node, qd in qds.items()}
     qc = qds[model.coef_node]
 
     curves = {}
@@ -273,7 +290,7 @@ def cmd_fit(req: FitRequest) -> int:
                 "label": req.label,
             },
             "n": int(len(rows)),
-            "knots": req.knots,
+            "knots": req.knots if req.model in KNOT_MODELS else None,
             "link": model.link,
             "iters": req.iters,
             "tol": req.tol,
@@ -472,7 +489,9 @@ def make_parser():
     fit.add_argument("--predictor", help="predictor column (comma-separated list for linreg)")
     fit.add_argument("--group", help="group id column (groupcurves)")
     fit.add_argument("--label", help="binary group label column (groupcurves)")
-    fit.add_argument("--knots", type=int, default=25, help="number of spline basis functions")
+    fit.add_argument("--knots", type=int, default=argparse.SUPPRESS,
+                     help=f"number of spline basis functions ({', '.join(KNOT_MODELS)}; "
+                          f"default {FitRequest.knots})")
     fit.add_argument("--link", choices=["logit", "probit", "log"], help="glmspline link")
     fit.add_argument("--iters", type=int, default=200, help="maximum sweeps")
     fit.add_argument("--tol", type=float, default=1e-8)
@@ -491,6 +510,9 @@ def main(argv=None) -> int:
         return cmd_validate()
     req = FitRequest(**args)
     try:
+        if "knots" in args and req.model not in KNOT_MODELS:
+            raise CliError(f"--knots does not apply to --model {req.model} "
+                           f"(only to {', '.join(KNOT_MODELS)})")
         return cmd_fit(req)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -19,6 +19,7 @@ from semivmp import cli
 from semivmp.engine import build_factor_graph, q_density, run_vmp
 from semivmp.fragments_glm import LinearPredictorOverflowError
 from semivmp.models import demo_mean_function
+from semivmp.natparam import TwoLevelLayout, TwoLevelMoments
 from test_two_level import write_synthetic_data
 
 
@@ -254,7 +255,7 @@ def groups_csv(tmp_path):
 
 
 GROUPS_ARGS = ["--model", "groupcurves", "--response", "y", "--predictor", "x",
-               "--group", "subject", "--label", "arm", "--knots", "5"]
+               "--group", "subject", "--label", "arm"]
 
 
 def test_groupcurves_end_to_end(tmp_path, groups_csv):
@@ -268,29 +269,92 @@ def test_groupcurves_end_to_end(tmp_path, groups_csv):
     assert set(doc["curves"]) == {"group_0", "group_1", "contrast"}
 
 
-def test_groupcurves_json_holds_the_dense_coef_density(tmp_path, groups_csv):
-    """The coef node is packed on a two-level layout, but the JSON holds its
-    dense natural vector and dense Sigma: exactly the unpacked eta and the
-    covariance assembled from the two-level blocks."""
+@pytest.fixture
+def one_group_csv(tmp_path):
+    r = np.random.default_rng(34)
+    x = r.uniform(size=60)
+    y = np.sin(2 * np.pi * x) + r.normal(scale=0.3, size=60)
+    p = tmp_path / "one_group.csv"
+    make_csv(p, ["y", "x", "subject", "arm"],
+             [[f"{v:.8g}" for v in y], [f"{v:.8g}" for v in x], ["s0"] * 60, [1] * 60])
+    return p
+
+
+@pytest.mark.filterwarnings("ignore:all group labels equal")  # one group has one label
+@pytest.mark.parametrize("data", ["groups_csv", "one_group_csv"])
+def test_groupcurves_json_holds_the_packed_coef_density(tmp_path, request, data):
+    """The coef entry of a group-curve fit holds the q-density as the graph
+    does: packed on its two-level layout, with the covariance blocks and no
+    dense eta or Sigma.  The dense eta and Sigma rebuilt from the JSON alone
+    equal those of a library fit on the same data bit for bit."""
+    path = request.getfixturevalue(data)
     out = tmp_path / "g.json"
     assert cli.main(
-        ["fit", "--data", str(groups_csv), *GROUPS_ARGS, "--iters", "30", "--out", str(out)]
+        ["fit", "--data", str(path), *GROUPS_ARGS, "--iters", "30", "--out", str(out)]
     ) == 2
-    entry = json.loads(out.read_text())["q_densities"]["coef"]
-    req = cli.FitRequest(model="groupcurves", data=str(groups_csv), response="y", predictor="x",
-                         group="subject", label="arm", knots=5, iters=30)
+    doc = json.loads(out.read_text())
+    entry = doc["q_densities"]["coef"]
+    assert set(entry) == {"family", "d", "layout", "eta_packed", "common"}
+    common = {key: np.asarray(value) for key, value in entry["common"].items()}
+    assert set(common) == {"mu", "Sigma_GG", "Sigma_iG", "Sigma_ii", "schur_factor"}
+    layout = TwoLevelLayout(entry["layout"]["global"], entry["layout"]["groups"])
+    eta = layout.unpack(np.asarray(entry["eta_packed"]))
+    Sigma = TwoLevelMoments(layout, logdet=None, **common).covariance()
+
+    req = cli.FitRequest(model="groupcurves", data=str(path), response="y", predictor="x",
+                         group="subject", label="arm", iters=30)
     model = cli._build_model(req, *cli._load_csv(req.data))
     graph = build_factor_graph(model)
     run_vmp(graph, max_iter=req.iters, tol=req.tol)
     qd = q_density(graph, "coef")
-    layout, p = graph.nodes["coef"].layout, qd.d
-    assert layout is not None
-    assert set(entry) == {"family", "d", "eta", "common"}
-    assert set(entry["common"]) == {"mu", "Sigma"}
-    assert entry["family"] == qd.family and entry["d"] == p
-    assert np.array_equal(entry["eta"], layout.unpack(qd.eta_q)) and len(entry["eta"]) == p + p * p
-    assert np.array_equal(entry["common"]["mu"], qd.common["mu"])
-    assert np.array_equal(entry["common"]["Sigma"], qd.moments.covariance())
+    fitted, p = graph.nodes["coef"].layout, qd.d
+    assert layout.m == (1 if data == "one_group_csv" else 6)
+    assert np.array_equal(layout.glob, fitted.glob) and np.array_equal(layout.groups, fitted.groups)
+    assert entry["family"] == qd.family and entry["d"] == p == layout.p
+    assert eta.size == p + p * p and np.array_equal(eta, fitted.unpack(qd.eta_q))
+    assert np.array_equal(common["mu"], qd.common["mu"])
+    assert np.array_equal(Sigma, qd.moments.covariance())
+    dense = {node: e for node, e in doc["q_densities"].items() if node != "coef"}
+    assert dense and all(set(e) == {"family", "d", "eta", "common"} for e in dense.values())
+    assert doc["meta"]["knots"] is None
+
+
+@pytest.mark.parametrize("data, args", [
+    ("groups_csv", GROUPS_ARGS),
+    ("linreg_csv", ["--model", "linreg", "--response", "y", "--predictor", "x1,x2"]),
+], ids=["groupcurves", "linreg"])
+def test_knots_is_rejected_where_the_model_has_no_knots(tmp_path, request, capsys, data, args):
+    """groupcurves and linreg have no basis that --knots sizes: the flag is an
+    input error naming it and the model, not a value ignored in the fit and
+    recorded in meta.knots."""
+    out = tmp_path / "o.json"
+    code = cli.main(["fit", "--data", str(request.getfixturevalue(data)), *args,
+                     "--knots", "5", "--out", str(out)])
+    assert code == 1
+    assert f"--knots does not apply to --model {args[1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_large_group_curve_fit_forms_no_dense_coef(tmp_path):
+    """`semivmp fit --model groupcurves` at m=200 (p=1424), three sweeps: the
+    tracemalloc peak of the whole command stays below one p x p float64 array
+    (16.2 MB) and the file below 4 MB.  Writing the dense coef eta and Sigma
+    peaked at 172 MB and wrote 99 MB."""
+    write_synthetic_data(tmp_path, "--seed", "1", "--groups", "200")
+    out = tmp_path / "fit.json"
+    argv = ["fit", "--data", str(tmp_path / "grouped_curves.csv"), *GROUPS_ARGS,
+            "--iters", "3", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    p = json.loads(out.read_text())["q_densities"]["coef"]["d"]
+    assert code == 2 and p == 1424
+    assert peak < 8 * p * p, f"peak {peak / 1e6:.1f} MB"
+    assert size < 4e6, f"file {size / 1e6:.1f} MB"
 
 
 # --- the JSON writer -------------------------------------------------------
@@ -400,7 +464,8 @@ def write_peak(write, doc, path):
 
 
 def test_writer_peaks_below_the_stdlib_writer(readme_fits, tmp_path):
-    """On the README group-curve document (dense coef eta and Sigma, p=164)."""
+    """On the README group-curve document (m=20, p=164: the packed coef
+    entry and the three curve grids)."""
     _, doc = readme_fits["groupcurves"]
     ours = write_peak(lambda d, fh: (cli._write_json(d, fh), fh.write("\n")), doc, tmp_path / "a.json")
     theirs = write_peak(lambda d, fh: fh.write(stdlib_json(d) + "\n"), doc, tmp_path / "b.json")
