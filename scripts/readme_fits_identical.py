@@ -10,7 +10,11 @@ each checkout the three ``semivmp fit`` commands of the README (penspline,
 probit glmspline and groupcurves) then run in a subprocess with
 ``PYTHONPATH=<checkout>/src``.  The script prints one line per fit and
 compares the two JSON documents byte for byte, and each side's exit code
-(groupcurves stops at its sweep limit, exit 2).  When two documents differ,
+(groupcurves stops at its sweep limit, exit 2).  Fields the change adds
+(object keys the parent's document lacks) are named and then left out:
+the change's document without them, written as ``semivmp fit`` writes
+(``json.dumps(indent=2, sort_keys=True)``), must equal the parent's byte
+for byte.  A removed field is a difference.  When two documents differ,
 it also prints the largest relative difference among their numeric leaves,
 with that leaf's JSON path, or a path at which their structure or a
 non-numeric leaf differs.  A leaf's difference |a - b| is relative to the
@@ -58,6 +62,24 @@ def fit(checkout, name, data, out):
         print(f"  {checkout}: exit {proc.returncode}: {proc.stderr.strip()[-400:]}")
         return proc.returncode, None
     return proc.returncode, out.read_bytes()
+
+
+def drop_added(parent, change, path="$", added=None):
+    """(the change's parsed document without the object keys the parent's
+    lacks, the JSON paths of those keys)."""
+    added = [] if added is None else added
+    if isinstance(parent, dict) and isinstance(change, dict):
+        kept = {}
+        for key, value in change.items():
+            if key in parent:
+                kept[key] = drop_added(parent[key], value, f"{path}.{key}", added)[0]
+            else:
+                added.append(f"{path}.{key}")
+        return kept, added
+    if isinstance(parent, list) and isinstance(change, list) and len(parent) == len(change):
+        return [drop_added(a, b, f"{path}[{i}]", added)[0]
+                for i, (a, b) in enumerate(zip(parent, change))], added
+    return change, added
 
 
 def leaves(doc, path="$", array=None):
@@ -125,10 +147,17 @@ def main():
         for name in FITS:
             code_p, doc_p = fit(args.parent, name, data, tmp / f"parent_{name}.json")
             code_c, doc_c = fit(args.change, name, data, tmp / f"change_{name}.json")
+            added = []
+            if doc_p is not None and doc_c is not None and doc_p != doc_c:
+                kept, added = drop_added(json.loads(doc_p), json.loads(doc_c))
+                if added:
+                    doc_c = (json.dumps(kept, indent=2, sort_keys=True) + "\n").encode()
             ok = doc_p is not None and doc_p == doc_c and code_p == code_c
             verdict = "identical" if ok else "DIFFERENT"
             size = "-" if doc_p is None else len(doc_p)
             print(f"{name:12s} {verdict}  ({size} bytes, exit {code_p} / {code_c})")
+            if added:
+                print(f"{'':12s} fields added by the change, left out: {', '.join(added)}")
             if doc_p is not None and doc_c is not None and doc_p != doc_c:
                 print(f"{'':12s} {largest_difference(doc_p, doc_c)}")
             same = same and ok

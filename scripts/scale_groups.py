@@ -27,10 +27,11 @@ relative to the first m.
     python3 scripts/scale_groups.py --groups 20 200 --to-tol
 
 ``--to-tol [TOL]`` (1e-8 when no value is given) instead fits each m to that
-tolerance twice, with plain VMP and with the ELBO-guarded SQUAREM of
-``run_vmp``, both without an ELBO trace (the accelerated run still takes the
-ELBOs its guard needs), and prints the sweeps and seconds of each, the
-accelerated run's accepted and rejected steps, and the ratio of sweeps.
+tolerance twice, with plain VMP and with the accelerated loop of ``run_vmp``
+(ELBO-guarded SQUAREM and the model's scale move), both without an ELBO
+trace (the accelerated run still takes the ELBOs its guard needs).  It
+prints the sweeps and seconds of each, the accelerated run's accepted and
+rejected steps and the scale moves it applied, and the ratio of sweeps.
 
 BLAS is pinned to one thread before numpy is imported, and the package is
 imported from this checkout's ``src``.  The script writes nothing outside
@@ -130,7 +131,7 @@ def measure(data, repeats, outdir):
 
 
 def to_tol(data, tol, max_sweeps):
-    """(p, [(sweeps, seconds, converged, accepted, rejected)] plain, then accelerated)."""
+    """(p, [(sweeps, seconds, converged, accepted, rejected, moves)] plain, then accelerated)."""
     model = build_group_curves(*data)
     runs = []
     for accelerate in (False, True):
@@ -139,21 +140,21 @@ def to_tol(data, tol, max_sweeps):
         report = run_vmp(graph, max_iter=max_sweeps, tol=tol, track_elbo=False,
                          accelerate=accelerate)
         runs.append((report.iterations, perf_counter() - t0, report.converged,
-                     report.steps_accepted, report.steps_rejected))
+                     report.steps_accepted, report.steps_rejected, report.moves_applied))
     return graph.nodes["coef"].d, runs
 
 
 def print_to_tol(args):
-    print(f"{'m':>6} {'p':>6} {'plain sweeps':>13} {'plain s':>9} {'SQUAREM sweeps':>15} "
-          f"{'SQUAREM s':>10} {'acc/rej':>9} {'sweep ratio':>12}", flush=True)
+    print(f"{'m':>6} {'p':>6} {'plain sweeps':>13} {'plain s':>9} {'accel. sweeps':>15} "
+          f"{'accel. s':>10} {'acc/rej':>9} {'moves':>6} {'sweep ratio':>12}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for m in args.groups:
             data = grouped_data(Path(tmp) / f"m{m}", m, args.per_group, args.seed)
             p, runs = to_tol(data, args.to_tol, args.max_sweeps)
-            (n0, s0, c0, _, _), (n1, s1, c1, acc, rej) = runs
+            (n0, s0, c0, *_), (n1, s1, c1, acc, rej, moves) = runs
             plain, fast = f"{n0}{'' if c0 else '*'}", f"{n1}{'' if c1 else '*'}"
             print(f"{m:>6} {p:>6} {plain:>13} {s0:>9.2f} {fast:>15} {s1:>10.2f} "
-                  f"{f'{acc}/{rej}':>9} {n1 / n0:>12.3f}", flush=True)
+                  f"{f'{acc}/{rej}':>9} {moves:>6} {n1 / n0:>12.3f}", flush=True)
     print(f"tol {args.to_tol:g}; * marks a fit stopped at --max-sweeps {args.max_sweeps}")
     return 0
 

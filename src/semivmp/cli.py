@@ -107,14 +107,17 @@ def _write_json(obj, fh, nl="\n"):
 
     With an indent the stdlib switches to its pure-Python encoder, one
     generator step and one ``float.__repr__`` per number.  Here a finite
-    float64 array forms the repr of each distinct value once (distinct by
-    bit pattern, so -0.0 keeps its sign) and joins each innermost row in C;
-    a symmetric covariance or covariance block holds each value about
-    twice, a triangular factor is half zeros, and a natural vector repeats
-    the mirror halves and zeros of its matrix part.  No group-curve entry
-    is a p x p array: the coef q-density is written in its two-level blocks
-    (see ``_q_entry``).  ``nl`` is the newline and indent of the enclosing
-    level.
+    float64 array is read in blocks of ``_FLOAT_BLOCK`` entries (C order):
+    a block forms the repr of each of its distinct values once (distinct by
+    bit pattern, so -0.0 keeps its sign), and an innermost row is joined in
+    C, at most a block at a time.  A symmetric covariance block holds each
+    value about twice, a triangular factor is half zeros, and a natural
+    vector repeats the mirror halves and zeros of its matrix part, each
+    close to its mirror in C order; the blocks keep the writer's memory to
+    a few times that of one block, whatever the array's size.  No
+    group-curve entry is a p x p array: the coef q-density is written in
+    its two-level blocks (see ``_q_entry``).  ``nl`` is the newline and
+    indent of the enclosing level.
     """
     inner = nl + "  "
     if isinstance(obj, str):
@@ -151,9 +154,7 @@ def _write_json(obj, fh, nl="\n"):
         fh.write(nl + "}")
     elif (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim and obj.size
           and np.isfinite(obj).all()):
-        distinct, which = np.unique(obj.view(np.int64), return_inverse=True)
-        reprs = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
-        _write_float_rows(reprs[which.reshape(obj.shape)], fh, nl)
+        _write_float_rows(obj.shape, _FloatTokens(obj), fh, nl)
     elif isinstance(obj, (np.ndarray, np.generic)):
         _write_json(obj.tolist(), fh, nl)
     else:
@@ -171,18 +172,47 @@ def _float_token(x):
     return float.__repr__(x)
 
 
-def _write_float_rows(tokens, fh, nl):
-    """An object array of number tokens as nested JSON lists."""
+_FLOAT_BLOCK = 1 << 14
+
+
+class _FloatTokens:
+    """The reprs of a finite float64 array's entries in C order, formed
+    ``_FLOAT_BLOCK`` entries at a time, the repr of each distinct value of a
+    block once."""
+
+    def __init__(self, a):
+        self._flat, self._read = a.reshape(-1), 0
+        self._tokens, self._pos = [], 0
+
+    def take(self, n):
+        """The next n tokens, as a list."""
+        if self._pos + n > len(self._tokens):
+            rest = self._tokens[self._pos :]
+            while len(rest) < n:
+                block = self._flat[self._read : self._read + _FLOAT_BLOCK]
+                self._read += block.size
+                distinct, which = np.unique(block.view(np.int64), return_inverse=True)
+                reprs = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
+                rest += reprs[which].tolist()
+            self._tokens, self._pos = rest, 0
+        self._pos += n
+        return self._tokens[self._pos - n : self._pos]
+
+
+def _write_float_rows(shape, tokens, fh, nl):
+    """The next entries of ``tokens`` as nested JSON lists of ``shape``."""
     inner = nl + "  "
-    if tokens.ndim == 1:
-        fh.write("[" + inner)
-        fh.write(("," + inner).join(tokens.tolist()))
+    if len(shape) == 1:
+        sep = "[" + inner
+        for start in range(0, shape[0], _FLOAT_BLOCK):
+            fh.write(sep + ("," + inner).join(tokens.take(min(_FLOAT_BLOCK, shape[0] - start))))
+            sep = "," + inner
         fh.write(nl + "]")
         return
     sep = "["
-    for row in tokens:
+    for _ in range(shape[0]):
         fh.write(sep + inner)
-        _write_float_rows(row, fh, inner)
+        _write_float_rows(shape[1:], tokens, fh, inner)
         sep = ","
     fh.write(nl + "]")
 
@@ -305,6 +335,9 @@ def cmd_fit(req: FitRequest) -> int:
             "iterations": report.iterations,
             "converged": report.converged,
             "max_relative_delta": report.max_relative_delta,
+            "moves_applied": report.moves_applied,
+            "steps_accepted": report.steps_accepted,
+            "steps_rejected": report.steps_rejected,
         },
         "curves": curves,
         **extras,

@@ -34,9 +34,33 @@ damping 1 the engine keeps the pairs an update hands back, one per node, and
 drops a node's pair before the next update that writes to that node.  The
 ELBO and ``q_density`` read the kept moments when the node's summed vector
 is bitwise equal to the kept vector, and factor it afresh otherwise; the
-results are the same to the bit either way.  Every other q-density's E{T}
+results are the same to the bit either way, except after a move (below).
+``q_density`` refines the moments of a node with a layout by one step
+(``TwoLevelMoments.refined``).  Every other q-density's E{T}
 is formed once per ELBO, next to its entropy, so the fragments' terms read
 their neighbours' expectations and never form them again.
+
+A model may also declare ``moves``: steps along a path in the q-densities of
+a few nodes on which the ELBO has a closed form, run by the accelerated loop
+of ``run_vmp`` after each sweep from the third on.  A move is any object with
+
+- ``nodes``: the nodes whose q-densities it reads;
+- ``edges``: the (factor, node) edges into the nodes it moves, every edge
+  into each of them;
+- ``apply(expectations, messages)``: given for each of ``nodes`` the moments
+  of a normal q-density or E{T} of any other, and the messages of
+  ``edges``, it either leaves everything as it is and returns None, or
+  rewrites some of those messages in place (the arrays the sweep's updates
+  just wrote, which the graph owns) and returns the moments of its moved
+  normal nodes, by name.
+
+``build_factor_graph`` rejects a move whose edges miss one into a node it
+moves, or whose ``layout`` (absent: dense) is not that of a normal node it
+names.  The engine keeps the moments a move hands back for the node's new
+summed vector.  They are the moments the move read, rescaled, so they equal
+a fresh factorization of that vector to rounding, not to the bit; every
+other kept pair is a factorization of its vector.  The engine knows no move
+kind either.
 """
 
 from __future__ import annotations
@@ -140,7 +164,9 @@ class ConvergenceReport:
     """``iterations`` counts every sweep run; ``elbo_trace`` holds one ELBO
     per sweep whose state stands, so it is ``iterations - steps_rejected``
     long when tracked.  ``steps_accepted`` and ``steps_rejected`` count the
-    extrapolated candidates an accelerated run tried (0 on a plain run)."""
+    extrapolated candidates an accelerated run tried, and ``moves_applied``
+    the moves it applied in sweeps whose state stands (all 0 on a plain
+    run)."""
 
     iterations: int
     converged: bool
@@ -148,6 +174,7 @@ class ConvergenceReport:
     elbo_trace: list = field(default_factory=list)
     steps_accepted: int = 0
     steps_rejected: int = 0
+    moves_applied: int = 0
 
 
 class FactorGraph:
@@ -157,6 +184,7 @@ class FactorGraph:
         self.fac_to_node = {}
         self.node_factors = {}
         self.kept_moments = {}  # node -> (factored vector, its moments), see update_factor
+        self.moves = ()
 
 
 def _vague_init(node, precision):
@@ -231,7 +259,30 @@ def build_factor_graph(model) -> FactorGraph:
         precision = getattr(factor.fragment, "start_precision", 0.01)
         for nname in factor.neighbors:
             graph.fac_to_node[(fname, nname)] = _vague_init(graph.nodes[nname], precision)
+    graph.moves = tuple(getattr(model, "moves", ()))
+    for move in graph.moves:
+        _check_move(graph, move)
     return graph
+
+
+def _check_move(graph, move):
+    """A move must name nodes of the graph, edges that cover every factor of
+    each node it moves, and carry the layout of each normal node it names."""
+    name = type(move).__name__
+    edges = tuple(move.edges)
+    for fname, nname in edges:
+        if (fname, nname) not in graph.fac_to_node:
+            raise GraphStructureError(f"{name} names edge ({fname!r}, {nname!r}), not in the graph")
+    moved = dict.fromkeys(nname for _, nname in edges)
+    for nname in moved:
+        if sorted(f for f, n in edges if n == nname) != sorted(graph.node_factors[nname]):
+            raise GraphStructureError(f"{name} does not name every edge into node '{nname}'")
+    for nname in (*move.nodes, *moved):
+        node = graph.nodes.get(nname)
+        if node is None:
+            raise GraphStructureError(f"{name} references undeclared node '{nname}'")
+        if node.family == expfam.MULTIVARIATE_NORMAL and getattr(move, "layout", None) is not node.layout:
+            raise GraphStructureError(f"{name}: its layout is not that of node '{nname}'")
 
 
 def update_node_to_factor(graph: FactorGraph, node: str, factor: str) -> np.ndarray:
@@ -312,8 +363,10 @@ def q_density(graph: FactorGraph, node_name: str) -> QDensity:
     it) and ``common`` holds only ``mu``: the covariance is left in the
     two-level blocks of ``moments``, which give curve bands
     (``row_variance``) and, on request, the dense Sigma (``covariance()``).
-    Every other normal node has ``common["Sigma"]``.  Moments the graph kept
-    for the node are handed over, not shared: the graph forgets them.
+    Those moments get one step of iterative refinement
+    (``TwoLevelMoments.refined``), which the sweeps skip.  Every other
+    normal node has ``common["Sigma"]``.  Moments the graph kept for the
+    node are handed over, not shared: the graph forgets them.
     """
     node = graph.nodes[node_name]
     eta = _eta_q(graph, node_name)
@@ -322,9 +375,11 @@ def q_density(graph: FactorGraph, node_name: str) -> QDensity:
     mom = None
     if node.family == expfam.MULTIVARIATE_NORMAL:
         mom = _q_moments(node, eta, graph.kept_moments.pop(node_name, None))
-        common = {"mu": mom.mu}
         if node.layout is None:
-            common["Sigma"] = mom.Sigma
+            common = {"mu": mom.mu, "Sigma": mom.Sigma}
+        else:
+            mom = mom.refined(eta)
+            common = {"mu": mom.mu}
     else:
         try:
             common = expfam.natural_to_common(NatParam(node.family, eta, node.d))
@@ -382,7 +437,9 @@ def run_vmp(
     With ``accelerate`` (the default) the sweeps run in ELBO-guarded SQUAREM
     cycles (see ``_squarem``), unless a fragment of the graph sets
     ``ascends_elbo = False``; otherwise, or with ``accelerate=False``, every
-    sweep starts where the last one ended.
+    sweep starts where the last one ended.  The graph's moves run only in
+    the accelerated loop, after each sweep from the third on, before its
+    delta is taken.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -402,21 +459,29 @@ def run_vmp(
             raise GraphStructureError(f"schedule misses factors: {missing}")
 
     report = ConvergenceReport(iterations=0, converged=False, max_relative_delta=np.inf)
+    accelerated = accelerate and all(
+        getattr(f.fragment, "ascends_elbo", True) for f in graph.factors.values()
+    )
+    moves = graph.moves if accelerated else ()
 
     def sweep(prev):
-        """One sweep, counted (also when an update raises), its delta
+        """One sweep, counted (also when an update raises), then from the
+        third on the graph's moves (accelerated runs only); its delta
         against ``prev`` (whose vectors it overwrites) reported; returns
         the new q-density vectors."""
         report.iterations += 1
         for fname in schedule:
             update_factor(graph, fname, damping=damping)
         cur = {n: _eta_q(graph, n) for n in graph.nodes}
+        if report.iterations >= _FIRST_MOVE:
+            for move in moves:
+                report.moves_applied += _run_move(graph, move, cur)
         report.max_relative_delta = float(
             np.max([_max_relative_change(cur[n], prev[n]) for n in graph.nodes])
         )
         return cur
 
-    if accelerate and all(getattr(f.fragment, "ascends_elbo", True) for f in graph.factors.values()):
+    if accelerated:
         _squarem(graph, sweep, report, max_iter, tol, track_elbo)
         return report
     prev = {n: _eta_q(graph, n) for n in graph.nodes}
@@ -430,7 +495,34 @@ def run_vmp(
     return report
 
 
+_FIRST_MOVE = 3  # the first sweep after which the moves run
 _STEP_GROWTH = 4.0
+
+
+def _run_move(graph, move, cur):
+    """Run ``move`` on the state whose q-density vectors are ``cur``.  After
+    a move the moved nodes' vectors in ``cur`` are summed afresh, and the
+    moments the move hands back are kept for them.  Returns whether it
+    moved."""
+    expectations = []
+    for nname in move.nodes:
+        node, eta = graph.nodes[nname], cur[nname]
+        if node.family == expfam.MULTIVARIATE_NORMAL:
+            expectations.append(_q_moments(node, eta, graph.kept_moments.get(nname)))
+            continue
+        try:
+            expectations.append(expfam.expected_sufficient_statistic(NatParam(node.family, eta, node.d)))
+        except expfam.ImproperParameterError:
+            raise ImproperQDensityError(nname, eta) from None
+    moved = move.apply(expectations, [graph.fac_to_node[edge] for edge in move.edges])
+    if moved is None:
+        return False
+    for nname in dict.fromkeys(nname for _, nname in move.edges):
+        cur[nname] = _eta_q(graph, nname)
+        graph.kept_moments.pop(nname, None)
+    for nname, moments in moved.items():
+        graph.kept_moments[nname] = (cur[nname], moments)
+    return True
 
 
 def _squarem(graph, sweep, report, max_iter, tol, track_elbo):
@@ -518,9 +610,10 @@ def _extrapolate(theta0, theta1, theta2, cap):
 def _stabilise(graph, sweep, report, candidate, floor):
     """Sweep once from the ``candidate`` (edge, message) pairs.  Returns the
     new q-density vectors and the ELBO when the ELBO reaches ``floor``;
-    otherwise puts back the graph's messages, fragment states and delta
-    (with the kept moments dropped) and returns (None, the ELBO)."""
-    delta = report.max_relative_delta
+    otherwise puts back the graph's messages, fragment states, delta and
+    count of moves (with the kept moments dropped) and returns (None, the
+    ELBO)."""
+    delta, moves = report.max_relative_delta, report.moves_applied
     messages = dict(graph.fac_to_node)
     states = {name: factor.fragment for name, factor in graph.factors.items()}
     graph.kept_moments.clear()
@@ -536,7 +629,7 @@ def _stabilise(graph, sweep, report, candidate, floor):
     for name, state in states.items():
         graph.factors[name].fragment = state
     graph.kept_moments.clear()
-    report.max_relative_delta = delta
+    report.max_relative_delta, report.moves_applied = delta, moves
     return None, value
 
 

@@ -29,6 +29,12 @@ The penalization and the likelihood store the coefficient vectors on their
 ``layout``, which the model builder sets to the coefficient node's: packed
 on a TwoLevelLayout, or dense when it is None.  The engine checks the two
 agree when it builds the graph.
+
+``ScaleMove`` is not a fragment but a move (see ``engine``): the
+parameter-expanded rescaling of one penalized block of a two-level
+coefficient node together with its half-Cauchy variance chain.  Its
+``scale_move_coefficients`` is the exact ELBO change along that path, read
+off the ``*_logp`` terms above, so the best scale has a closed form.
 """
 
 from __future__ import annotations
@@ -584,3 +590,144 @@ def gaussian_likelihood_logp(spec: GaussianLikelihoodSpec, moments, ET_var=None)
         s2 = spec.sigma_sq_fixed
         return gv / s2 - 0.5 * n * (np.log(s2) + _LOG_2PI)
     return ET_var[1] * gv - 0.5 * n * float(ET_var[0]) - 0.5 * n * _LOG_2PI
+
+
+# ---------------------------------------------------------------------------
+# the scale move of a penalized block and its variance chain
+
+
+@dataclass(frozen=True)
+class ScaleMove:
+    """Parameter-expanded scale move (Qi & Jaakkola, NIPS 2006; PX-EM, Liu,
+    Rubin & Wu, Biometrika 1998) of a penalized block u of a two-level
+    coefficient node, together with u's scalar variance theta and theta's
+    auxiliary variance a (the half-Cauchy chain).
+
+    For alpha > 0 it moves q(u) to the law of alpha u (mu_u -> alpha mu_u,
+    Sigma -> D Sigma D with D = diag(alpha on u, 1 elsewhere)), q(theta) to
+    that of alpha^2 theta and q(a) to that of a / alpha^2.  Along this path
+    the ELBO changes by exactly c2 (alpha^2 - 1) + c1 (alpha - 1) + b log alpha
+    (:func:`scale_move_coefficients`), which is concave in alpha, so the
+    best alpha is the positive root of 2 c2 alpha^2 + c1 alpha + b = 0.
+
+    ``block`` is the slice of u's positions within each group's block of
+    ``likelihood.layout``; ``a_prior`` is the prior factor of a.  ``nodes``
+    names (coef, noise variance of the likelihood, a), the nodes whose
+    moments or E{T} :meth:`apply` reads, and ``edges`` the (factor, node)
+    edges into the three moved nodes, as (written, other) pairs for coef,
+    theta and a: the move writes its change into the first edge of each
+    pair, the penalization -> coef, link -> theta and prior -> a messages.
+    """
+
+    likelihood: GaussianLikelihoodSpec
+    a_prior: InverseWishartPriorSpec
+    block: slice
+    nodes: tuple
+    edges: tuple
+
+    def __post_init__(self):
+        if self.likelihood.layout is None or self.a_prior.d != 1:
+            raise ValueError("a scale move needs a two-level coefficient node and a scalar chain")
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "edges", tuple(self.edges))
+        if len(self.nodes) != 3 or len(self.edges) != 6:
+            raise ValueError("a scale move reads 3 nodes and 6 edges")
+
+    @property
+    def layout(self):
+        return self.likelihood.layout
+
+    def apply(self, expectations, messages):
+        """The move to the best alpha, in place, when the ELBO gains by it.
+        ``expectations`` holds the moments of q(coef) and E{T} of the other
+        two ``nodes``; ``messages`` the messages of ``edges``.  Returns
+        {coef node: its moments, moved} after a move, else None, with
+        nothing changed."""
+        moments, ET_noise, ET_a = expectations
+        c2, c1, b = scale_move_coefficients(self, moments, ET_noise, ET_a)
+        alpha = scale_move_alpha(c2, c1, b)
+        if not scale_move_gain(c2, c1, b, alpha) > 0.0:
+            return None
+        self.rescale(alpha, moments, messages)
+        return {self.nodes[0]: moments}
+
+    def rescale(self, alpha, moments, messages):
+        """Move the three q-densities to ``alpha``: each change goes into
+        the written message of its pair, and the moments of q(coef) become
+        the D-scaled ones.  Done in place on views of the pattern blocks:
+        Sigma_GG and the Schur factor do not move (u has no global column),
+        and the log det of the precision falls by 2 |u| log alpha."""
+        lay, u = self.layout, self.block
+        coef, coef_other, theta, theta_other, a, a_other = messages
+        cols = lay.groups[:, u]
+        coef[cols] = (coef[cols] + coef_other[cols]) / alpha - coef_other[cols]
+        # the natural vector's matrix part scales by 1/alpha on u's rows, then on its columns
+        (_, iG, ii), (_, other_iG, other_ii) = lay.split(coef[lay.p :]), lay.split(coef_other[lay.p :])
+        _rescale_sum(iG[:, u], other_iG[:, u], 1.0 / alpha)
+        _rescale_sum(ii[:, u], other_ii[:, u], 1.0 / alpha)
+        _rescale_sum(ii[:, :, u], other_ii[:, :, u], 1.0 / alpha)
+        _rescale_sum(theta[1:], theta_other[1:], alpha * alpha)
+        _rescale_sum(a[1:], a_other[1:], 1.0 / (alpha * alpha))
+        moments.mu[cols] *= alpha
+        moments.Sigma_iG[:, u] *= alpha
+        moments.Sigma_ii[:, u] *= alpha
+        moments.Sigma_ii[:, :, u] *= alpha
+        moments.logdet -= 2.0 * cols.size * float(np.log(alpha))
+
+
+def _rescale_sum(written, other, s):
+    """written -> (written + other) s - other, in place: the sum of the two
+    messages scaled by s, with the change in ``written``."""
+    written += other
+    written *= s
+    written -= other
+
+
+def scale_move_coefficients(move: ScaleMove, moments, ET_noise, ET_a):
+    """(c2, c1, b) of the ELBO change c2 (alpha^2 - 1) + c1 (alpha - 1)
+    + b log alpha along ``move``, from the moments of q(coef) and E{T} of
+    q(noise variance) and q(a).
+
+    Two terms change with alpha^2 or alpha.  With w = E{1/sigma^2} of the
+    noise, Q = A^T A, r = A^T y, E = Sigma + mu mu^T and o the columns other
+    than u, the likelihood's w E{-1/2 |y - A theta|^2} is
+    w (-1/2 (alpha^2 T_uu + 2 alpha T_uo + T_oo) + alpha r_u^T mu_u + r_o^T mu_o)
+    with T_uu = tr(Q_uu E_uu) and T_uo = tr(Q_uo E_ou) (Q is zero between
+    groups, so both sum over each group's rows of u); and the a-prior's
+    -1/2 Lambda E{1/a} is multiplied by alpha^2.  Every other term moves
+    by a multiple of log alpha: the entropy of q(coef) gains |u| and the
+    penalization's -1/2 |u| E{log theta} loses |u| (its E{u^T u} E{1/theta}
+    does not move); the entropy of q(theta) gains 2, the link's
+    -1/2 (kappa + 2) E{log theta} - 1/2 kappa E{log a} loses 2 (its
+    E{1/a} E{1/theta} does not move), the entropy of q(a) loses 2 and the
+    a-prior's -1/2 (kappa_a + 2) E{log a} gains kappa_a + 2.  So b = kappa_a.
+    """
+    lay, u = move.layout, move.block
+    _, Q_iG, Q_ii = lay.split(move.likelihood.AtA)
+    mu_G, mu_I = moments.mu[lay.glob], moments.mu[lay.groups]
+    mu_u, Q_uG, Q_uI = mu_I[:, u], Q_iG[:, u], Q_ii[:, u]
+    # tr(Q E) on u's rows: against the global columns, its group's columns and u's own
+    rows_G = np.einsum("ika,ika->", Q_uG, moments.Sigma_iG[:, u])
+    rows_G += np.einsum("ik,ika,a->", mu_u, Q_uG, mu_G)
+    rows_I = np.einsum("ikl,ikl->", Q_uI, moments.Sigma_ii[:, u])
+    rows_I += np.einsum("ik,ikl,il->", mu_u, Q_uI, mu_I)
+    T_uu = np.einsum("ikl,ikl->", Q_uI[:, :, u], moments.Sigma_ii[:, u, u])
+    T_uu += np.einsum("ik,ikl,il->", mu_u, Q_uI[:, :, u], mu_u)
+    w = float(ET_noise[1])
+    r_u = move.likelihood.Aty[lay.groups[:, u]]
+    c2 = -0.5 * (w * T_uu + float(move.a_prior.Lambda[0, 0]) * float(ET_a[1]))
+    c1 = w * (float(np.sum(r_u * mu_u)) - (rows_G + rows_I - T_uu))
+    return float(c2), float(c1), float(move.a_prior.kappa)
+
+
+def scale_move_alpha(c2, c1, b):
+    """The positive root of 2 c2 alpha^2 + c1 alpha + b = 0 (c2 < 0 < b, so
+    there is one), in the form without cancellation for the sign of c1."""
+    root = np.sqrt(c1 * c1 - 8.0 * c2 * b)
+    return float(2.0 * b / (root - c1) if c1 <= 0.0 else (c1 + root) / (-4.0 * c2))
+
+
+def scale_move_gain(c2, c1, b, alpha):
+    """c2 (alpha^2 - 1) + c1 (alpha - 1) + b log alpha, accurate near alpha = 1."""
+    d = alpha - 1.0
+    return float(d * (c2 * (alpha + 1.0) + c1) + b * np.log1p(d))

@@ -135,16 +135,19 @@ class SplineRows:
         knots = basis.full_knots
         n, J = x.size, knots.size - 7  # J knot intervals
         # knots[j + 3] <= x_i < knots[j + 4], the last interval closed
-        interval = np.minimum(np.searchsorted(knots, x, side="right") - 4, J - 1)
+        interval = np.searchsorted(knots, x, side="right")
+        interval -= 4
+        np.minimum(interval, J - 1, out=interval)
         counts = np.bincount(interval, minlength=J)
         n_max = int(counts.max())
         # each row's position in the padded array: its interval's block, then
-        # its place among that interval's rows (in row order); a small
-        # unsigned key gets numpy's O(n) radix sort
-        order = np.argsort(interval.astype(np.min_scalar_type(J)), kind="stable")
-        slot = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+        # its place among that interval's rows (in row order), that is its
+        # rank k in the stable sort by interval less the interval's first
+        # rank; a small unsigned key gets numpy's O(n) radix sort
         self.where = np.empty(n, dtype=np.intp)
-        self.where[order] = interval[order] * n_max + slot
+        self.where[np.argsort(interval.astype(np.min_scalar_type(J)), kind="stable")] = np.arange(n)
+        self.where += (np.arange(J) * n_max - (np.cumsum(counts) - counts))[interval]
+        del interval
         self.shape = (J, n_max)
         present = self._padded(1.0)
         self.band = np.empty((J, 6, n_max))

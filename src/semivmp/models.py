@@ -29,6 +29,7 @@ from .fragments_gaussian import (
     InverseWishartPriorSpec,
     IteratedIGWSpec,
     PenalizedBlock,
+    ScaleMove,
 )
 from .fragments_glm import (
     LogisticFragmentState,
@@ -101,10 +102,12 @@ class ModelSpec:
     coef_node: str
     curves: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    moves: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "fragments", tuple(self.fragments))
+        object.__setattr__(self, "moves", tuple(self.moves))
 
 
 def _sorted_quantiles(a, probs):
@@ -533,6 +536,11 @@ def build_group_curves(
     unstructured 2x2 covariance (marginally noninformative hierarchy), and
     per-group spline deviations.  The contrast carries its own spline block so
     the between-population difference is itself a flexible curve.
+
+    With K_grp > 0 the model declares one move, the ``ScaleMove`` of the
+    group spline deviations (the last K_grp columns of each group block)
+    with ``sigsq_grp`` and ``a_grp``: the mean-field sweeps crawl along that
+    scale, where the deviations and their variance each wait for the other.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -608,6 +616,14 @@ def build_group_curves(
     fragments.insert(0, FragmentBinding("penalization", pen, pen_ports))
     fragments.append(FragmentBinding("likelihood", lik, ("coef", "sigsq_eps")))
     _variance_chain(nodes, fragments, "eps", "sigsq_eps", "a_eps", hyper.A)
+    moves = ()
+    if K_grp > 0:  # the scale move of the group splines: their columns close each group block
+        a_prior = next(b.fragment for b in fragments if b.name == "prior_a_grp")
+        edges = [("penalization", "coef"), ("likelihood", "coef"),
+                 ("link_grp", "sigsq_grp"), ("penalization", "sigsq_grp"),
+                 ("prior_a_grp", "a_grp"), ("link_grp", "a_grp")]
+        block = slice(layout.q - K_grp, layout.q)
+        moves = (ScaleMove(lik, a_prior, block, ("coef", "sigsq_eps", "a_grp"), edges),)
 
     meta = {
         "y": y, "x": x, "x_mean": x_mean, "x_sd": x_sd, "hyper": hyper,
@@ -646,4 +662,4 @@ def build_group_curves(
         "group_1": lambda grid: _pop_design(grid, 1.0),
         "contrast": contrast_design,
     }
-    return ModelSpec(nodes, fragments, "identity", "coef", curves, meta)
+    return ModelSpec(nodes, fragments, "identity", "coef", curves, meta, moves)

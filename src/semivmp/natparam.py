@@ -392,6 +392,51 @@ class TwoLevelMoments(_Moments):
         Sigma[I[:, :, None], I[:, None, :]] = self.Sigma_ii
         return Sigma
 
+    def refined(self, eta):
+        """These moments after one step of iterative refinement against the
+        packed natural vector ``eta`` they were factored from.
+
+        The two-level elimination forms Sigma_GG from the Schur complement
+        S = P_GG - sum_i B_i^T D_i^{-1} B_i, which cancels where the global
+        columns lie nearly in the span of the group columns (the population
+        lines against the subject lines), so mu and Sigma_GG lose digits a
+        dense Cholesky keeps.  With the residuals r = h - P mu and
+        R = E_G - P [Sigma_GG; Sigma_iG] against the precision P, formed
+        block by block, mu and the global columns of Sigma gain Sigma r and
+        Sigma R (Sigma applied through these blocks), and the Schur factor
+        becomes that of the refined Sigma_GG^{-1}.  Sigma_ii, which no
+        cancellation reaches (the group blocks D_i are well conditioned), and
+        the log det are kept.
+        """
+        lay = self.layout
+        m, q, g, I = lay.m, lay.q, lay.g, lay.groups
+        A, B, D = _precision_blocks(eta, lay)
+        B_f, S_f = B.reshape(-1, g), self.Sigma_iG.reshape(-1, g)  # the group rows stacked
+        X_f = S_f @ self.schur_factor  # Sigma_ij = X_i X_j^T between groups
+        X = X_f.reshape(m, q, g)
+        cond = self.Sigma_ii - X @ X.swapaxes(1, 2)  # D_i^{-1}
+
+        def sigma_times(R_G, R_I):  # Sigma [R_G; R_I] for (g, k) and (m, q, k) parts
+            k = R_G.shape[1]
+            flat = R_I.reshape(-1, k)
+            lead = self.Sigma_GG @ R_G + S_f.T @ flat
+            return lead, (S_f @ R_G + X_f @ (X_f.T @ flat)).reshape(m, q, k) + cond @ R_I
+
+        mu_G, mu_I = self.mu[lay.glob], self.mu[I][:, :, None]
+        r_G = eta[lay.glob] - (A @ mu_G + B_f.T @ mu_I.ravel())
+        r_I = eta[I][:, :, None] - ((B_f @ mu_G).reshape(m, q, 1) + D @ mu_I)
+        d_G, d_I = sigma_times(r_G[:, None], r_I)
+        mu = self.mu.copy()
+        mu[lay.glob] += d_G[:, 0]
+        mu[I] += d_I[:, :, 0]
+        R_G = np.eye(g) - (A @ self.Sigma_GG + B_f.T @ S_f)
+        R_I = -((B_f @ self.Sigma_GG).reshape(m, q, g) + D @ self.Sigma_iG)
+        d_G, d_I = sigma_times(R_G, R_I)
+        Sigma_GG = symmetrize(self.Sigma_GG + d_G)
+        Sigma_iG = self.Sigma_iG + d_I
+        schur = np.tril(spd_chol(spd_inverse(Sigma_GG, "refined Sigma_GG"), "refined Schur complement")[0])
+        return TwoLevelMoments(lay, mu, self.logdet, Sigma_GG, Sigma_iG, self.Sigma_ii, schur)
+
     def row_variance(self, C):
         """diag(C Sigma C^T) from the blocks, without the dense Sigma.
 
@@ -425,6 +470,14 @@ class TwoLevelMoments(_Moments):
         )
 
 
+def _precision_blocks(eta, layout):
+    """(P_GG, the (m, q, g) blocks P_iG, the (m, q, q) blocks P_ii) of the
+    precision P = -2 M of a packed natural vector, each pair of mirror
+    entries summed."""
+    M_GG, M_iG, M_ii = layout.split(eta[layout.p :])
+    return -(M_GG + M_GG.T), -2.0 * M_iG, -(M_ii + M_ii.swapaxes(1, 2))
+
+
 def two_level_moments(eta, layout, context=""):
     """Moments of a multivariate normal whose precision has the pattern of
     ``layout``, in O(m) operations.
@@ -444,10 +497,7 @@ def two_level_moments(eta, layout, context=""):
         raise DimensionError(
             f"expected a packed natural vector of length {layout.packed_size}, got {eta.size}"
         )
-    M_GG, M_iG, M_ii = layout.split(eta[p:])
-    A = -(M_GG + M_GG.T)
-    B = -2.0 * M_iG
-    D = -(M_ii + M_ii.swapaxes(1, 2))
+    A, B, D = _precision_blocks(eta, layout)
     if not (np.isfinite(A).all() and np.isfinite(B).all() and np.isfinite(D).all()):
         raise SpdFactorizationError(context, "non-finite entries")
     try:

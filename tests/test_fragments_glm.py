@@ -548,6 +548,31 @@ def test_spline_rows_hold_the_design_matrix_bsplines(rng):
         assert not np.any(flat[pad]), name
 
 
+def sorted_where(x, basis):
+    """Each row's position in the padded band as the rows were once placed:
+    interval j's block, then the row's place among j's rows, read off the
+    stable sort by interval with an explicit slot array."""
+    knots = basis.full_knots
+    n, J = x.size, knots.size - 7
+    interval = np.minimum(np.searchsorted(knots, x, side="right") - 4, J - 1)
+    counts = np.bincount(interval, minlength=J)
+    order = np.argsort(interval, kind="stable")
+    slot = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    where = np.empty(n, dtype=np.intp)
+    where[order] = interval[order] * int(counts.max()) + slot
+    return where
+
+
+def test_spline_rows_place_each_row_as_the_sort_did(rng):
+    for name, x, K in spline_cases(rng):
+        model = build_glm_spline(np.zeros(x.size), x, K=K, link="log")
+        xs, basis = likelihood_state(model).A.x, model.meta["basis"]
+        assert np.sum(xs == basis.full_knots[-1]) >= 1, name  # a row on the last knot
+        if name in ("both ends", "tied"):
+            assert np.unique(xs).size < xs.size, name
+        np.testing.assert_array_equal(SplineRows(xs, basis).where, sorted_where(xs, basis), err_msg=name)
+
+
 def row_sum_jaakkola_jordan_elbo(state, q, A):
     """The logistic ELBO term as the sum over rows of its tangent bound, from
     q's dense moments, on the dense design A of the state."""
