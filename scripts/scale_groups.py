@@ -5,11 +5,16 @@
 
 For each m the script generates the README's grouped dataset with m groups
 of ``--per-group`` rows (``scripts/make_synthetic_data.py``, run in-process
-into a temporary directory) and reports five phases of a fit:
+into a temporary directory) and reports six phases of a fit:
 
 - build: ``build_group_curves`` plus ``build_factor_graph`` (the benchmark's
   set-up);
 - sweep: one ``run_vmp`` sweep with the ELBO;
+- factor: the per-sweep kernels of the swept ``coef`` q-density, timed
+  alone: one ``two_level_moments`` of its summed vector (``factor ms``)
+  and one scale move of it (``move ms``: the move's closed-form
+  coefficients, its alpha and ``ScaleMove.rescale`` on copies of the
+  moments and of the messages it writes, so the graph does not move);
 - q_density: the q-density of the ``coef`` node;
 - band: the three population curves (``group_0``, ``group_1``, ``contrast``)
   with their 95% bands on a 201-point grid, through ``fitted_curve``;
@@ -19,10 +24,10 @@ into a temporary directory) and reports five phases of a fit:
 
 Each time is the minimum over ``--repeats`` runs (the sweeps continue on one
 graph).  Each peak is the ``tracemalloc`` peak of one more run of the phase,
-untimed.  The last two columns give the size of one packed ``coef``
-natural vector, the form every message and q-density on that node takes,
-and of one dense p x p array for comparison.  A final line gives each time
-relative to the first m.
+untimed; the factor phase has no peak column.  The last two columns give
+the size of one packed ``coef`` natural vector, the form every message and
+q-density on that node takes, and of one dense p x p array for comparison.
+A final line gives each time relative to the first m.
 
     python3 scripts/scale_groups.py --groups 20 200 --to-tol
 
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import io
 import os
 import runpy
@@ -58,9 +64,12 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from semivmp import expfam  # noqa: E402
 from semivmp.cli import _posterior_output, _write_json  # noqa: E402
 from semivmp.engine import build_factor_graph, q_density, run_vmp  # noqa: E402
+from semivmp.fragments_gaussian import scale_move_alpha, scale_move_coefficients  # noqa: E402
 from semivmp.models import build_group_curves, fitted_curve  # noqa: E402
+from semivmp.natparam import two_level_moments  # noqa: E402
 
 
 def grouped_data(outdir, groups, per_group, seed):
@@ -98,6 +107,37 @@ def peak_bytes(fn):
         tracemalloc.stop()
 
 
+def summed_eta(graph, name):
+    """A node's q-density vector: its factors' messages summed in order."""
+    first, *rest = graph.node_factors[name]
+    total = graph.fac_to_node[(first, name)].copy()
+    for factor in rest:
+        total += graph.fac_to_node[(factor, name)]
+    return total
+
+
+def factor_times(graph, repeats):
+    """(seconds of one two_level_moments of the coef q-density vector,
+    seconds of one scale move of it), each the minimum over repeats.  The
+    move runs on copies, so the graph keeps its state."""
+    (move,) = graph.moves
+    coef, noise, a = move.nodes
+    layout = graph.nodes[coef].layout
+    eta = summed_eta(graph, coef)
+    factor_s, moments = timed(lambda: two_level_moments(eta, layout), repeats)
+    ETs = [expfam.expected_sufficient_statistic(
+        expfam.NatParam(graph.nodes[name].family, summed_eta(graph, name), graph.nodes[name].d))
+        for name in (noise, a)]
+    best = np.inf
+    for _ in range(repeats):
+        moved, messages = copy.deepcopy(moments), [graph.fac_to_node[e].copy() for e in move.edges]
+        t0 = perf_counter()
+        alpha = scale_move_alpha(*scale_move_coefficients(move, moved, *ETs))
+        move.rescale(alpha, moved, messages)
+        best = min(best, perf_counter() - t0)
+    return factor_s, best
+
+
 def measure(data, repeats, outdir):
     grid = np.linspace(np.min(data[1]), np.max(data[1]), 201)
 
@@ -121,13 +161,15 @@ def measure(data, repeats, outdir):
 
     build_s, (model, graph) = timed(build, repeats)
     sweep_s, _ = timed(sweep, repeats)
+    factor_s, move_s = factor_times(graph, repeats)
     q_s, q_coef = timed(coef_q, repeats)
     band_s, _ = timed(band, repeats)
     out_s, _ = timed(output, repeats)
     coef = graph.nodes["coef"]
     peaks = [peak_bytes(fn) for fn in (build, sweep, coef_q, band, output)]
     file_mb = (outdir / "fit.json").stat().st_size / 1e6
-    return coef.d, coef.layout.packed_size, (build_s, sweep_s, q_s, band_s, out_s), peaks, file_mb
+    times = (build_s, sweep_s, factor_s, move_s, q_s, band_s, out_s)
+    return coef.d, coef.layout.packed_size, times, peaks, file_mb
 
 
 def to_tol(data, tol, max_sweeps):
@@ -177,7 +219,8 @@ def main(argv=None):
             ap.error("--to-tol must be positive and --max-sweeps at least 1")
         return print_to_tol(args)
 
-    print(f"{'m':>6} {'p':>6} {'build s':>9} {'sweep ms':>9} {'q_density s':>12} {'band s':>8} "
+    print(f"{'m':>6} {'p':>6} {'build s':>9} {'sweep ms':>9} {'factor ms':>10} {'move ms':>8} "
+          f"{'q_density s':>12} {'band s':>8} "
           f"{'output s':>9} {'build MB':>9} {'sweep MB':>9} {'q_density MB':>13} {'band MB':>8} "
           f"{'output MB':>10} {'file MB':>8} {'packed MB':>10} {'p x p MB':>9}",
           flush=True)
@@ -187,10 +230,11 @@ def main(argv=None):
             outdir = Path(tmp) / f"m{m}"
             data = grouped_data(outdir, m, args.per_group, args.seed)
             p, packed, times, peaks, file_mb = measure(data, args.repeats, outdir)
-            build_s, sweep_s, q_s, band_s, out_s = times
+            build_s, sweep_s, factor_s, move_s, q_s, band_s, out_s = times
             first = first or (m, *times)
             mb = [x / 1e6 for x in peaks]
-            print(f"{m:>6} {p:>6} {build_s:>9.4f} {1e3 * sweep_s:>9.2f} {q_s:>12.4f} "
+            print(f"{m:>6} {p:>6} {build_s:>9.4f} {1e3 * sweep_s:>9.2f} {1e3 * factor_s:>10.3f} "
+                  f"{1e3 * move_s:>8.3f} {q_s:>12.4f} "
                   f"{band_s:>8.4f} {out_s:>9.4f} {mb[0]:>9.1f} {mb[1]:>9.1f} {mb[2]:>13.1f} "
                   f"{mb[3]:>8.1f} {mb[4]:>10.1f} {file_mb:>8.2f} {8 * packed / 1e6:>10.2f} "
                   f"{8 * p * p / 1e6:>9.0f}", flush=True)
@@ -198,8 +242,9 @@ def main(argv=None):
     if len(args.groups) > 1:
         ratios = [b / a for a, b in zip(first[1:], last[1:])]
         print(f"m={last[0]} against m={first[0]} ({last[0] / first[0]:g}x the groups): build "
-              f"{ratios[0]:.2f}x, sweep {ratios[1]:.2f}x, q_density {ratios[2]:.2f}x, "
-              f"band {ratios[3]:.2f}x, output {ratios[4]:.2f}x")
+              f"{ratios[0]:.2f}x, sweep {ratios[1]:.2f}x, factor {ratios[2]:.2f}x, "
+              f"move {ratios[3]:.2f}x, q_density {ratios[4]:.2f}x, band {ratios[5]:.2f}x, "
+              f"output {ratios[6]:.2f}x")
     return 0
 
 

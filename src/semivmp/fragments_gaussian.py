@@ -654,33 +654,41 @@ class ScaleMove:
     def rescale(self, alpha, moments, messages):
         """Move the three q-densities to ``alpha``: each change goes into
         the written message of its pair, and the moments of q(coef) become
-        the D-scaled ones.  Done in place on views of the pattern blocks:
+        the D-scaled ones.  Done in place, one pass per block of the packed
+        vector: the ufuncs of each update run with ``where`` set to u's
+        columns of the first part, u's rows of each iG block and u's rows
+        and columns of each ii block, whose entries scale by 1/alpha
+        (1/alpha^2 where a row and a column of u meet), and the moments by
+        alpha (alpha^2).  No entry outside u's rows and columns is touched:
         Sigma_GG and the Schur factor do not move (u has no global column),
         and the log det of the precision falls by 2 |u| log alpha."""
         lay, u = self.layout, self.block
         coef, coef_other, theta, theta_other, a, a_other = messages
-        cols = lay.groups[:, u]
-        coef[cols] = (coef[cols] + coef_other[cols]) / alpha - coef_other[cols]
-        # the natural vector's matrix part scales by 1/alpha on u's rows, then on its columns
+        in_u = np.zeros(lay.q, dtype=bool)
+        in_u[u] = True
+        on_mu = np.zeros(lay.p, dtype=bool)  # masks of the first part and of one group's blocks
+        on_mu[lay.groups[:, in_u]] = True
+        on_iG, on_ii = in_u[:, None], in_u[:, None] | in_u
+        scale_ii = np.where(in_u[:, None] & in_u, alpha * alpha, alpha)
         (_, iG, ii), (_, other_iG, other_ii) = lay.split(coef[lay.p :]), lay.split(coef_other[lay.p :])
-        _rescale_sum(iG[:, u], other_iG[:, u], 1.0 / alpha)
-        _rescale_sum(ii[:, u], other_ii[:, u], 1.0 / alpha)
-        _rescale_sum(ii[:, :, u], other_ii[:, :, u], 1.0 / alpha)
+        _rescale_sum(coef[: lay.p], coef_other[: lay.p], 1.0 / alpha, on_mu)
+        _rescale_sum(iG, other_iG, 1.0 / alpha, on_iG)
+        _rescale_sum(ii, other_ii, 1.0 / scale_ii, on_ii)
         _rescale_sum(theta[1:], theta_other[1:], alpha * alpha)
         _rescale_sum(a[1:], a_other[1:], 1.0 / (alpha * alpha))
-        moments.mu[cols] *= alpha
+        np.multiply(moments.mu, alpha, out=moments.mu, where=on_mu)
         moments.Sigma_iG[:, u] *= alpha
-        moments.Sigma_ii[:, u] *= alpha
-        moments.Sigma_ii[:, :, u] *= alpha
-        moments.logdet -= 2.0 * cols.size * float(np.log(alpha))
+        np.multiply(moments.Sigma_ii, scale_ii, out=moments.Sigma_ii, where=on_ii)
+        moments.logdet -= 2.0 * int(np.count_nonzero(on_mu)) * float(np.log(alpha))
 
 
-def _rescale_sum(written, other, s):
-    """written -> (written + other) s - other, in place: the sum of the two
-    messages scaled by s, with the change in ``written``."""
-    written += other
-    written *= s
-    written -= other
+def _rescale_sum(written, other, s, where=True):
+    """written -> (written + other) s - other, in place where ``where``
+    holds: the sum of the two messages scaled by s, with the change in
+    ``written``."""
+    np.add(written, other, out=written, where=where)
+    np.multiply(written, s, out=written, where=where)
+    np.subtract(written, other, out=written, where=where)
 
 
 def scale_move_coefficients(move: ScaleMove, moments, ET_noise, ET_a):
@@ -705,14 +713,15 @@ def scale_move_coefficients(move: ScaleMove, moments, ET_noise, ET_a):
     lay, u = move.layout, move.block
     _, Q_iG, Q_ii = lay.split(move.likelihood.AtA)
     mu_G, mu_I = moments.mu[lay.glob], moments.mu[lay.groups]
-    mu_u, Q_uG, Q_uI = mu_I[:, u], Q_iG[:, u], Q_ii[:, u]
+    mu_u, Q_uG, Q_uI, Q_uu = mu_I[:, u], Q_iG[:, u], Q_ii[:, u], Q_ii[:, u, u]
     # tr(Q E) on u's rows: against the global columns, its group's columns and u's own
+    QG_mu = (Q_iG.reshape(-1, lay.g) @ mu_G).reshape(lay.m, lay.q)[:, u]  # Q_uG mu_G
     rows_G = np.einsum("ika,ika->", Q_uG, moments.Sigma_iG[:, u])
-    rows_G += np.einsum("ik,ika,a->", mu_u, Q_uG, mu_G)
+    rows_G += np.vdot(mu_u, QG_mu)
     rows_I = np.einsum("ikl,ikl->", Q_uI, moments.Sigma_ii[:, u])
-    rows_I += np.einsum("ik,ikl,il->", mu_u, Q_uI, mu_I)
-    T_uu = np.einsum("ikl,ikl->", Q_uI[:, :, u], moments.Sigma_ii[:, u, u])
-    T_uu += np.einsum("ik,ikl,il->", mu_u, Q_uI[:, :, u], mu_u)
+    rows_I += np.vdot(mu_u, np.einsum("ikl,il->ik", Q_uI, mu_I))
+    T_uu = np.einsum("ikl,ikl->", Q_uu, moments.Sigma_ii[:, u, u])
+    T_uu += np.vdot(mu_u, np.einsum("ikl,il->ik", Q_uu, mu_u))
     w = float(ET_noise[1])
     r_u = move.likelihood.Aty[lay.groups[:, u]]
     c2 = -0.5 * (w * T_uu + float(move.a_prior.Lambda[0, 0]) * float(ET_a[1]))

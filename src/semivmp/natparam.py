@@ -23,7 +23,7 @@ off-diagonal block once.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 
 class SpdFactorizationError(ValueError):
@@ -240,6 +240,7 @@ class TwoLevelLayout:
         # row of each column in its stacked block: GG rows, or the m q rows of iG / ii
         self._stacked = np.where(owner < 0, pos, owner * q + pos)
         self.p, self.g, self.m, self.q = p, g, m, q
+        self.upper_GG = np.triu_indices(g, 1)  # the strict upper triangle of a g x g block
         shapes = ((g, g), (m, q, g), (m, q, q))
         ends = np.cumsum([g * g, m * q * g, m * q * q])
         begins = np.r_[0, ends[:-1]]
@@ -355,23 +356,23 @@ class TwoLevelMoments(_Moments):
         return out
 
     def mean_quadratic(self, Q):
-        """mu^T Q mu for packed pattern entries Q."""
+        """mu^T Q mu for packed pattern entries Q, as matrix-vector products
+        and dot products (each global-by-group entry stands for two)."""
         lay = self.layout
         Q_GG, Q_iG, Q_ii = lay.split(Q)
         mu_G, mu_I = self.mu[lay.glob], self.mu[lay.groups]
         return float(
             mu_G @ Q_GG @ mu_G
-            + mu_I.ravel() @ ((2.0 * Q_iG).reshape(-1, lay.g) @ mu_G)
-            + np.einsum("ik,ikl,il->", mu_I, Q_ii, mu_I)
+            + 2.0 * (mu_I.ravel() @ (Q_iG.reshape(-1, lay.g) @ mu_G))
+            + np.vdot(mu_I, (Q_ii @ mu_I[:, :, None])[:, :, 0])
         )
 
     def trace_product(self, Q):
-        """tr(Q Sigma) for packed pattern entries Q."""
+        """tr(Q Sigma) for packed pattern entries Q: one dot product per
+        block of the pattern."""
         Q_GG, Q_iG, Q_ii = self.layout.split(Q)
         return float(
-            np.sum(Q_GG * self.Sigma_GG)
-            + np.sum(2.0 * Q_iG * self.Sigma_iG)
-            + np.sum(Q_ii * self.Sigma_ii)
+            np.vdot(Q_GG, self.Sigma_GG) + 2.0 * np.vdot(Q_iG, self.Sigma_iG) + np.vdot(Q_ii, self.Sigma_ii)
         )
 
     def covariance(self):
@@ -478,6 +479,22 @@ def _precision_blocks(eta, layout):
     return -(M_GG + M_GG.T), -2.0 * M_iG, -(M_ii + M_ii.swapaxes(1, 2))
 
 
+def _lower_inverse(L):
+    """L_i^{-1} of the (m, q, q) lower triangular factors L, by forward
+    substitution over the q rows of all m factors at once: one batched
+    product per row, no LAPACK call per group.  Row k of L_i^{-1} has
+    1 / L_i[k, k] on its diagonal and, left of it, -L_i[k, :k] / L_i[k, k]
+    times the rows above."""
+    m, q, _ = L.shape
+    inv_diag = 1.0 / np.diagonal(L, axis1=1, axis2=2)
+    N = L * -inv_diag[:, :, None]  # -L_i[k, j] / L_i[k, k]
+    X = np.zeros((m, q, q))
+    X[:, np.arange(q), np.arange(q)] = inv_diag
+    for k in range(1, q):
+        np.matmul(N[:, k : k + 1, :k], X[:, :k, :k], out=X[:, k : k + 1, :k])
+    return X
+
+
 def two_level_moments(eta, layout, context=""):
     """Moments of a multivariate normal whose precision has the pattern of
     ``layout``, in O(m) operations.
@@ -490,9 +507,17 @@ def two_level_moments(eta, layout, context=""):
         Sigma_GG = S^{-1},  Sigma_iG = -D_i^{-1} B_i Sigma_GG,
         Sigma_ii = D_i^{-1} + D_i^{-1} B_i Sigma_GG B_i^T D_i^{-1},
         log det P = sum_i log det D_i + log det S.
+
+    It factors in three steps: one batched Cholesky D_i = L_i L_i^T, one
+    forward substitution over the q rows of all m factors at once, which
+    gives L_i^{-1} (no LAPACK call per group), and the Cholesky factor of S
+    (``spd_chol``), whose LAPACK ``dpotri`` inverse is Sigma_GG.  The
+    products by L_i^{-1} and L_i^{-T} are batched q x q ones; Sigma_iG,
+    whose right factor Sigma_GG all groups share, is one (m q x g)(g x g)
+    GEMM.
     """
     eta = np.asarray(eta, dtype=float)
-    p, g = layout.p, layout.g
+    p, m, q, g = layout.p, layout.m, layout.q, layout.g
     if eta.size != layout.packed_size:
         raise DimensionError(
             f"expected a packed natural vector of length {layout.packed_size}, got {eta.size}"
@@ -510,24 +535,31 @@ def two_level_moments(eta, layout, context=""):
                 raise SpdFactorizationError(context, f"group {i} block, {_eigen_range(Di)}") from e
         raise
     h = eta[:p]
-    Li = np.linalg.inv(L)  # lower triangular L_i^{-1}
+    Li = _lower_inverse(L)
     LiT = Li.swapaxes(1, 2)
     W = Li @ B  # L_i^{-1} B_i
+    del B, D  # freed before the Sigma_ii products, where a sweep's memory peaks
     w = (Li @ h[layout.groups][:, :, None])[:, :, 0]  # L_i^{-1} h_i
     Wf = W.reshape(-1, g)
     c = spd_chol(A - Wf.T @ Wf, context=f"{context} global Schur complement")
-    Sigma_GG = symmetrize(chol_solve(c, np.eye(g)))
+    upper = layout.upper_GG
+    Sigma_GG = dpotri(c[0], lower=1)[0]  # S^{-1} in the lower triangle
+    Sigma_GG[upper] = Sigma_GG.T[upper]
     mu_G = chol_solve(c, h[layout.glob] - Wf.T @ w.ravel())
     V = LiT @ W  # D_i^{-1} B_i
-    mu_I = (LiT @ (w - W @ mu_G)[:, :, None])[:, :, 0]
-    Sigma_iG = -(V @ Sigma_GG)
-    Sigma_ii = LiT @ Li - Sigma_iG @ V.swapaxes(1, 2)
+    mu_I = (LiT @ (w - (Wf @ mu_G).reshape(m, q))[:, :, None])[:, :, 0]
+    del W, Wf
+    Sigma_iG = (V.reshape(-1, g) @ -Sigma_GG).reshape(m, q, g)
+    Sigma_ii = LiT @ Li
+    Sigma_ii -= Sigma_iG @ V.swapaxes(1, 2)
     Sigma_ii = 0.5 * (Sigma_ii + Sigma_ii.swapaxes(1, 2))
     mu = np.empty(p)
     mu[layout.glob], mu[layout.groups] = mu_G, mu_I
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(L, axis1=1, axis2=2))))
     logdet += chol_logdet(c)
-    return TwoLevelMoments(layout, mu, logdet, Sigma_GG, Sigma_iG, Sigma_ii, np.tril(c[0]))
+    schur_factor = c[0]
+    schur_factor[upper] = 0.0
+    return TwoLevelMoments(layout, mu, logdet, Sigma_GG, Sigma_iG, Sigma_ii, schur_factor)
 
 
 def mvn_moments(eta, d, context="", layout=None):

@@ -183,7 +183,7 @@ def assert_rel(got, want, tol=1e-10):
     assert np.max(np.abs(np.asarray(got) - want)) <= tol * scale
 
 
-@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 5), st.integers(0, 2**32 - 1))
 def test_two_level_moments_match_dense(m, q, g, seed):
     rng = np.random.default_rng(seed)
     layout, eta, on = arrowhead_natural(rng, m, q, g)
@@ -263,6 +263,79 @@ def test_pack_rejects_an_asymmetric_pair(rng):
     r, c = layout.groups[2, 1], layout.glob[0]
     with pytest.raises(DimensionError, match=rf"entry \({r}, {c}\)"):
         layout.pack_matrix(M)
+
+
+def inverse_factor_moments(eta, layout):
+    """(mu, Sigma_GG, Sigma_iG, Sigma_ii, logdet) of a packed natural vector
+    through explicit inverses of the group Cholesky factors, L_i^{-1} from
+    LAPACK (one solve per group): the two-level formulation that
+    two_level_moments replaced, kept here as its reference."""
+    p, g = layout.p, layout.g
+    M_GG, M_iG, M_ii = layout.split(eta[p:])
+    A, B, D = -(M_GG + M_GG.T), -2.0 * M_iG, -(M_ii + M_ii.swapaxes(1, 2))
+    L = np.linalg.cholesky(D)
+    Li = np.linalg.inv(L)
+    LiT = Li.swapaxes(1, 2)
+    W = Li @ B
+    w = (Li @ eta[layout.groups][:, :, None])[:, :, 0]
+    Wf = W.reshape(-1, g)
+    c = spd_chol(A - Wf.T @ Wf)
+    Sigma_GG = symmetrize(chol_solve(c, np.eye(g)))
+    mu_G = chol_solve(c, eta[layout.glob] - Wf.T @ w.ravel())
+    V = LiT @ W
+    mu = np.empty(p)
+    mu[layout.glob] = mu_G
+    mu[layout.groups] = (LiT @ (w - W @ mu_G)[:, :, None])[:, :, 0]
+    Sigma_iG = -(V @ Sigma_GG)
+    Sigma_ii = LiT @ Li - Sigma_iG @ V.swapaxes(1, 2)
+    Sigma_ii = 0.5 * (Sigma_ii + Sigma_ii.swapaxes(1, 2))
+    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2))) + 2.0 * np.sum(np.log(np.diag(c[0])))
+    return mu, Sigma_GG, Sigma_iG, Sigma_ii, logdet
+
+
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_two_level_moments_match_the_inverse_factor_formulation(m, q, g, seed):
+    """The forward substitution for L_i^{-1}, the GEMM for Sigma_iG and the
+    dpotri inverse of the Schur complement give the moments of the explicit
+    inverse formulation to 1e-13 on well-conditioned two-level normals, and
+    the Schur factor is the lower triangle of the Schur complement's
+    Cholesky factor with zeros above."""
+    rng = np.random.default_rng(seed)
+    layout, eta, _ = arrowhead_natural(rng, m, q, g)
+    packed = layout.pack(eta)
+    got = mvn_moments(packed, layout.p, layout=layout)
+    mu, Sigma_GG, Sigma_iG, Sigma_ii, logdet = inverse_factor_moments(packed, layout)
+    for name, want in (("mu", mu), ("Sigma_GG", Sigma_GG), ("Sigma_iG", Sigma_iG), ("Sigma_ii", Sigma_ii)):
+        assert_rel(getattr(got, name), want, tol=1e-13)
+    assert abs(got.logdet - logdet) <= 1e-13 * max(1.0, abs(logdet))
+    assert np.array_equal(got.Sigma_GG, got.Sigma_GG.T)
+    assert np.array_equal(got.Sigma_ii, got.Sigma_ii.swapaxes(1, 2))
+    factor = got.schur_factor
+    assert np.array_equal(factor, np.tril(factor))
+    assert_rel(factor @ factor.T, np.linalg.inv(Sigma_GG), tol=1e-12)
+
+
+@pytest.mark.parametrize("group", [0, 3, 7])
+@pytest.mark.parametrize("pivot", [0, 6])
+def test_two_level_moments_name_a_failing_group_block(group, pivot):
+    """With q = 7 as in the group curves, a group block that is not SPD
+    (its Cholesky factorization failing at its first or its last pivot)
+    raises SpdFactorizationError naming that group, whichever group it
+    is."""
+    rng = np.random.default_rng(group + 10 * pivot)
+    layout, eta, _ = arrowhead_natural(rng, 8, 7, 3)
+    p = layout.p
+    P = -2.0 * vec_inverse(eta[p:], p)
+    cols = layout.groups[group]
+    block = random_spd(rng, 7)
+    # the pivot's leading minor turns negative: its Schur complement in the block drops by one past zero
+    block[pivot, pivot] -= 1.0 / np.linalg.inv(block[: pivot + 1, : pivot + 1])[pivot, pivot] + 1.0
+    np.linalg.cholesky(block[:pivot, :pivot])
+    P[np.ix_(cols, cols)] = block
+    bad = layout.pack(np.concatenate([eta[:p], -0.5 * vec(P)]))
+    with pytest.raises(SpdFactorizationError, match=rf"\(coef\): group {group} block") as exc:
+        mvn_moments(bad, p, context="coef", layout=layout)
+    assert exc.value.context == "coef"
 
 
 def test_two_level_moments_name_the_failing_group(rng):

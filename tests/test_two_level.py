@@ -51,7 +51,7 @@ from semivmp.natparam import TwoLevelLayout, mvn_moments, row_quadratic, symmetr
 from conftest import random_spd
 from test_engine import assert_accelerated_fit_agrees, assert_fit_matches_reference, summed_eta
 from test_models import assert_statistics_match
-from test_natparam import arrowhead_precision, assert_rel
+from test_natparam import arrowhead_precision, assert_rel, pattern_mask
 
 GENERATOR = Path(__file__).resolve().parent.parent / "scripts" / "make_synthetic_data.py"
 
@@ -585,6 +585,52 @@ def test_moved_moments_are_those_of_the_moved_vector():
         assert np.array_equal(messages[k + 1], before[k + 1])
         assert messages[k][0] == before[k][0]
         assert_rel(messages[k][1] + messages[k + 1][1], scale * (before[k][1] + before[k + 1][1]), 1e-15)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("block", [slice(2, 7), slice(1, 4)])
+def test_scale_move_touches_only_the_rows_and_columns_of_u(block):
+    """Every entry of the written coef message outside u's rows and columns
+    keeps its bits through a move (-0.0 included), the other message keeps
+    all of them, and so do the kept moments outside u: mu off u, Sigma_GG,
+    the Schur factor, Sigma_iG off u's rows and Sigma_ii off u's rows and
+    columns.  Each entry in u's rows or columns moves."""
+    rng = np.random.default_rng(5)
+    m, q, g = 6, 7, 3
+    layout = TwoLevelLayout(np.arange(g), g + np.arange(m * q).reshape(m, q))
+    AtA = layout.pack_matrix(arrowhead_precision(rng, layout))
+    lik = GaussianLikelihoodSpec(40, rng.normal(size=layout.p), 9.0, AtA, layout)
+    move = ScaleMove(lik, InverseWishartPriorSpec(1.0, np.eye(1) * 0.3), block, ("coef", "noise", "a"),
+                     [("e", "n")] * 6)
+    written = layout.pack(np.concatenate([rng.normal(size=layout.p), -0.5 * vec(arrowhead_precision(rng, layout))]))
+    in_u = np.zeros(layout.p, dtype=bool)
+    in_u[layout.groups[:, block]] = True
+    written[: layout.p][~in_u] = -0.0
+    messages = [written, lik.natural * 1.7, np.array([-1.5, -0.8]), np.array([-4.0, -2.5]),
+                np.array([-1.5, -0.3]), np.array([-1.0, -0.9])]
+    moments = mvn_moments(messages[0] + messages[1], layout.p, layout=layout)
+    before = [msg.copy() for msg in messages[:2]]
+    kept = {name: np.copy(getattr(moments, name))
+            for name in ("mu", "Sigma_GG", "schur_factor", "Sigma_iG", "Sigma_ii")}
+    move.rescale(1.3, moments, messages)
+    rows, cols = np.nonzero(pattern_mask(layout))
+    touched = np.zeros(layout.packed_size, dtype=bool)
+    touched[: layout.p] = in_u
+    touched[layout.position(rows, cols)[in_u[rows] | in_u[cols]]] = True
+    assert np.array_equal(bits(messages[0])[~touched], bits(before[0])[~touched])
+    assert np.all(messages[0][touched] != before[0][touched])
+    assert np.array_equal(bits(messages[1]), bits(before[1]))
+    off_u = ~in_u[layout.groups]  # (m, q): a group's columns outside u
+    off_ii = off_u[:, :, None] & off_u[:, None, :]
+    for name, keep in (("mu", ~in_u), ("Sigma_GG", ...), ("schur_factor", ...), ("Sigma_iG", off_u),
+                       ("Sigma_ii", off_ii)):
+        assert np.array_equal(bits(getattr(moments, name)[keep]), bits(kept[name][keep])), name
+    assert np.all(moments.mu[in_u] != kept["mu"][in_u])
+    assert np.all(moments.Sigma_iG[~off_u] != kept["Sigma_iG"][~off_u])
+    assert np.all(moments.Sigma_ii[~off_ii] != kept["Sigma_ii"][~off_ii])
 
 
 def test_move_without_a_gain_leaves_the_fit_bit_equal(tmp_path, monkeypatch):
